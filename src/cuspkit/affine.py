@@ -42,7 +42,7 @@ from .jets import (
     moment_quotient_jet,
     signed_power,
 )
-from .profiles import SWITCH_RADIUS, NormalizedProfile, invert_monotone
+from .profiles import OVERLAP_BAND, SWITCH_RADIUS, NormalizedProfile, invert_monotone
 
 # Universal germ values of the normalized affine curvature.
 CUSP_PROFILE_VALUE = 4.0 / 25.0
@@ -395,24 +395,19 @@ class AffineProfilerBase:
         L = _arclength_smooth_factor(self.curve, ts, self.deflation)
         return np.sign(ts) * np.abs(ts) ** (1.0 + self.deflation / 3.0) * L
 
-    def tau_of_t(self, ts: np.ndarray) -> np.ndarray:
-        s = self.arclength(ts)
-        return np.sign(ts) * np.abs(s) ** self.tau_exponent
-
-    def _dtau_dt(self, ts: np.ndarray) -> np.ndarray:
+    def _tau_and_slope(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """tau = sgn(t)|s|^p and dtau/dt = p |s|^(p-1) |[g', g'']|^(1/3), one pass."""
         s = self.arclength(ts)
         d = self.curve.derivatives_at(ts, 2)
         b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
+        p = self.tau_exponent
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (
-                self.tau_exponent
-                * np.abs(s) ** (self.tau_exponent - 1.0)
-                * np.abs(b12) ** (1.0 / 3.0)
-            )
-        return np.where(np.abs(ts) < 1e-8, self._slope0, slope)
+            slope = p * np.abs(s) ** (p - 1.0) * np.abs(b12) ** (1.0 / 3.0)
+        tau = np.sign(ts) * np.abs(s) ** p
+        return tau, np.where(np.abs(ts) < 1e-8, self._slope0, slope)
 
     def t_of_tau(self, taus: np.ndarray) -> np.ndarray:
-        return invert_monotone(self.tau_of_t, self._dtau_dt, taus, self._slope0)
+        return invert_monotone(self._tau_and_slope, taus, self._slope0)
 
     def value_direct(self, ts: np.ndarray) -> np.ndarray:
         ts = np.atleast_1d(ts)
@@ -449,7 +444,7 @@ class AffineProfilerBase:
         )
 
     def overlap_consistency(self, n: int = 9) -> float:
-        band = np.linspace(0.04, 0.06, n)
+        band = np.linspace(*OVERLAP_BAND, n)
         ts = np.concatenate([-band[::-1], band])
         return float(np.max(np.abs(self.value_direct(ts) - self.value_smooth(ts))))
 

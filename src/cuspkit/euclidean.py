@@ -22,7 +22,7 @@ import numpy as np
 
 from .dsl import CurveSpec
 from .jets import Jet, PlaneJet, _gauss_01, bracket, deflate, inflate, moment_quotient_jet
-from .profiles import SWITCH_RADIUS, NormalizedProfile, invert_monotone
+from .profiles import OVERLAP_BAND, SWITCH_RADIUS, NormalizedProfile, invert_monotone
 
 PROFILE_JET_ORDER = 12
 CLASSIFY_TOL = 1e-9
@@ -273,14 +273,15 @@ class CuspProfiler:
     def tau_of_t(self, ts: np.ndarray) -> np.ndarray:
         return _arclength_cusp(self.curve, ts)[1]
 
-    def _dtau_dt(self, ts: np.ndarray) -> np.ndarray:
+    def _tau_and_slope(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """tau(t) and dtau/dt = |gamma'(t)| / (2|tau|) from one quadrature pass."""
         tau = self.tau_of_t(ts)
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = _speeds(self.curve, ts) / (2.0 * np.abs(tau))
-        return np.where(np.abs(ts) < 1e-8, self._slope0, slope)
+        return tau, np.where(np.abs(ts) < 1e-8, self._slope0, slope)
 
     def t_of_tau(self, taus: np.ndarray) -> np.ndarray:
-        return invert_monotone(self.tau_of_t, self._dtau_dt, taus, self._slope0)
+        return invert_monotone(self._tau_and_slope, taus, self._slope0)
 
     def value_direct(self, ts: np.ndarray) -> np.ndarray:
         ts = np.atleast_1d(ts)
@@ -327,6 +328,6 @@ def profile_g(curve: CurveSpec, tau_grid) -> NormalizedProfile:
 def overlap_consistency_g(curve: CurveSpec, n: int = 9) -> float:
     """Max disagreement of the two evaluation routes on the overlap band."""
     p = CuspProfiler(curve)
-    band = np.linspace(0.04, 0.06, n)
+    band = np.linspace(*OVERLAP_BAND, n)
     ts = np.concatenate([-band[::-1], band])
     return float(np.max(np.abs(p.value_direct(ts) - p.value_smooth(ts))))

@@ -485,7 +485,7 @@ def _euclid_quadrature(profile, tau_max, step, richardson):
     tm, pm, sm, d1m, d2m = run(-1.0, 1.0)
     taus = np.concatenate([tm[::-1], tp[1:]])
     positions = np.vstack([pm[::-1], pp[1:]])
-    s_raw = np.concatenate([-sm[::-1], sp[1:]])
+    s_raw = np.concatenate([sm[::-1], sp[1:]])
     d1 = np.concatenate([d1m[:, ::-1], d1p[:, 1:]], axis=1)
     d2 = np.concatenate([d2m[:, ::-1], d2p[:, 1:]], axis=1)
     err = math.nan
