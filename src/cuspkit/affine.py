@@ -31,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsl import CurveSpec
-from .euclidean import CLASSIFY_TOL, PROFILE_JET_ORDER, SingularityClass, SingularityType, classify
+from .euclidean import (
+    CLASSIFY_TOL,
+    PROFILE_JET_ORDER,
+    SingularityClass,
+    SingularityType,
+    _cross,
+    classify,
+)
 from .jets import (
     Jet,
     PlaneJet,
@@ -99,10 +106,6 @@ class NormalFormResult:
     reduced: PlaneJet
     flipped: bool
     tail: float
-
-
-def _cross(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
 
 
 # -- affine curvature ----------------------------------------------------------

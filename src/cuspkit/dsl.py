@@ -27,6 +27,7 @@ derivatives are obtained exactly, without finite differences.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -425,7 +426,8 @@ def parse_curve(text: str, params: dict[str, float] | None = None) -> CurveSpec:
     """Parse a curve definition; extra parameter bindings may be supplied.
 
     Raises :class:`ParseError` (with line/column) on malformed input and on
-    parameters that remain unbound after the with-clause.
+    parameters that remain unbound after the with-clause, and a plain
+    ``ValueError`` on a binding that is not finite.
     """
     parser = _Parser(text)
     parser.expect("(", "'(' opening the curve definition")
@@ -461,6 +463,9 @@ def parse_curve(text: str, params: dict[str, float] | None = None) -> CurveSpec:
     if unbound:
         names = ", ".join(sorted(unbound))
         raise ParseError(f"unbound parameter(s): {names}", 1, 1)
+    for name, value in bindings.items():
+        if not math.isfinite(value):
+            raise ValueError(f"curve parameter {name} must be finite, got {name}={value!r}")
     return CurveSpec(x_expr, y_expr, bindings, text.strip())
 
 

@@ -26,7 +26,12 @@ Three inverse problems are solved, one per singularity type:
   [gamma', gamma'''] = 64/27).
 
 All integrations use classical fixed-step RK4 (default step 1e-3) with a
-half-step comparison as a built-in error estimate.  Derivatives of the
+half-step comparison as a built-in error estimate.  The three frame
+systems are linear, Y' = A(tau) Y, and act alike on the x and y columns,
+so each kind supplies only its 3x3 coefficient matrix A and its arclength
+integrand.  The linear frame system is advanced by batched RK4 step
+matrices chained with a log-depth prefix product; the arclength is the RK4
+quadrature of the integrand over the stage states.  Derivatives of the
 synthesized curve are reconstructed from the right-hand sides and the
 frame relations, never by differencing positions; the germ at tau = 0 is
 obtained by Picard iteration of the same system in jet arithmetic.
@@ -152,29 +157,63 @@ def as_profile(fn, label: str = "") -> ProfileFunction:
 # -- fixed-step RK4 over a precomputed half-step grid ---------------------------
 
 
-def _rk4(rhs, y0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
-    """Classical RK4; ``rhs(j, y)`` receives the half-grid index j = 0..2n.
+def _rk4(
+    A: np.ndarray, frame0: np.ndarray, h: float, n_steps: int, speed
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 for the linear frame system Y' = A(tau) Y, plus arclength.
 
-    Returns the state at every full step, shape (n_steps + 1, len(y0)).
+    ``A`` holds the coefficient matrix on the half-step grid, shape
+    (2 n_steps + 1, 3, 3); the state Y (rows gamma, xi, eta; columns x, y)
+    starts at ``frame0``, shape (3, 2).  Because the system is linear, each
+    step is a 3x3 matrix P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with stage
+    matrices K1 = A_k, K2 = A_{k+1/2} (I + h/2 K1), K3 = A_{k+1/2} (I + h/2 K2)
+    and K4 = A_{k+1} (I + h K3).  All steps are built in one batched pass and
+    chained by a log-depth inclusive prefix product, so Y_{k+1} = P_k ... P_0 Y_0.
+
+    The arclength is the RK4 quadrature of ``speed(AZ, Z)`` over the four
+    stage states Z = S_i Y_k (S = I, I + h/2 K1, I + h/2 K2, I + h K3), where
+    AZ = K_i Y_k is the state's derivative there.
+
+    Returns the frames at every full step, shape (n_steps + 1, 3, 2), and
+    the arclength there, shape (n_steps + 1,).
     """
-    out = np.empty((n_steps + 1, len(y0)))
-    out[0] = y0
-    y = np.array(y0, dtype=float)
-    for k in range(n_steps):
-        j = 2 * k
-        k1 = rhs(j, y)
-        k2 = rhs(j + 1, y + (0.5 * h) * k1)
-        k3 = rhs(j + 1, y + (0.5 * h) * k2)
-        k4 = rhs(j + 2, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = y
-    return out
+    eye = np.eye(3)
+    k1, a_mid, a_end = A[0:-1:2], A[1::2], A[2::2]
+    s2 = eye + (0.5 * h) * k1
+    k2 = a_mid @ s2
+    s3 = eye + (0.5 * h) * k2
+    k3 = a_mid @ s3
+    s4 = eye + h * k3
+    k4 = a_end @ s4
+    chain = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # After the pass with stride d, chain[k] = P_k ... P_{max(0, k - 2d + 1)}.
+    d = 1
+    while d < n_steps:
+        chain[d:] = chain[d:] @ chain[:-d]
+        d *= 2
+    frames = np.empty((n_steps + 1, 3, 2))
+    frames[0] = frame0
+    frames[1:] = chain @ frame0
+
+    y = frames[:-1]
+    stages = np.stack([y, s2 @ y, s3 @ y, s4 @ y])
+    slopes = np.stack([k1, k2, k3, k4]) @ y
+    sigma = speed(slopes, stages)
+    ds = (h / 6.0) * (sigma[0] + 2.0 * sigma[1] + 2.0 * sigma[2] + sigma[3])
+    return frames, np.concatenate([[0.0], np.cumsum(ds)])
 
 
 def _half_grid(tau_max: float, step: float) -> tuple[np.ndarray, float, int]:
     n = max(1, math.ceil(abs(tau_max) / step))
     h = tau_max / n
     return np.linspace(0.0, tau_max, 2 * n + 1), h, n
+
+
+def _check_range(tau_max: float, step: float) -> None:
+    """Reject a synthesis range unless tau_max and step are finite and > 0."""
+    for name, value in (("tau_max", tau_max), ("step", step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"synthesis needs a finite {name} > 0, got {name}={value!r}")
 
 
 def _picard_germ(rhs_jets, y0: list[float], order: int) -> list[Jet]:
@@ -267,32 +306,40 @@ class SynthesisResult:
 # -- shared assembly helpers ----------------------------------------------------
 
 
-def _integrate_sides(make_rhs, y0, tau_max, step, richardson=True):
+def _integrate_sides(make_system, frame0, tau_max, step, richardson=True):
     """Integrate one system over both signed ranges; return merged arrays.
 
-    ``make_rhs(taus_half, h)`` builds the index-based RK4 right-hand side for
-    the given half-step grid.  The Richardson estimate compares endpoint
-    positions against a half-step rerun.
+    ``make_system(taus_half)`` returns the coefficient matrices A on the
+    given half-step grid and the arclength integrand (see :func:`_rk4`).
+    Returns the grid, the frames (n, 3, 2), the raw arclength and the
+    Richardson estimate, which compares endpoint positions against a
+    half-step rerun.
     """
 
     def run(sign, h_scale):
         taus, h, n = _half_grid(sign * tau_max, step * h_scale)
-        rhs = make_rhs(taus, h)
-        return taus[::2], _rk4(rhs, y0, h, n)
+        A, speed = make_system(taus)
+        return taus[::2], *_rk4(A, frame0, h, n, speed)
 
-    taus_p, states_p = run(+1.0, 1.0)
-    taus_m, states_m = run(-1.0, 1.0)
+    taus_p, frames_p, s_p = run(+1.0, 1.0)
+    taus_m, frames_m, s_m = run(-1.0, 1.0)
     taus = np.concatenate([taus_m[::-1], taus_p[1:]])
-    states = np.vstack([states_m[::-1], states_p[1:]])
+    frames = np.concatenate([frames_m[::-1], frames_p[1:]])
+    s_raw = np.concatenate([s_m[::-1], s_p[1:]])
     err = math.nan
     if richardson:
-        _, fine_p = run(+1.0, 0.5)
-        _, fine_m = run(-1.0, 0.5)
+        _, fine_p, _ = run(+1.0, 0.5)
+        _, fine_m, _ = run(-1.0, 0.5)
         err = max(
-            float(np.max(np.abs(states_p[-1][:2] - fine_p[-1][:2]))),
-            float(np.max(np.abs(states_m[-1][:2] - fine_m[-1][:2]))),
+            float(np.max(np.abs(frames_p[-1, 0] - fine_p[-1, 0]))),
+            float(np.max(np.abs(frames_m[-1, 0] - fine_m[-1, 0]))),
         )
-    return taus, states, err
+    return taus, frames, s_raw, err
+
+
+def _cross_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] over the trailing (x, y) axis."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def _corrected_arclength(taus: np.ndarray, s_raw: np.ndarray, tau_t_jet: Jet, s_exponent: float) -> np.ndarray:
@@ -330,30 +377,19 @@ def _corrected_arclength(taus: np.ndarray, s_raw: np.ndarray, tau_t_jet: Jet, s_
 # -- Euclidean cusp synthesis ----------------------------------------------------
 
 
-def _euclid_frame_rhs_factory(profile, taus_half, h):
+def _euclid_frame_rhs_factory(profile, taus_half):
+    """A for (gamma, u1, u2): gamma' = q (u1 + m u2), u1' = omega u2, u2' = -omega u1."""
     f, fd = profile.value_and_slope(taus_half)
     denom = 1.0 + 4.0 * taus_half**2 * f**2
     q = 2.0 * taus_half / np.sqrt(denom)
     m = -2.0 * taus_half * f
     omega = 2.0 * (2.0 * f + 4.0 * taus_half**2 * f**3 + taus_half * fd) / denom
-
-    def rhs(j, y):
-        u1 = y[2:4]
-        u2 = y[4:6]
-        vel = q[j] * (u1 + m[j] * u2)
-        return np.array(
-            [
-                vel[0],
-                vel[1],
-                omega[j] * u2[0],
-                omega[j] * u2[1],
-                -omega[j] * u1[0],
-                -omega[j] * u1[1],
-                math.hypot(vel[0], vel[1]),
-            ]
-        )
-
-    return rhs
+    A = np.zeros((len(taus_half), 3, 3))
+    A[:, 0, 1] = q
+    A[:, 0, 2] = q * m
+    A[:, 1, 2] = omega
+    A[:, 2, 1] = -omega
+    return A, lambda dz, z: np.hypot(dz[..., 0, 0], dz[..., 0, 1])
 
 
 def _euclid_frame_germ(profile, order: int) -> tuple[PlaneJet, Jet]:
@@ -386,6 +422,7 @@ def synthesize_euclidean_cusp(
     ``f`` must have f(0) != 0 (curves with f(0) = 0 are not cusps).  The
     returned parameter is the half-arclength parameter: |gamma'| = 2|tau|.
     """
+    _check_range(tau_max, step)
     profile = as_profile(f)
     f0 = float(profile(0.0))
     if f0 == 0.0:
@@ -398,27 +435,26 @@ def synthesize_euclidean_cusp(
         raise ValueError("synthesized germ failed to classify as a cusp")
 
     if method == "frame":
-        taus, states, err = _integrate_sides(
-            lambda th, h: _euclid_frame_rhs_factory(profile, th, h),
-            np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]),
+        taus, frames, s_raw, err = _integrate_sides(
+            lambda th: _euclid_frame_rhs_factory(profile, th),
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             tau_max,
             step,
             richardson,
         )
-        positions = states[:, 0:2]
+        positions = frames[:, 0]
         # gamma' from the frame relation, gamma'' = 2 sqrt(1 + 4 tau^2 f^2) u1.
         fvals, fd = profile.value_and_slope(taus)
         denom = 1.0 + 4.0 * taus**2 * fvals**2
         q = 2.0 * taus / np.sqrt(denom)
-        u1 = states[:, 2:4].T
-        u2 = states[:, 4:6].T
+        u1 = frames[:, 1].T
+        u2 = frames[:, 2].T
         d1 = q * (u1 - 2.0 * taus * fvals * u2)
         d2 = 2.0 * np.sqrt(denom) * u1
         stacks = np.zeros((5, 2, len(taus)))
         stacks[0] = positions.T
         stacks[1] = d1
         stacks[2] = d2
-        s_raw = states[:, 6]
     else:
         taus, positions, s_raw, d1, d2, err = _euclid_quadrature(profile, tau_max, step, richardson)
         stacks = np.zeros((5, 2, len(taus)))
@@ -513,21 +549,17 @@ def _affine_cusp_coeffs(h_vals, hd_vals, taus):
     return a1, a2, b1, b2
 
 
-def _affine_cusp_rhs_factory(profile, taus_half, h):
+def _affine_cusp_rhs_factory(profile, taus_half):
+    """A for (gamma, xi, eta): gamma' = a1 xi + a2 eta, xi' = eta, eta' = b1 xi + b2 eta."""
     hv, hd = profile.value_and_slope(taus_half)
     a1, a2, b1, b2 = _affine_cusp_coeffs(hv, hd, taus_half)
-
-    def rhs(j, y):
-        xi = y[2:4]
-        eta = y[4:6]
-        vel = a1[j] * xi + a2[j] * eta
-        acc = b1[j] * xi + b2[j] * eta
-        b12 = vel[0] * xi[1] - vel[1] * xi[0]
-        return np.array(
-            [vel[0], vel[1], eta[0], eta[1], acc[0], acc[1], abs(b12) ** (1.0 / 3.0)]
-        )
-
-    return rhs
+    A = np.zeros((len(taus_half), 3, 3))
+    A[:, 0, 1] = a1
+    A[:, 0, 2] = a2
+    A[:, 1, 2] = 1.0
+    A[:, 2, 1] = b1
+    A[:, 2, 2] = b2
+    return A, lambda dz, z: np.abs(_cross_last(dz[..., 0, :], z[..., 1, :])) ** (1.0 / 3.0)
 
 
 def _affine_cusp_germ(profile, order: int) -> PlaneJet:
@@ -565,33 +597,34 @@ def synthesize_affine_cusp(
 
     tau is the 3/5-arclength parameter of the result.
     """
+    _check_range(tau_max, step)
     profile = as_profile(h)
     germ = _affine_cusp_germ(profile, GERM_ORDER)
     if not _euclid.classify(germ).is_cusp:
         raise ValueError("synthesized germ failed to classify as a cusp")
 
-    y0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, AFFINE_CUSP_ETA0, 0.0])
-    taus, states, err = _integrate_sides(
-        lambda th, hh: _affine_cusp_rhs_factory(profile, th, hh), y0, tau_max, step, richardson
+    frame0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, AFFINE_CUSP_ETA0]])
+    taus, frames, s_raw, err = _integrate_sides(
+        lambda th: _affine_cusp_rhs_factory(profile, th), frame0, tau_max, step, richardson
     )
 
     hv, hd = profile.value_and_slope(taus)
     a1, a2, b1, b2 = _affine_cusp_coeffs(hv, hd, taus)
-    xi = states[:, 2:4].T
-    eta = states[:, 4:6].T
+    xi = frames[:, 1].T
+    eta = frames[:, 2].T
     stacks = np.zeros((5, 2, len(taus)))
-    stacks[0] = states[:, 0:2].T
+    stacks[0] = frames[:, 0].T
     stacks[1] = a1 * xi + a2 * eta
     stacks[2] = xi
     stacks[3] = eta
     stacks[4] = b1 * xi + b2 * eta
 
     jets = _affine.cusp_profile_jets(germ)
-    s = _corrected_arclength(taus, states[:, 6], jets.tau_t, 0.6)
+    s = _corrected_arclength(taus, s_raw, jets.tau_t, 0.6)
     return SynthesisResult(
         kind="affine-cusp",
         taus=taus,
-        positions=states[:, 0:2],
+        positions=frames[:, 0],
         germ=germ,
         input_profile=profile,
         step=step,
@@ -669,20 +702,16 @@ def _inflection_coeff_arrays(profile, f_jet, g_jet, h_jet, taus):
     return 16.0 * g / 9.0, taus.copy(), -16.0 * hh / 81.0, -16.0 * g / 9.0
 
 
-def _inflection_rhs_factory(profile, jets, taus_half, h):
+def _inflection_rhs_factory(profile, jets, taus_half):
+    """A for (gamma, xi, eta): gamma' = xi, xi' = a11 xi + a12 eta, eta' = a21 xi + a22 eta."""
     a11, a12, a21, a22 = _inflection_coeff_arrays(profile, *jets, taus_half)
-
-    def rhs(j, y):
-        xi = y[2:4]
-        eta = y[4:6]
-        acc = a11[j] * xi + a12[j] * eta
-        jerk = a21[j] * xi + a22[j] * eta
-        b12 = xi[0] * acc[1] - xi[1] * acc[0]
-        return np.array(
-            [xi[0], xi[1], acc[0], acc[1], jerk[0], jerk[1], abs(b12) ** (1.0 / 3.0)]
-        )
-
-    return rhs
+    A = np.zeros((len(taus_half), 3, 3))
+    A[:, 0, 1] = 1.0
+    A[:, 1, 1] = a11
+    A[:, 1, 2] = a12
+    A[:, 2, 1] = a21
+    A[:, 2, 2] = a22
+    return A, lambda dz, z: np.abs(_cross_last(z[..., 1, :], dz[..., 1, :])) ** (1.0 / 3.0)
 
 
 def _inflection_germ(g_jet: Jet, h_jet: Jet, order: int) -> PlaneJet:
@@ -714,38 +743,39 @@ def synthesize_inflection(
     reparametrized one, available as ``result.input_profile``.  tau is the
     3/4-arclength parameter of the result.
     """
+    _check_range(tau_max, step)
     profile, _ = restore_inflection_constraint(f)
     f_jet, g_jet, h_jet = _inflection_gh_jets(profile, GERM_ORDER)
     germ = _inflection_germ(g_jet, h_jet, GERM_ORDER)
     if not _euclid.classify(germ).is_inflection:
         raise ValueError("synthesized germ failed to classify as a generic inflection")
 
-    y0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, INFLECTION_ETA0, 0.0])
+    frame0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, INFLECTION_ETA0]])
     jets3 = (f_jet, g_jet, h_jet)
-    taus, states, err = _integrate_sides(
-        lambda th, hh: _inflection_rhs_factory(profile, jets3, th, hh),
-        y0,
+    taus, frames, s_raw, err = _integrate_sides(
+        lambda th: _inflection_rhs_factory(profile, jets3, th),
+        frame0,
         tau_max,
         step,
         richardson,
     )
 
     a11, a12, a21, a22 = _inflection_coeff_arrays(profile, f_jet, g_jet, h_jet, taus)
-    xi = states[:, 2:4].T
-    eta = states[:, 4:6].T
+    xi = frames[:, 1].T
+    eta = frames[:, 2].T
     stacks = np.zeros((5, 2, len(taus)))
-    stacks[0] = states[:, 0:2].T
+    stacks[0] = frames[:, 0].T
     stacks[1] = xi
     stacks[2] = a11 * xi + a12 * eta
     stacks[3] = eta
     stacks[4] = a21 * xi + a22 * eta
 
     jets = _affine.inflection_profile_jets(germ)
-    s = _corrected_arclength(taus, states[:, 6], jets.tau_t, 0.75)
+    s = _corrected_arclength(taus, s_raw, jets.tau_t, 0.75)
     return SynthesisResult(
         kind="inflection",
         taus=taus,
-        positions=states[:, 0:2],
+        positions=frames[:, 0],
         germ=germ,
         input_profile=profile,
         step=step,

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import affine, euclidean, synthesis
-from .dsl import catalog_lookup, parse_curve, parse_expression
+from .dsl import CATALOG_CUSPS, catalog_lookup, parse_curve, parse_expression
 from .jets import PlaneJet, moment_quotient
 
 DEFAULT_SEED = 0
@@ -59,16 +59,12 @@ def check_mu_g_closed_forms() -> CheckResult:
 
 def check_cusp_limit_richardson() -> CheckResult:
     worst = 0.0
-    for name in euclidean_cusp_names():
+    for name in CATALOG_CUSPS:
         p = euclidean.CuspProfiler(catalog_lookup(name, {"a": 1.0}))
         worst = max(worst, abs(_richardson_to_zero(p) - p.f0))
     return _result(
         "02_cusp_limit_richardson", worst, 1e-6, "extrapolated profile vs mu_g/(2 sqrt 2)"
     )
-
-
-def euclidean_cusp_names() -> tuple[str, ...]:
-    return ("canonical_cusp", "cuspidal_cubic", "cycloid", "hyperbolic_cycloid")
 
 
 def check_canonical_cusp_synthesis() -> CheckResult:

@@ -163,3 +163,16 @@ def test_vectorized_derivatives_match_scalar_jets():
 def test_parse_expression_rejects_trailing_junk():
     with pytest.raises(ParseError, match="end of input"):
         parse_expression("1 + t) * 2")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_param_is_rejected(value):
+    with pytest.raises(ValueError, match=f"c={value!r}") as err:
+        parse_curve("(t^2, t^3 + c*t^5)", {"c": value})
+    assert not isinstance(err.value, ParseError)
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+def test_non_finite_with_clause_is_rejected(literal):
+    with pytest.raises(ValueError, match="curve parameter c must be finite"):
+        parse_curve(f"(t^2, t^3 + c*t^5) with c={literal}")
