@@ -43,13 +43,14 @@ from .jets import (
     Jet,
     PlaneJet,
     _gauss_01,
+    _gauss_panel,
     bracket,
     deflate,
     inflate,
     moment_quotient_jet,
     signed_power,
 )
-from .profiles import OVERLAP_BAND, SWITCH_RADIUS, NormalizedProfile, invert_monotone
+from .profiles import OVERLAP_BAND, SWITCH_RADIUS, NormalizedProfile, invert_adapted
 
 # Universal germ values of the normalized affine curvature.
 CUSP_PROFILE_VALUE = 4.0 / 25.0
@@ -150,6 +151,12 @@ def _kappa_A_many(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
 _DEFLATION = {"cusp": 2, "inflection": 1}
 
 
+def _bracket12(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
+    """[gamma', gamma''] at each t of ts."""
+    d = curve.derivatives_at(ts, 2)
+    return d[1][0] * d[2][1] - d[1][1] * d[2][0]
+
+
 def _arclength_smooth_factor(
     curve: CurveSpec, ts: np.ndarray, deflation: int
 ) -> np.ndarray:
@@ -168,25 +175,16 @@ def _arclength_smooth_factor(
     out = np.empty(len(ts))
     nonzero = ts != 0.0
     if np.any(nonzero):
-        nodes = np.outer(ts[nonzero], nodes_unit).ravel()
-        d = curve.derivatives_at(nodes, 2)
-        b12 = (d[1][0] * d[2][1] - d[1][1] * d[2][0]).reshape(-1, len(v))
-        psi = np.abs(b12 / nodes.reshape(-1, len(v)) ** deflation) ** (1.0 / 3.0)
-        out[nonzero] = psi @ weight
+
+        def psi(u):
+            return np.abs(_bracket12(curve, u) / u**deflation) ** (1.0 / 3.0)
+
+        out[nonzero] = _gauss_panel(psi, ts[nonzero], nodes_unit, weight)
     if np.any(~nonzero):
         germ = curve.jet(0.0, deflation + 2)
         a = deflate(bracket(germ.derivative(1), germ.derivative(2)), deflation)
         out[~nonzero] = abs(a.value()) ** (1.0 / 3.0) / (1.0 + alpha)
     return out
-
-
-def _arclength_regular(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
-    v, w = _gauss_01()
-    ts = np.atleast_1d(ts)
-    nodes = np.outer(ts, v).ravel()
-    d = curve.derivatives_at(nodes, 2)
-    b12 = (d[1][0] * d[2][1] - d[1][1] * d[2][0]).reshape(len(ts), -1)
-    return ts * (np.abs(b12) ** (1.0 / 3.0) @ w)
 
 
 def arclength_A(curve: CurveSpec, t: float) -> tuple[float, float, float]:
@@ -204,7 +202,8 @@ def arclength_A(curve: CurveSpec, t: float) -> tuple[float, float, float]:
         L = _arclength_smooth_factor(curve, ts, 1)
         s = float(np.sign(t) * abs(t) ** (4.0 / 3.0) * L[0])
     elif cls.label is SingularityType.REGULAR:
-        s = float(_arclength_regular(curve, ts)[0])
+        panel = _gauss_panel(lambda u: np.abs(_bracket12(curve, u)) ** (1.0 / 3.0), ts, *_gauss_01())
+        s = float(t * panel[0])
     else:
         raise ValueError(f"affine arclength undefined for a {cls} origin")
     tau35 = signed_power(s, 3, 5)
@@ -275,6 +274,7 @@ class CuspProfileJets:
     tau_t: Jet  # tau35 as a jet in the original parameter
     f_tau: Jet  # f as a jet in tau
     mu_A: float
+    L: Jet  # the arclength factor F: s_A = sgn(t)|t|^(5/3) F(t), tau35 = t F^(3/5)
 
 
 @dataclass(frozen=True)
@@ -286,6 +286,7 @@ class InflectionProfileJets:
     eps_I: int
     identity_residual_t: float
     identity_residual_tau: float
+    L: Jet  # the arclength factor G: s_A = sgn(t)|t|^(4/3) G(t), tau34 = t G^(3/4)
 
 
 def cusp_profile_jets(germ: PlaneJet) -> CuspProfileJets:
@@ -313,7 +314,7 @@ def cusp_profile_jets(germ: PlaneJet) -> CuspProfileJets:
     f_t = F * F * M / (abs_a1.pow_rational(8, 3) * 9.0)
     tau_t = inflate(F.pow_rational(3, 5), 1)
     f_tau = f_t.compose(tau_t.inverted())
-    return CuspProfileJets(f_t, tau_t, f_tau, affine_cuspidal_curvature(germ))
+    return CuspProfileJets(f_t, tau_t, f_tau, affine_cuspidal_curvature(germ), F)
 
 
 def identity_residual(germ: PlaneJet, f_jet: Jet) -> float:
@@ -366,7 +367,7 @@ def inflection_profile_jets(germ: PlaneJet) -> InflectionProfileJets:
     value, eps = inflectional_curvature(germ)
     res_t = identity_residual(germ, f_t)
     res_tau = 32.0 * float(f_tau.coeffs[1]) ** 2 + 9.0 * 2.0 * float(f_tau.coeffs[2])
-    return InflectionProfileJets(f_t, tau_t, f_tau, value, eps, res_t, res_tau)
+    return InflectionProfileJets(f_t, tau_t, f_tau, value, eps, res_t, res_tau, G)
 
 
 # -- profile evaluators ---------------------------------------------------------
@@ -395,14 +396,18 @@ class AffineProfilerBase:
 
     def arclength(self, ts: np.ndarray) -> np.ndarray:
         ts = np.atleast_1d(ts)
-        L = _arclength_smooth_factor(self.curve, ts, self.deflation)
+        return self._arclength_from(ts, self._factor(ts))
+
+    def _factor(self, ts: np.ndarray) -> np.ndarray:
+        return _arclength_smooth_factor(self.curve, ts, self.deflation)
+
+    def _arclength_from(self, ts: np.ndarray, L: np.ndarray) -> np.ndarray:
         return np.sign(ts) * np.abs(ts) ** (1.0 + self.deflation / 3.0) * L
 
     def _tau_and_slope(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """tau = sgn(t)|s|^p and dtau/dt = p |s|^(p-1) |[g', g'']|^(1/3), one pass."""
         s = self.arclength(ts)
-        d = self.curve.derivatives_at(ts, 2)
-        b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
+        b12 = _bracket12(self.curve, ts)
         p = self.tau_exponent
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = p * np.abs(s) ** (p - 1.0) * np.abs(b12) ** (1.0 / 3.0)
@@ -410,23 +415,33 @@ class AffineProfilerBase:
         return tau, np.where(np.abs(ts) < 1e-8, self._slope0, slope)
 
     def t_of_tau(self, taus: np.ndarray) -> np.ndarray:
-        return invert_monotone(self._tau_and_slope, taus, self._slope0)
+        return self._invert(taus)[0]
 
-    def value_direct(self, ts: np.ndarray) -> np.ndarray:
+    def _invert(self, taus):
+        """t(tau), and the interpolant of L it used (None on the exact map)."""
+        return invert_adapted(
+            taus, self.tau_exponent, self._tau_and_slope, self.jets.L, self._factor, self._slope0
+        )
+
+    def value_direct(self, ts: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
+        """The defining formula, with s_A from the factor values L at ts if given."""
         ts = np.atleast_1d(ts)
-        return self.arclength(ts) ** 2 * _kappa_A_many(self.curve, ts)
+        s = self.arclength(ts) if L is None else self._arclength_from(ts, L)
+        return s**2 * _kappa_A_many(self.curve, ts)
 
     def value_smooth(self, ts: np.ndarray) -> np.ndarray:
         return self.jets.f_t(np.atleast_1d(ts))
 
-    def values_at_t(self, ts: np.ndarray) -> np.ndarray:
+    def values_at_t(self, ts: np.ndarray, factor=None) -> np.ndarray:
+        """Profile values at ts; ``factor`` (a callable L(t)) replaces quadrature."""
         ts = np.atleast_1d(ts)
         out = np.empty(len(ts))
         near = np.abs(ts) < SWITCH_RADIUS
         if np.any(near):
             out[near] = self.value_smooth(ts[near])
         if np.any(~near):
-            out[~near] = self.value_direct(ts[~near])
+            far = ts[~near]
+            out[~near] = self.value_direct(far, None if factor is None else factor(far))
         out[ts == 0.0] = self._value_at_origin()
         return out
 
@@ -435,12 +450,12 @@ class AffineProfilerBase:
 
     def sample(self, tau_grid) -> NormalizedProfile:
         grid = np.asarray(tau_grid, dtype=float)
-        ts = self.t_of_tau(grid)
+        ts, factor = self._invert(grid)
         c = self.jets.f_tau.coeffs
         return NormalizedProfile(
             kind=self.kind,
             grid=grid,
-            values=self.values_at_t(ts),
+            values=self.values_at_t(ts, factor),
             f0=float(c[0]),
             fdot0=float(c[1]),
             fddot0=2.0 * float(c[2]),

@@ -21,8 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsl import CurveSpec
-from .jets import Jet, PlaneJet, _gauss_01, bracket, deflate, inflate, moment_quotient_jet
-from .profiles import OVERLAP_BAND, SWITCH_RADIUS, NormalizedProfile, invert_monotone
+from .jets import (
+    Jet,
+    PlaneJet,
+    _gauss_01,
+    _gauss_panel,
+    bracket,
+    deflate,
+    inflate,
+    moment_quotient_jet,
+)
+from .profiles import OVERLAP_BAND, SWITCH_RADIUS, NormalizedProfile, invert_adapted
 
 PROFILE_JET_ORDER = 12
 CLASSIFY_TOL = 1e-9
@@ -163,36 +172,32 @@ def _cusp_speed_factor(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
     return _speeds(curve, ts) / np.abs(ts)
 
 
-def _arclength_regular(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
-    """s_g(t) = integral of |gamma'| from 0, one Gauss panel per target."""
-    v, w = _gauss_01()
-    ts = np.atleast_1d(ts)
-    nodes = np.outer(ts, v).ravel()
-    vals = _speeds(curve, nodes).reshape(len(ts), -1)
-    return ts * (vals @ w)
+def _cusp_factor(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
+    """L(t) = integral_0^1 u * phi(t u) du, one Gauss panel per target.
 
-
-def _arclength_cusp(curve: CurveSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s_g, tau) for a curve with a cusp at 0, smooth in t.
-
-    Writing |gamma'(u)| = |u| * phi(u) with smooth positive phi, the weighted
-    mean L(t) = integral_0^1 u * phi(t u) du gives s_g = sgn(t) t^2 L(t) and
-    tau = t sqrt(L(t)) with no singular behaviour at t = 0.
+    Here |gamma'(u)| = |u| * phi(u) with smooth positive phi, so that
+    s_g = sgn(t) t^2 L(t) and tau = t sqrt(L(t)) with no singular behaviour
+    at t = 0.
     """
     v, w = _gauss_01()
     ts = np.atleast_1d(ts)
     out_L = np.empty(len(ts))
     nonzero = ts != 0.0
     if np.any(nonzero):
-        nodes = np.outer(ts[nonzero], v).ravel()
-        phi = _cusp_speed_factor(curve, nodes).reshape(-1, len(v))
-        out_L[nonzero] = phi @ (w * v)
+        out_L[nonzero] = _gauss_panel(
+            lambda u: _cusp_speed_factor(curve, u), ts[nonzero], v, w * v
+        )
     if np.any(~nonzero):
         d2 = curve.jet(0.0, 2).derivative_vector(2)
         out_L[~nonzero] = float(np.hypot(*d2)) / 2.0
-    s = np.sign(ts) * ts**2 * out_L
-    tau = ts * np.sqrt(out_L)
-    return s, tau
+    return out_L
+
+
+def _arclength_cusp(curve: CurveSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s_g, tau) for a curve with a cusp at 0, smooth in t."""
+    ts = np.atleast_1d(ts)
+    L = _cusp_factor(curve, ts)
+    return np.sign(ts) * ts**2 * L, ts * np.sqrt(L)
 
 
 def arclength_g(curve: CurveSpec, t: float) -> tuple[float, float]:
@@ -205,7 +210,7 @@ def arclength_g(curve: CurveSpec, t: float) -> tuple[float, float]:
     if cls.is_cusp:
         s, tau = _arclength_cusp(curve, np.array([t]))
         return float(s[0]), float(tau[0])
-    s = _arclength_regular(curve, np.array([t]))
+    s = t * _gauss_panel(lambda u: _speeds(curve, u), np.array([t]), *_gauss_01())
     return float(s[0]), float(s[0])
 
 
@@ -220,6 +225,7 @@ class EuclideanProfileJets:
     tau_t: Jet  # the half-arclength parameter as a jet in t
     f_tau: Jet  # the profile as a jet in tau
     mu_g: float
+    L: Jet  # the arclength factor: s_g = sgn(t) t^2 L(t), tau = t sqrt(L)
 
 
 def euclidean_profile_jets(germ: PlaneJet) -> EuclideanProfileJets:
@@ -240,7 +246,8 @@ def euclidean_profile_jets(germ: PlaneJet) -> EuclideanProfileJets:
     B = deflate(bracket(d1, germ.derivative(2)), 2)
     f_t = L.sqrt() * B / (phi * phi * phi)
     tau_t = inflate(L.sqrt(), 1)
-    return EuclideanProfileJets(f_t, tau_t, f_t.compose(tau_t.inverted()), cuspidal_curvature(germ))
+    f_tau = f_t.compose(tau_t.inverted())
+    return EuclideanProfileJets(f_t, tau_t, f_tau, cuspidal_curvature(germ), L)
 
 
 class CuspProfiler:
@@ -250,7 +257,8 @@ class CuspProfiler:
     (bracket deflated by t^2, speed deflated by |t|); outside it evaluates
     the defining formula directly with quadrature for s_g.  Both routes are
     exact up to truncation/quadrature error and must agree on the overlap
-    band.
+    band.  Grids are inverted, and their s_g evaluated, on a Chebyshev
+    interpolant of L (see ``invert_adapted``).
     """
 
     def __init__(self, curve: CurveSpec, order: int = PROFILE_JET_ORDER):
@@ -267,6 +275,7 @@ class CuspProfiler:
         self._f_t = jets.f_t
         self._tau_t = jets.tau_t
         self._f_tau = jets.f_tau
+        self._L = jets.L
         self._slope0 = float(self._tau_t.coeffs[1])
 
     # tau(t) and its t-derivative, vectorized
@@ -281,11 +290,23 @@ class CuspProfiler:
         return tau, np.where(np.abs(ts) < 1e-8, self._slope0, slope)
 
     def t_of_tau(self, taus: np.ndarray) -> np.ndarray:
-        return invert_monotone(self._tau_and_slope, taus, self._slope0)
+        return self._invert(taus)[0]
 
-    def value_direct(self, ts: np.ndarray) -> np.ndarray:
+    def _invert(self, taus):
+        """t(tau), and the interpolant of L it used (None on the exact map)."""
+        return invert_adapted(
+            taus, 0.5, self._tau_and_slope, self._L, self._factor, self._slope0
+        )
+
+    def _factor(self, ts: np.ndarray) -> np.ndarray:
+        return _cusp_factor(self.curve, ts)
+
+    def value_direct(self, ts: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
+        """The defining formula, with s_g from the factor values L at ts if given."""
         ts = np.atleast_1d(ts)
-        s, _ = _arclength_cusp(self.curve, ts)
+        if L is None:
+            L = self._factor(ts)
+        s = np.sign(ts) * ts**2 * L
         d = self.curve.derivatives_at(ts, 2)
         b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
         speed = np.hypot(d[1][0], d[1][1])
@@ -294,21 +315,23 @@ class CuspProfiler:
     def value_smooth(self, ts: np.ndarray) -> np.ndarray:
         return self._f_t(np.atleast_1d(ts))
 
-    def values_at_t(self, ts: np.ndarray) -> np.ndarray:
+    def values_at_t(self, ts: np.ndarray, factor=None) -> np.ndarray:
+        """Profile values at ts; ``factor`` (a callable L(t)) replaces quadrature."""
         ts = np.atleast_1d(ts)
         out = np.empty(len(ts))
         near = np.abs(ts) < SWITCH_RADIUS
         if np.any(near):
             out[near] = self.value_smooth(ts[near])
         if np.any(~near):
-            out[~near] = self.value_direct(ts[~near])
+            far = ts[~near]
+            out[~near] = self.value_direct(far, None if factor is None else factor(far))
         out[ts == 0.0] = self.f0
         return out
 
     def profile(self, tau_grid) -> NormalizedProfile:
         grid = np.asarray(tau_grid, dtype=float)
-        ts = self.t_of_tau(grid)
-        values = self.values_at_t(ts)
+        ts, factor = self._invert(grid)
+        values = self.values_at_t(ts, factor)
         c = self._f_tau.coeffs
         return NormalizedProfile(
             kind="euclid-cusp",

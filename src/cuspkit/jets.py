@@ -671,6 +671,16 @@ def _gauss_01(n: int = 64) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS_CACHE[n]
 
 
+def _gauss_panel(integrand, ts: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """For each t of ``ts``, the sum over j of weights[j] * integrand(t * nodes[j]).
+
+    ``integrand`` maps the flat array of every t * nodes[j] to its values in
+    one call, so a whole grid of quadratures is one vectorized evaluation.
+    """
+    ts = np.atleast_1d(ts)
+    return integrand(np.outer(ts, nodes).ravel()).reshape(len(ts), -1) @ weights
+
+
 def _rational_substitution(alpha: float) -> tuple[int, float]:
     """Smallest q making alpha*q an integer (weight becomes polynomial).
 

@@ -310,6 +310,43 @@ def test_g0_matches_mpmath_oracle():
     assert g0 == pytest.approx(rep.g0, rel=1e-7)
 
 
+@pytest.mark.parametrize("name", ["cycloid", "hyperbolic_cycloid"])
+def test_cusp_profile_matches_mpmath_oracle(name):
+    # Independent of the jet pipeline and of the quadrature: closed-form
+    # derivatives (a = 1), s_A by mp.quad and t(tau) by findroot, at 30
+    # digits.  The t's straddle SWITCH_RADIUS and reach well outside it.
+    mp = pytest.importorskip("mpmath")
+
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    def derivatives(t):
+        if name == "cycloid":
+            s, c = mp.sin(t), mp.cos(t)
+            return (1 - c, -s), (s, -c), (c, s), (-s, c)
+        s, c = mp.sinh(t), mp.cosh(t)
+        return (1 - c, s), (-s, c), (-c, s), (-s, c)
+
+    def s_A(t):
+        return mp.quad(lambda u: mp.cbrt(abs(cross(*derivatives(u)[:2]))), [0, t])
+
+    def tau(t):
+        return mp.sign(t) * abs(s_A(t)) ** (mp.mpf(3) / 5)
+
+    ts = (-0.9, -0.3, -0.06, 0.051, 0.08, 0.2, 0.6)
+    with mp.workdps(30):
+        taus = [float(tau(mp.mpf(t))) for t in ts]
+        want = []
+        for t0, target in zip(ts, taus):
+            t = mp.findroot(lambda t: tau(t) - target, mp.mpf(t0))
+            d1, d2, d3, d4 = derivatives(t)
+            b12 = cross(d1, d2)
+            num = 3 * b12 * cross(d1, d4) + 12 * b12 * cross(d2, d3) - 5 * cross(d1, d3) ** 2
+            want.append(float(s_A(t) ** 2 * num / (9 * mp.cbrt(abs(b12)) ** 8)))
+    prof, _ = profile_A_cusp(catalog_lookup(name, {"a": 1.0}), taus)
+    np.testing.assert_allclose(prof.values, want, rtol=8e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("name", ["cubic_graph", "skew_cycloid"])
 def test_inflection_profile_overlap_consistency(name):
     p = AffineInflectionProfiler(catalog_lookup(name, {"a": 1.0}))

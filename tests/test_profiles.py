@@ -3,10 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from cuspkit.affine import profile_A_cusp, profile_A_inflection
+from cuspkit.affine import (
+    AffineCuspProfiler,
+    cusp_profile_jets,
+    inflection_profile_jets,
+    profile_A_cusp,
+    profile_A_inflection,
+)
 from cuspkit.dsl import CurveSpec, catalog_lookup
-from cuspkit.euclidean import CuspProfiler, profile_g
-from cuspkit.profiles import SEED_NODES
+from cuspkit.euclidean import CuspProfiler, euclidean_profile_jets, profile_g
+from cuspkit.profiles import (
+    CHEB_DEGREES,
+    SEED_NODES,
+    _chebyshev_interpolant,
+    invert_monotone,
+)
 
 
 def cycloid_t_of_tau(taus, a):
@@ -74,3 +85,139 @@ def test_profile_node_budget(case, monkeypatch):
     monkeypatch.setattr(CurveSpec, "derivatives_at", counted)
     fn(curve, np.linspace(left, right, n))
     assert nodes <= 4 * 64 * n
+
+
+@pytest.mark.parametrize("case", sorted(COST_CASES))
+def test_profile_inverts_on_the_interpolant_of_L(case, monkeypatch):
+    # The quadrature runs only to sample L once and to solve the two extreme
+    # targets: a quarter of one 64-node pass over the grid at most.
+    fn, name, (left, right) = COST_CASES[case]
+    n = 4001
+    nodes = []
+    original = CurveSpec.derivatives_at
+    monkeypatch.setattr(
+        CurveSpec,
+        "derivatives_at",
+        lambda self, ts, max_order: nodes.append(np.size(ts)) or original(self, ts, max_order),
+    )
+    fn(catalog_lookup(name, {"a": 1.0}), np.linspace(left, right, n))
+    assert sum(nodes) <= 16 * n
+
+
+# -- the interpolant of the arclength factor L(t) ---------------------------------
+
+
+def test_chebyshev_interpolant_resolves_a_smooth_function():
+    L = _chebyshev_interpolant(np.exp, (-1.0, 2.0))
+    assert len(L.coef) - 1 in CHEB_DEGREES[:2]
+    t = np.linspace(-1.0, 2.0, 1001)
+    np.testing.assert_allclose(L(t), np.exp(t), rtol=1e-14)
+    np.testing.assert_allclose(L.deriv()(t), np.exp(t), rtol=1e-12)
+
+
+def test_chebyshev_interpolant_rejects_a_kink():
+    with pytest.raises(ValueError, match="did not converge.*next singular point"):
+        _chebyshev_interpolant(lambda t: np.abs(t - 0.3), (-1.0, 1.0))
+
+
+# kind: (curve, profile-jet function, integrand of s in mpmath at a = 1, exponent e),
+# with s(t) = sgn(t) |t|^e L(t).
+FACTOR_CASES = {
+    "euclid_cusp": (
+        "cycloid",
+        euclidean_profile_jets,
+        lambda mp, u: 2 * abs(mp.sin(u / 2)),  # |gamma'|
+        2,
+    ),
+    "affine_cusp": (
+        "hyperbolic_cycloid",
+        cusp_profile_jets,
+        lambda mp, u: mp.cbrt(mp.cosh(u) - 1),  # |[g', g'']|^(1/3)
+        "5/3",
+    ),
+    "inflection": (
+        "skew_cycloid",
+        inflection_profile_jets,
+        lambda mp, u: mp.cbrt(abs(1 - mp.cos(u) + mp.sin(u))),
+        "4/3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_CASES))
+def test_profile_jets_carry_the_arclength_factor(case):
+    # The jet of L that samples the interpolant inside SWITCH_RADIUS, against
+    # a 30-digit quadrature of the closed-form integrand.
+    mp = pytest.importorskip("mpmath")
+    name, build, integrand, e = FACTOR_CASES[case]
+    jets = build(catalog_lookup(name, {"a": 1.0}).jet(0.0, 12))
+    ts = [-0.049, -0.02, 0.01, 0.049]
+    with mp.workdps(30):
+        want = [
+            float(mp.quad(lambda u: integrand(mp, u), [0, t]) / (mp.sign(t) * abs(t) ** mp.mpf(e)))
+            for t in ts
+        ]
+    np.testing.assert_allclose(jets.L(np.array(ts)), want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "name, a, n, left, right",
+    [
+        ("hyperbolic_cycloid", 1.8851494512572553, 1001, -0.20803, 0.30974),
+        ("cycloid", 1.5332797785656338, 4001, -0.098453, 0.67538),
+    ],
+)
+def test_tail_rule_accepts_noisy_samples(name, a, n, left, right):
+    # Quadrature samples of L near t = 0 carry cancellation noise of the
+    # curve's derivatives; a chop rule at rounding level rejected these grids.
+    curve = catalog_lookup(name, {"a": a})
+    grid = np.linspace(left, right, n)
+    prof, _ = profile_A_cusp(curve, grid)
+    assert np.all(np.isfinite(prof.values))
+    # Against Newton and the direct route on the exact quadrature map.
+    p = AffineCuspProfiler(curve)
+    exact = p.values_at_t(invert_monotone(p._tau_and_slope, grid, p._slope0))
+    err = np.abs(prof.values - exact) / np.maximum(1.0, np.abs(exact))
+    assert np.max(err) <= 1e-11
+
+
+@pytest.mark.parametrize("fn", [profile_g, profile_A_cusp])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_newton_stays_on_the_interpolated_range(fn, a):
+    # Starting guesses beyond the t-range would extrapolate L below zero.
+    curve = catalog_lookup("cuspidal_cubic", {"a": a})
+    grid = np.linspace(-1.5, 1.5, 1001)
+    with np.errstate(all="raise"):
+        out = fn(curve, grid)
+    values = (out if fn is profile_g else out[0]).values
+    assert np.all(np.isfinite(values))
+
+
+# -- the domain: the cycloid's next cusp ----------------------------------------------
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("f", [0.99, 0.999, 0.9999, 1.0005, 1.01, 1.15])
+def test_profile_g_past_the_next_cusp_raises(a, f):
+    # tau = sqrt(8a) sin(t/4) reaches its largest value sqrt(8a) at the next
+    # cusp t = 2 pi, where L(t) stops being smooth in |gamma'|.  The grid
+    # ending at f = 0.9999 has t within 0.06 of the cusp, so the t-range of
+    # the interpolant must not be padded beyond it.
+    curve = catalog_lookup("cycloid", {"a": a})
+    grid = np.linspace(-0.5, f * math.sqrt(8.0 * a), 1001)
+    if f > 1.0:
+        with pytest.raises(ValueError, match="did not converge.*next singular point"):
+            profile_g(curve, grid)
+    else:
+        want = 1.0 / np.sqrt(8.0 * a - grid**2)
+        got = profile_g(curve, grid).values
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, SEED_NODES])
+def test_small_grids_past_the_next_cusp_raise(n):
+    # The interpolant spans t from 0, so one point past the cusp suffices.
+    curve = catalog_lookup("cycloid", {"a": 1.0})
+    grid = np.linspace(1.05 * math.sqrt(8.0), 1.1 * math.sqrt(8.0), n)
+    with pytest.raises(ValueError, match="did not converge.*next singular point"):
+        profile_g(curve, grid)
