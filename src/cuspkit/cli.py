@@ -15,13 +15,19 @@ as a DSL definition like ``"(t^2, t^3)"``.  Relative output paths are
 resolved against ``$CUSPKIT_OUTPUT_DIR`` when it is set.  Numbers are
 serialized with shortest round-trip precision, so repeated runs are
 byte-identical.
+
+``main()`` reuses one argument parser per process: ``build_parser`` is
+cached, and every call parses into a fresh namespace, so repeated in-process
+calls pay for the parser once and share no option values.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import os
 import sys
 
@@ -57,6 +63,9 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"bad --grid {spec!r}; expected start:stop:count")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    for name, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise ValueError(f"bad --grid {spec!r}; {name} must be finite, got {value!r}")
     if count < 1:
         raise ValueError("grid count must be >= 1")
     return np.linspace(start, stop, count)
@@ -241,6 +250,7 @@ def _add_svg_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--axes", action="store_true", help="draw coordinate axes")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuspkit",

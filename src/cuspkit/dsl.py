@@ -372,6 +372,8 @@ class CurveSpec:
         """Exact Taylor jet of the curve at t0 (automatic differentiation)."""
         if order > MAX_JET_ORDER:
             raise ValueError(f"jet order {order} exceeds the supported maximum {MAX_JET_ORDER}")
+        if not math.isfinite(t0):
+            raise ValueError(f"jet base point t0 must be finite, got t0={t0!r}")
         t = Jet.variable(float(t0), order)
         x = evaluate(self.x_expr, t, self.params)
         y = evaluate(self.y_expr, t, self.params)

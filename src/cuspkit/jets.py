@@ -317,24 +317,27 @@ class Jet:
         return acc
 
     def inverted(self) -> "Jet":
-        """Series reversion: the jet of the inverse map.
+        """Series reversion by Lagrange inversion: the jet of the inverse map.
 
         If this jet represents s(t) with s'(t0) != 0, the result represents
-        t(s) about the base point s(t0).
+        t(s) about the base point s(t0), to the same order.  With the offset
+        series S(x) = s(t0 + x) - s0 = a1 x + a2 x^2 + ... and
+        h(x) = x / S(x) = 1 / (a1 + a2 x + ...), the inverse is
+        t0 + sum_n b_n (s - s0)^n with b_n = [x^(n-1)] h^n / n (Knuth, TAOCP
+        vol. 2, sec. 4.7).  That is one jet division and one truncated
+        product per order, and no composition.
         """
         s = self.coeffs
         if len(s) < 2 or s[1] == 0.0:
             raise ValueError("cannot invert a jet with zero linear coefficient")
         k = self.order
-        # Work with offset series S(x) = s(t0 + x) - s0; find T with S(T(y)) = y.
-        S = Jet(np.concatenate([[0.0], s[1:]]), 0.0)
-        ident = Jet.variable(0.0, k)
-        T = Jet(np.concatenate([[0.0], [1.0 / s[1]], np.zeros(max(0, k - 1))]), 0.0)
-        dS = S.derivative()
-        for _ in range(max(1, math.ceil(math.log2(k + 1))) + 1):
-            err = S.compose(T) - ident
-            T = T - err / dS.compose(T)
-        out = np.concatenate([[self.base_point], T.coeffs[1:]])
+        h = (1.0 / Jet(s[1:])).coeffs  # x / S(x) through x^(k-1)
+        out = np.empty(k + 1)
+        out[0], out[1] = self.base_point, h[0]
+        h_n = h
+        for n in range(2, k + 1):
+            h_n = np.convolve(h_n, h)[:k]
+            out[n] = h_n[n - 1] / n
         return Jet(out, float(s[0]))
 
 

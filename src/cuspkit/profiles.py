@@ -140,9 +140,16 @@ def invert_adapted(
     interpolated on that t-range, and ``invert_monotone`` runs on the cheap
     map, clipped to the range.  The interpolant of L is returned with the
     solution so that the caller can evaluate s on the same grid; it is None
-    when every target is 0 and the exact map was used.
+    when every target is 0 and the exact map was used.  A non-finite
+    target raises ``ValueError``.
     """
     targets = np.asarray(targets, dtype=float)
+    bad = ~np.isfinite(targets)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"tau grid values must be finite, got tau = {float(targets.flat[i])!r} at index {i}"
+        )
     t_range = _t_range(exact_value_and_slope, targets, slope0)
     if t_range is None:
         return invert_monotone(exact_value_and_slope, targets, slope0), None

@@ -1,0 +1,91 @@
+import json
+
+import pytest
+
+from cuspkit import cli
+
+
+def _run(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["invariants", "--help"], ["profile", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: cuspkit" in capsys.readouterr().out
+
+
+def test_param_does_not_leak_between_calls(capsys):
+    code, out, _ = _run(capsys, ["invariants", "--curve", "cycloid", "--param", "a=2"])
+    assert code == 0
+    assert json.loads(out)["params"] == {"a": 2.0}
+    # 'parabola' takes no parameter, so a leaked a=2 would be an error here.
+    code, out, err = _run(capsys, ["classify", "--curve", "parabola"])
+    assert (code, out, err) == (0, "Regular\n", "")
+    code, out, _ = _run(capsys, ["invariants", "--curve", "cycloid", "--param", "a=0.5"])
+    assert json.loads(out)["params"] == {"a": 0.5}
+
+
+def test_append_action_starts_empty_on_every_parse():
+    parser = cli.build_parser()
+    first = parser.parse_args(["invariants", "--curve", "c", "--param", "a=1", "--param", "b=2"])
+    second = parser.parse_args(["invariants", "--curve", "c", "--param", "a=3"])
+    third = parser.parse_args(["invariants", "--curve", "c"])
+    assert first.param == ["a=1", "b=2"]
+    assert second.param == ["a=3"]
+    assert third.param is None
+
+
+def test_out_does_not_leak_between_calls(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    code, out, _ = _run(
+        capsys, ["invariants", "--curve", "cycloid", "--param", "a=1", "--out", str(path)]
+    )
+    assert (code, out) == (0, "")
+    written = path.read_text()
+    code, out, _ = _run(capsys, ["invariants", "--curve", "skew_cycloid", "--param", "a=1"])
+    assert code == 0
+    assert json.loads(out)["class"] == "PositiveInflection"
+    assert path.read_text() == written
+
+
+def test_subcommand_defaults_do_not_leak_between_calls(capsys):
+    argv = ["classify", "--curve", "cycloid", "--param", "a=1"]
+    assert _run(capsys, argv + ["--at", "0.5"])[1] == "Regular\n"
+    assert _run(capsys, argv)[1] == "PositiveCusp\n"
+    # The subcommand's function comes from its own defaults on every call.
+    code, out, _ = _run(capsys, ["invariants", "--curve", "cycloid", "--param", "a=1"])
+    assert json.loads(out)["class"] == "PositiveCusp"
+    assert _run(capsys, argv)[1] == "PositiveCusp\n"
+
+
+# -- inputs outside the domain -----------------------------------------------------
+
+
+@pytest.mark.parametrize("at", ["nan", "inf"])
+def test_classify_rejects_non_finite_base_point(capsys, at):
+    code, out, err = _run(capsys, ["classify", "--curve", "cycloid", "--param", "a=1", "--at", at])
+    assert (code, out) == (1, "")
+    assert "t0 must be finite" in err
+    assert f"t0={at}" in err
+
+
+@pytest.mark.parametrize("grid, name", [("nan:0.1:3", "start"), ("0:inf:3", "stop")])
+def test_profile_rejects_non_finite_grid(capsys, grid, name):
+    argv = ["profile", "--curve", "cycloid", "--param", "a=1", "--kind", "euclid-cusp"]
+    code, out, err = _run(capsys, argv + ["--grid", grid])
+    assert (code, out) == (1, "")
+    assert f"{name} must be finite" in err
+    assert repr(grid) in err

@@ -191,6 +191,104 @@ def test_invert_needs_nonzero_slope():
         Jet([0.0, 0.0, 1.0]).inverted()
 
 
+# -- series reversion ----------------------------------------------------------
+
+
+@st.composite
+def invertible_jets(draw):
+    """Jets of order 1-16 with |s1| >= 0.1 and base points in [-1, 1]."""
+    order = draw(st.integers(min_value=1, max_value=16))
+    slope = draw(st.floats(min_value=0.1, max_value=2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    unit = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
+    rest = draw(st.lists(unit, min_size=order - 1, max_size=order - 1))
+    return Jet([draw(finite), slope, *rest], draw(unit))
+
+
+def _newton_reversion(jet: Jet) -> Jet:
+    """Reference reversion by Newton's iteration on S(T(y)) = y.
+
+    Its result has order one less than the input's.
+    """
+    s, k = jet.coeffs, jet.order
+    S = Jet(np.concatenate([[0.0], s[1:]]), 0.0)
+    ident = Jet.variable(0.0, k)
+    T = Jet(np.concatenate([[0.0], [1.0 / s[1]], np.zeros(max(0, k - 1))]), 0.0)
+    dS = S.derivative()
+    for _ in range(max(1, math.ceil(math.log2(k + 1))) + 1):
+        err = S.compose(T) - ident
+        T = T - err / dS.compose(T)
+    return Jet(np.concatenate([[jet.base_point], T.coeffs[1:]]), float(s[0]))
+
+
+def _reversion_scale(jet: Jet) -> np.ndarray:
+    """Per-coefficient size of the terms that sum to the reversion of ``jet``.
+
+    The reversion of |a1| x - |a2| x^2 - |a3| x^3 - ... has, in each
+    coefficient, the sum of the magnitudes of the terms the Lagrange
+    formula adds, so rounding errors are measured against it.  Entry 0 is
+    max(1, |t0|).
+    """
+    m = -np.abs(jet.coeffs)
+    m[0], m[1] = 0.0, -m[1]
+    scale = np.abs(Jet(m).inverted().coeffs)
+    scale[0] = max(1.0, abs(jet.base_point))
+    return scale
+
+
+@given(invertible_jets())
+@settings(max_examples=200)
+def test_inverted_keeps_the_order(s):
+    inv = s.inverted()
+    assert inv.order == s.order
+    assert inv.base_point == s.value()
+    assert inv.value() == s.base_point
+
+
+@given(invertible_jets())
+@settings(max_examples=200)
+def test_inverted_composes_to_the_identity(s):
+    ident = s.compose(s.inverted())
+    expect = np.zeros_like(ident.coeffs)
+    expect[0], expect[1] = s.value(), 1.0
+    # The sizes of the terms summed in each coefficient of the composition.
+    a, b = np.abs(s.coeffs), np.abs(s.inverted().coeffs)
+    a[0] = b[0] = 0.0
+    scale = np.maximum(1.0, Jet(a).compose(Jet(b)).coeffs)
+    scale[0] = max(1.0, abs(s.value()))
+    assert np.all(np.abs(ident.coeffs - expect) <= 1e-12 * scale)
+
+
+@given(invertible_jets())
+@settings(max_examples=200)
+def test_inverted_twice_is_the_jet(s):
+    inv = s.inverted()
+    back = inv.inverted()
+    assert back.base_point == s.base_point
+    assert back.order == s.order
+    scale = _reversion_scale(inv)
+    scale[0] = max(1.0, abs(s.value()))
+    assert np.all(np.abs(back.coeffs - s.coeffs) <= 1e-12 * scale)
+
+
+@given(invertible_jets())
+@settings(max_examples=200)
+def test_inverted_matches_newton_reversion(s):
+    inv = s.inverted()
+    ref = _newton_reversion(s)
+    k = ref.order + 1  # the orders both results carry
+    assert ref.base_point == inv.base_point
+    assert np.all(np.abs(inv.coeffs[:k] - ref.coeffs) <= 1e-13 * _reversion_scale(s)[:k])
+
+
+@given(finite, st.floats(min_value=0.1, max_value=2.0), st.booleans(), finite)
+@settings(max_examples=50)
+def test_order_one_jet_inverts_to_the_reciprocal_slope(s0, mag, neg, t0):
+    s1 = -mag if neg else mag
+    inv = Jet([s0, s1], t0).inverted()
+    assert inv.base_point == s0
+    assert inv.coeffs.tolist() == [t0, 1.0 / s1]
+
+
 def test_rational_power_of_jet_matches_binomial_series():
     t = Jet.variable(0.0, 6)
     got = (1 + t).pow_rational(1, 2).coeffs

@@ -221,3 +221,22 @@ def test_small_grids_past_the_next_cusp_raise(n):
     grid = np.linspace(1.05 * math.sqrt(8.0), 1.1 * math.sqrt(8.0), n)
     with pytest.raises(ValueError, match="did not converge.*next singular point"):
         profile_g(curve, grid)
+
+
+# -- non-finite grids -----------------------------------------------------------------
+
+NON_FINITE_CASES = {
+    "profile_g": (profile_g, "cycloid"),
+    "profile_A_cusp": (profile_A_cusp, "cycloid"),
+    "profile_A_inflection": (profile_A_inflection, "skew_cycloid"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CASES))
+def test_non_finite_grid_raises(name, bad):
+    fn, curve_name = NON_FINITE_CASES[name]
+    curve = catalog_lookup(curve_name, {"a": 1.0})
+    for grid, i in (([bad], 0), ([0.0, 0.1, bad, 0.3], 2), ([-0.2, 0.1, bad], 2)):
+        with pytest.raises(ValueError, match=f"finite, got tau = {bad!r} at index {i}"):
+            fn(curve, np.array(grid))
