@@ -33,7 +33,6 @@ import numpy as np
 from .dsl import CurveSpec
 from .euclidean import (
     CLASSIFY_TOL,
-    PROFILE_JET_ORDER,
     SingularityClass,
     SingularityType,
     _cross,
@@ -50,7 +49,7 @@ from .jets import (
     moment_quotient_jet,
     signed_power,
 )
-from .profiles import OVERLAP_BAND, SWITCH_RADIUS, NormalizedProfile, invert_adapted
+from .profiles import Kind, NormalizedProfile, Profiler
 
 # Universal germ values of the normalized affine curvature.
 CUSP_PROFILE_VALUE = 4.0 / 25.0
@@ -134,57 +133,13 @@ def kappa_A(curve: CurveSpec, t: float) -> float:
     return affine_curvature_from_jet(curve.jet(t, 4))
 
 
-def _kappa_A_many(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
-    d = curve.derivatives_at(ts, 4)
-    b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
-    b13 = d[1][0] * d[3][1] - d[1][1] * d[3][0]
-    b14 = d[1][0] * d[4][1] - d[1][1] * d[4][0]
-    b23 = d[2][0] * d[3][1] - d[2][1] * d[3][0]
-    num = 3.0 * b12 * b14 + 12.0 * b12 * b23 - 5.0 * b13**2
-    return num / (9.0 * np.abs(b12) ** (8.0 / 3.0))
-
-
 # -- affine arclength and the adapted parameters -------------------------------
-
-# Vanishing order of [gamma', gamma''] at t=0 and the matching weight
-# exponent of the arclength integrand |t|^(k/3).
-_DEFLATION = {"cusp": 2, "inflection": 1}
 
 
 def _bracket12(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
     """[gamma', gamma''] at each t of ts."""
     d = curve.derivatives_at(ts, 2)
     return d[1][0] * d[2][1] - d[1][1] * d[2][0]
-
-
-def _arclength_smooth_factor(
-    curve: CurveSpec, ts: np.ndarray, deflation: int
-) -> np.ndarray:
-    """L(t) with s_A = sgn(t) |t|^(1 + k/3) L(t), k the bracket's zero order.
-
-    L(t) is the weighted mean integral_0^1 u^(k/3) psi(t u) du of the smooth
-    positive factor psi(u) = |[gamma', gamma''](u) / u^k|^(1/3), computed
-    with the substitution u = v^3 that makes the weight polynomial.
-    """
-    v, w = _gauss_01()
-    alpha = deflation / 3.0
-    # u = v^3 turns u^alpha du into 3 v^(3 alpha + 2) dv, a polynomial weight.
-    nodes_unit = v**3
-    weight = 3.0 * w * v ** (3.0 * alpha + 2.0)
-    ts = np.atleast_1d(ts)
-    out = np.empty(len(ts))
-    nonzero = ts != 0.0
-    if np.any(nonzero):
-
-        def psi(u):
-            return np.abs(_bracket12(curve, u) / u**deflation) ** (1.0 / 3.0)
-
-        out[nonzero] = _gauss_panel(psi, ts[nonzero], nodes_unit, weight)
-    if np.any(~nonzero):
-        germ = curve.jet(0.0, deflation + 2)
-        a = deflate(bracket(germ.derivative(1), germ.derivative(2)), deflation)
-        out[~nonzero] = abs(a.value()) ** (1.0 / 3.0) / (1.0 + alpha)
-    return out
 
 
 def arclength_A(curve: CurveSpec, t: float) -> tuple[float, float, float]:
@@ -195,12 +150,9 @@ def arclength_A(curve: CurveSpec, t: float) -> tuple[float, float, float]:
     """
     cls = classify(curve.jet(0.0, 3))
     ts = np.array([t])
-    if cls.is_cusp:
-        L = _arclength_smooth_factor(curve, ts, 2)
-        s = float(np.sign(t) * abs(t) ** (5.0 / 3.0) * L[0])
-    elif cls.is_inflection:
-        L = _arclength_smooth_factor(curve, ts, 1)
-        s = float(np.sign(t) * abs(t) ** (4.0 / 3.0) * L[0])
+    if cls.is_cusp or cls.is_inflection:
+        kind = AFFINE_CUSP if cls.is_cusp else INFLECTION
+        s = float(Profiler(curve, kind).arclength(ts)[0])
     elif cls.label is SingularityType.REGULAR:
         panel = _gauss_panel(lambda u: np.abs(_bracket12(curve, u)) ** (1.0 / 3.0), ts, *_gauss_01())
         s = float(t * panel[0])
@@ -276,6 +228,12 @@ class CuspProfileJets:
     mu_A: float
     L: Jet  # the arclength factor F: s_A = sgn(t)|t|^(5/3) F(t), tau35 = t F^(3/5)
 
+    def report(self) -> AffineCuspReport:
+        c = self.f_tau.coeffs
+        return AffineCuspReport(
+            mu_A=self.mu_A, f0=float(c[0]), fdot0=float(c[1]), h0=float(c[2])
+        )
+
 
 @dataclass(frozen=True)
 class InflectionProfileJets:
@@ -288,6 +246,17 @@ class InflectionProfileJets:
     identity_residual_tau: float
     L: Jet  # the arclength factor G: s_A = sgn(t)|t|^(4/3) G(t), tau34 = t G^(3/4)
 
+    def report(self) -> InflectionReport:
+        c = self.f_tau.coeffs
+        return InflectionReport(
+            mu_I=self.mu_I,
+            eps_I=self.eps_I,
+            f0=float(c[0]),
+            g0=float(c[1]),
+            identity_residual_t=self.identity_residual_t,
+            identity_residual_tau=self.identity_residual_tau,
+        )
+
 
 def cusp_profile_jets(germ: PlaneJet) -> CuspProfileJets:
     """Build the smooth jets of f and tau35 from a cusp germ at t = 0.
@@ -297,7 +266,10 @@ def cusp_profile_jets(germ: PlaneJet) -> CuspProfileJets:
 
         f = F^2 (3 t a1 a4 + 12 a1 a3 - 5 a2^2) / (9 |a1|^(8/3)),
         tau35 = t F^(3/5).
+
+    Raises ``ValueError`` unless the germ is a 3/2-cusp.
     """
+    mu = affine_cuspidal_curvature(germ)
     d1 = germ.derivative(1)
     d2 = germ.derivative(2)
     d3 = germ.derivative(3)
@@ -314,7 +286,7 @@ def cusp_profile_jets(germ: PlaneJet) -> CuspProfileJets:
     f_t = F * F * M / (abs_a1.pow_rational(8, 3) * 9.0)
     tau_t = inflate(F.pow_rational(3, 5), 1)
     f_tau = f_t.compose(tau_t.inverted())
-    return CuspProfileJets(f_t, tau_t, f_tau, affine_cuspidal_curvature(germ), F)
+    return CuspProfileJets(f_t, tau_t, f_tau, mu, F)
 
 
 def identity_residual(germ: PlaneJet, f_jet: Jet) -> float:
@@ -347,7 +319,10 @@ def inflection_profile_jets(germ: PlaneJet) -> InflectionProfileJets:
 
         f = G^2 (3 t b1 b4 + 12 t b1 b3 - 5 b2^2) / (9 |b1|^(8/3)),
         tau34 = t G^(3/4).
+
+    Raises ``ValueError`` unless the germ is a generic inflection.
     """
+    value, eps = inflectional_curvature(germ)
     d1 = germ.derivative(1)
     d2 = germ.derivative(2)
     d3 = germ.derivative(3)
@@ -364,176 +339,64 @@ def inflection_profile_jets(germ: PlaneJet) -> InflectionProfileJets:
     f_t = G * G * N / (abs_b1.pow_rational(8, 3) * 9.0)
     tau_t = inflate(G.pow_rational(3, 4), 1)
     f_tau = f_t.compose(tau_t.inverted())
-    value, eps = inflectional_curvature(germ)
     res_t = identity_residual(germ, f_t)
     res_tau = 32.0 * float(f_tau.coeffs[1]) ** 2 + 9.0 * 2.0 * float(f_tau.coeffs[2])
     return InflectionProfileJets(f_t, tau_t, f_tau, value, eps, res_t, res_tau, G)
 
 
-# -- profile evaluators ---------------------------------------------------------
+# -- the profile kinds -----------------------------------------------------------
 
 
-class AffineProfilerBase:
-    """Shared direct/smooth evaluation of f = (s_A)^2 kappa_A on tau-grids."""
-
-    kind: str
-    deflation: int
-    tau_exponent: float  # tau = sgn * |s|^tau_exponent
-
-    def __init__(self, curve: CurveSpec, order: int = PROFILE_JET_ORDER):
-        self.curve = curve
-        self.germ = curve.jet(0.0, order)
-        self.singularity = classify(self.germ)
-        self._check_kind()
-        self.jets = self._build_jets()
-        self._slope0 = float(self.jets.tau_t.coeffs[1])
-
-    def _check_kind(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _build_jets(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def arclength(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.atleast_1d(ts)
-        return self._arclength_from(ts, self._factor(ts))
-
-    def _factor(self, ts: np.ndarray) -> np.ndarray:
-        return _arclength_smooth_factor(self.curve, ts, self.deflation)
-
-    def _arclength_from(self, ts: np.ndarray, L: np.ndarray) -> np.ndarray:
-        return np.sign(ts) * np.abs(ts) ** (1.0 + self.deflation / 3.0) * L
-
-    def _tau_and_slope(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """tau = sgn(t)|s|^p and dtau/dt = p |s|^(p-1) |[g', g'']|^(1/3), one pass."""
-        s = self.arclength(ts)
-        b12 = _bracket12(self.curve, ts)
-        p = self.tau_exponent
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = p * np.abs(s) ** (p - 1.0) * np.abs(b12) ** (1.0 / 3.0)
-        tau = np.sign(ts) * np.abs(s) ** p
-        return tau, np.where(np.abs(ts) < 1e-8, self._slope0, slope)
-
-    def t_of_tau(self, taus: np.ndarray) -> np.ndarray:
-        return self._invert(taus)[0]
-
-    def _invert(self, taus):
-        """t(tau), and the interpolant of L it used (None on the exact map)."""
-        return invert_adapted(
-            taus, self.tau_exponent, self._tau_and_slope, self.jets.L, self._factor, self._slope0
-        )
-
-    def value_direct(self, ts: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
-        """The defining formula, with s_A from the factor values L at ts if given."""
-        ts = np.atleast_1d(ts)
-        s = self.arclength(ts) if L is None else self._arclength_from(ts, L)
-        return s**2 * _kappa_A_many(self.curve, ts)
-
-    def value_smooth(self, ts: np.ndarray) -> np.ndarray:
-        return self.jets.f_t(np.atleast_1d(ts))
-
-    def values_at_t(self, ts: np.ndarray, factor=None) -> np.ndarray:
-        """Profile values at ts; ``factor`` (a callable L(t)) replaces quadrature."""
-        ts = np.atleast_1d(ts)
-        out = np.empty(len(ts))
-        near = np.abs(ts) < SWITCH_RADIUS
-        if np.any(near):
-            out[near] = self.value_smooth(ts[near])
-        if np.any(~near):
-            far = ts[~near]
-            out[~near] = self.value_direct(far, None if factor is None else factor(far))
-        out[ts == 0.0] = self._value_at_origin()
-        return out
-
-    def _value_at_origin(self) -> float:
-        return float(self.jets.f_tau.coeffs[0])
-
-    def sample(self, tau_grid) -> NormalizedProfile:
-        grid = np.asarray(tau_grid, dtype=float)
-        ts, factor = self._invert(grid)
-        c = self.jets.f_tau.coeffs
-        return NormalizedProfile(
-            kind=self.kind,
-            grid=grid,
-            values=self.values_at_t(ts, factor),
-            f0=float(c[0]),
-            fdot0=float(c[1]),
-            fddot0=2.0 * float(c[2]),
-        )
-
-    def overlap_consistency(self, n: int = 9) -> float:
-        band = np.linspace(*OVERLAP_BAND, n)
-        ts = np.concatenate([-band[::-1], band])
-        return float(np.max(np.abs(self.value_direct(ts) - self.value_smooth(ts))))
+def _direct(d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(s_A)^2 kappa_A on a derivative stack d[k][xy]."""
+    b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
+    b13 = d[1][0] * d[3][1] - d[1][1] * d[3][0]
+    b14 = d[1][0] * d[4][1] - d[1][1] * d[4][0]
+    b23 = d[2][0] * d[3][1] - d[2][1] * d[3][0]
+    num = 3.0 * b12 * b14 + 12.0 * b12 * b23 - 5.0 * b13**2
+    return s**2 * (num / (9.0 * np.abs(b12) ** (8.0 / 3.0)))
 
 
-class AffineCuspProfiler(AffineProfilerBase):
-    kind = "affine-cusp"
-    deflation = 2
-    tau_exponent = 0.6
-
-    def _check_kind(self):
-        if not self.singularity.is_cusp:
-            raise ValueError(
-                f"normalized affine cusp profile needs a cusp at t=0, got {self.singularity}"
-            )
-
-    def _build_jets(self) -> CuspProfileJets:
-        return cusp_profile_jets(self.germ)
-
-    def _value_at_origin(self) -> float:
-        return CUSP_PROFILE_VALUE
-
-    def report(self) -> AffineCuspReport:
-        c = self.jets.f_tau.coeffs
-        return AffineCuspReport(
-            mu_A=self.jets.mu_A, f0=float(c[0]), fdot0=float(c[1]), h0=float(c[2])
-        )
+def _phi(k: int):
+    """psi(u) = |[gamma', gamma''](u) / u^k|^(1/3), k the bracket's zero order."""
+    return lambda curve, us: np.abs(_bracket12(curve, us) / us**k) ** (1.0 / 3.0)
 
 
-class AffineInflectionProfiler(AffineProfilerBase):
-    kind = "inflection"
-    deflation = 1
-    tau_exponent = 0.75
-
-    def _check_kind(self):
-        if not self.singularity.is_inflection:
-            raise ValueError(
-                "normalized inflection profile needs a generic inflection at t=0, "
-                f"got {self.singularity}"
-            )
-
-    def _build_jets(self) -> InflectionProfileJets:
-        return inflection_profile_jets(self.germ)
-
-    def _value_at_origin(self) -> float:
-        return INFLECTION_PROFILE_VALUE
-
-    def report(self) -> InflectionReport:
-        j = self.jets
-        c = j.f_tau.coeffs
-        return InflectionReport(
-            mu_I=j.mu_I,
-            eps_I=j.eps_I,
-            f0=float(c[0]),
-            g0=float(c[1]),
-            identity_residual_t=j.identity_residual_t,
-            identity_residual_tau=j.identity_residual_tau,
-        )
+# s_A = sgn(t)|t|^(1 + k/3) L(t) with L the (k/3)-weighted mean of psi.
+AFFINE_CUSP = Kind(
+    name="affine-cusp",
+    p=0.6,
+    alpha=2.0 / 3.0,
+    phi=_phi(2),
+    order=4,
+    direct=_direct,
+    jets=cusp_profile_jets,
+    origin=lambda jets: CUSP_PROFILE_VALUE,
+)
+INFLECTION = Kind(
+    name="inflection",
+    p=0.75,
+    alpha=1.0 / 3.0,
+    phi=_phi(1),
+    order=4,
+    direct=_direct,
+    jets=inflection_profile_jets,
+    origin=lambda jets: INFLECTION_PROFILE_VALUE,
+)
 
 
 def profile_A_cusp(curve: CurveSpec, tau_grid) -> tuple[NormalizedProfile, AffineCuspReport]:
     """Sample (s_A)^2 kappa_A against the 3/5-arclength parameter at a cusp."""
-    p = AffineCuspProfiler(curve)
-    return p.sample(tau_grid), p.report()
+    p = Profiler(curve, AFFINE_CUSP)
+    return p.profile(tau_grid), p.jets.report()
 
 
 def profile_A_inflection(
     curve: CurveSpec, tau_grid
 ) -> tuple[NormalizedProfile, InflectionReport]:
     """Sample (s_A)^2 kappa_A against the 3/4-arclength parameter at an inflection."""
-    p = AffineInflectionProfiler(curve)
-    return p.sample(tau_grid), p.report()
+    p = Profiler(curve, INFLECTION)
+    return p.profile(tau_grid), p.jets.report()
 
 
 # -- normal forms ----------------------------------------------------------------

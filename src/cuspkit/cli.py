@@ -35,6 +35,7 @@ import numpy as np
 
 from . import affine, euclidean, svg, synthesis, verification
 from .dsl import CATALOG_NAMES, CurveSpec, ParseError, catalog_lookup, parse_curve, parse_expression
+from .profiles import Profiler
 
 PROFILE_KINDS = ("euclid-cusp", "affine-cusp", "inflection")
 
@@ -117,8 +118,7 @@ def _invariant_report(curve: CurveSpec) -> dict:
     }
     if cls.is_cusp:
         rep_g = euclidean.euclidean_report(germ)
-        prof = affine.AffineCuspProfiler(curve)
-        rep_a = prof.report()
+        rep_a = Profiler(curve, affine.AFFINE_CUSP).jets.report()
         nf = affine.normal_form(germ, "cusp")
         report.update(
             mu_g=rep_g.mu_g,
@@ -130,8 +130,7 @@ def _invariant_report(curve: CurveSpec) -> dict:
             c=nf.c,
         )
     elif cls.is_inflection:
-        prof = affine.AffineInflectionProfiler(curve)
-        rep_i = prof.report()
+        rep_i = Profiler(curve, affine.INFLECTION).jets.report()
         nf = affine.normal_form(germ, "inflection")
         report.update(
             mu_I=rep_i.mu_I,
@@ -301,13 +300,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_dash_value(tok: str) -> bool:
+    """A value that starts with '-': '-1e-3', '-.5', '-5/16+t', '-inf'."""
+    if not tok.startswith("-"):
+        return False
+    if tok[1:2].isdigit() or tok[1:2] == ".":
+        return True
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def _merge_dash_values(argv: list[str]) -> list[str]:
-    """Join '--grid -0.5:0.5:101' into '--grid=-0.5:0.5:101' for argparse."""
+    """Join '--option -1e-3' into '--option=-1e-3' for argparse.
+
+    argparse reads a token that starts with '-' as an option unless it looks
+    like -1 or -1.5, so values such as -1e-3, -inf, -5/16+t or the grid
+    -0.5:0.5:101 have to be attached to their option.
+    """
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok == "--grid" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok.startswith("--") and i + 1 < len(argv) and _is_dash_value(argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
             continue

@@ -31,9 +31,8 @@ from .jets import (
     inflate,
     moment_quotient_jet,
 )
-from .profiles import OVERLAP_BAND, SWITCH_RADIUS, NormalizedProfile, invert_adapted
+from .profiles import Kind, NormalizedProfile, Profiler
 
-PROFILE_JET_ORDER = 12
 CLASSIFY_TOL = 1e-9
 
 
@@ -167,39 +166,6 @@ def _speeds(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
     return np.hypot(d[1][0], d[1][1])
 
 
-def _cusp_speed_factor(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
-    """|gamma'(u)| / |u| evaluated away from u = 0 (smooth through the cusp)."""
-    return _speeds(curve, ts) / np.abs(ts)
-
-
-def _cusp_factor(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
-    """L(t) = integral_0^1 u * phi(t u) du, one Gauss panel per target.
-
-    Here |gamma'(u)| = |u| * phi(u) with smooth positive phi, so that
-    s_g = sgn(t) t^2 L(t) and tau = t sqrt(L(t)) with no singular behaviour
-    at t = 0.
-    """
-    v, w = _gauss_01()
-    ts = np.atleast_1d(ts)
-    out_L = np.empty(len(ts))
-    nonzero = ts != 0.0
-    if np.any(nonzero):
-        out_L[nonzero] = _gauss_panel(
-            lambda u: _cusp_speed_factor(curve, u), ts[nonzero], v, w * v
-        )
-    if np.any(~nonzero):
-        d2 = curve.jet(0.0, 2).derivative_vector(2)
-        out_L[~nonzero] = float(np.hypot(*d2)) / 2.0
-    return out_L
-
-
-def _arclength_cusp(curve: CurveSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s_g, tau) for a curve with a cusp at 0, smooth in t."""
-    ts = np.atleast_1d(ts)
-    L = _cusp_factor(curve, ts)
-    return np.sign(ts) * ts**2 * L, ts * np.sqrt(L)
-
-
 def arclength_g(curve: CurveSpec, t: float) -> tuple[float, float]:
     """Signed arclength from 0 and the adapted parameter at t.
 
@@ -208,8 +174,8 @@ def arclength_g(curve: CurveSpec, t: float) -> tuple[float, float]:
     """
     cls = classify(curve.jet(0.0, 3))
     if cls.is_cusp:
-        s, tau = _arclength_cusp(curve, np.array([t]))
-        return float(s[0]), float(tau[0])
+        s = float(Profiler(curve, EUCLID_CUSP).arclength(np.array([t]))[0])
+        return s, math.copysign(math.sqrt(abs(s)), s)
     s = t * _gauss_panel(lambda u: _speeds(curve, u), np.array([t]), *_gauss_01())
     return float(s[0]), float(s[0])
 
@@ -236,8 +202,10 @@ def euclidean_profile_jets(germ: PlaneJet) -> EuclideanProfileJets:
 
         sqrt(|s_g|) kappa_g = sqrt(L) B / phi^3,   tau = t sqrt(L),
 
-    with L the 1-weighted mean of phi (s_g = sgn(t) t^2 L(t)).
+    with L the 1-weighted mean of phi (s_g = sgn(t) t^2 L(t)).  Raises
+    ``ValueError`` unless the germ is a 3/2-cusp.
     """
+    mu = cuspidal_curvature(germ)
     d1 = germ.derivative(1)
     vx = deflate(d1.x, 1)
     vy = deflate(d1.y, 1)
@@ -247,110 +215,29 @@ def euclidean_profile_jets(germ: PlaneJet) -> EuclideanProfileJets:
     f_t = L.sqrt() * B / (phi * phi * phi)
     tau_t = inflate(L.sqrt(), 1)
     f_tau = f_t.compose(tau_t.inverted())
-    return EuclideanProfileJets(f_t, tau_t, f_tau, cuspidal_curvature(germ), L)
+    return EuclideanProfileJets(f_t, tau_t, f_tau, mu, L)
 
 
-class CuspProfiler:
-    """Evaluator for sqrt(|s_g|) * kappa_g through a cusp at t = 0.
+def _direct(d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sqrt(|s_g|) kappa_g on a derivative stack d[k][xy]."""
+    b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
+    speed = np.hypot(d[1][0], d[1][1])
+    return np.sqrt(np.abs(s)) * b12 / speed**3
 
-    Inside ``SWITCH_RADIUS`` it uses the jet of the smooth factorization
-    (bracket deflated by t^2, speed deflated by |t|); outside it evaluates
-    the defining formula directly with quadrature for s_g.  Both routes are
-    exact up to truncation/quadrature error and must agree on the overlap
-    band.  Grids are inverted, and their s_g evaluated, on a Chebyshev
-    interpolant of L (see ``invert_adapted``).
-    """
 
-    def __init__(self, curve: CurveSpec, order: int = PROFILE_JET_ORDER):
-        self.curve = curve
-        germ = curve.jet(0.0, order)
-        self.singularity = classify(germ)
-        if not self.singularity.is_cusp:
-            raise ValueError(
-                f"normalized Euclidean profile needs a cusp at t=0, got {self.singularity}"
-            )
-        jets = euclidean_profile_jets(germ)
-        self.mu_g = jets.mu_g
-        self.f0 = self.mu_g / (2.0 * math.sqrt(2.0))
-        self._f_t = jets.f_t
-        self._tau_t = jets.tau_t
-        self._f_tau = jets.f_tau
-        self._L = jets.L
-        self._slope0 = float(self._tau_t.coeffs[1])
-
-    # tau(t) and its t-derivative, vectorized
-    def tau_of_t(self, ts: np.ndarray) -> np.ndarray:
-        return _arclength_cusp(self.curve, ts)[1]
-
-    def _tau_and_slope(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """tau(t) and dtau/dt = |gamma'(t)| / (2|tau|) from one quadrature pass."""
-        tau = self.tau_of_t(ts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = _speeds(self.curve, ts) / (2.0 * np.abs(tau))
-        return tau, np.where(np.abs(ts) < 1e-8, self._slope0, slope)
-
-    def t_of_tau(self, taus: np.ndarray) -> np.ndarray:
-        return self._invert(taus)[0]
-
-    def _invert(self, taus):
-        """t(tau), and the interpolant of L it used (None on the exact map)."""
-        return invert_adapted(
-            taus, 0.5, self._tau_and_slope, self._L, self._factor, self._slope0
-        )
-
-    def _factor(self, ts: np.ndarray) -> np.ndarray:
-        return _cusp_factor(self.curve, ts)
-
-    def value_direct(self, ts: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
-        """The defining formula, with s_g from the factor values L at ts if given."""
-        ts = np.atleast_1d(ts)
-        if L is None:
-            L = self._factor(ts)
-        s = np.sign(ts) * ts**2 * L
-        d = self.curve.derivatives_at(ts, 2)
-        b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
-        speed = np.hypot(d[1][0], d[1][1])
-        return np.sqrt(np.abs(s)) * b12 / speed**3
-
-    def value_smooth(self, ts: np.ndarray) -> np.ndarray:
-        return self._f_t(np.atleast_1d(ts))
-
-    def values_at_t(self, ts: np.ndarray, factor=None) -> np.ndarray:
-        """Profile values at ts; ``factor`` (a callable L(t)) replaces quadrature."""
-        ts = np.atleast_1d(ts)
-        out = np.empty(len(ts))
-        near = np.abs(ts) < SWITCH_RADIUS
-        if np.any(near):
-            out[near] = self.value_smooth(ts[near])
-        if np.any(~near):
-            far = ts[~near]
-            out[~near] = self.value_direct(far, None if factor is None else factor(far))
-        out[ts == 0.0] = self.f0
-        return out
-
-    def profile(self, tau_grid) -> NormalizedProfile:
-        grid = np.asarray(tau_grid, dtype=float)
-        ts, factor = self._invert(grid)
-        values = self.values_at_t(ts, factor)
-        c = self._f_tau.coeffs
-        return NormalizedProfile(
-            kind="euclid-cusp",
-            grid=grid,
-            values=values,
-            f0=self.f0,
-            fdot0=float(c[1]),
-            fddot0=2.0 * float(c[2]),
-        )
+# s_g = sgn(t) t^2 L(t) with L the 1-weighted mean of phi = |gamma'(u)| / |u|.
+EUCLID_CUSP = Kind(
+    name="euclid-cusp",
+    p=0.5,
+    alpha=1.0,
+    phi=lambda curve, us: _speeds(curve, us) / np.abs(us),
+    order=2,
+    direct=_direct,
+    jets=euclidean_profile_jets,
+    origin=lambda jets: jets.mu_g / (2.0 * math.sqrt(2.0)),
+)
 
 
 def profile_g(curve: CurveSpec, tau_grid) -> NormalizedProfile:
     """Sample sqrt(|s_g|) * kappa_g on a grid of the half-arclength parameter."""
-    return CuspProfiler(curve).profile(tau_grid)
-
-
-def overlap_consistency_g(curve: CurveSpec, n: int = 9) -> float:
-    """Max disagreement of the two evaluation routes on the overlap band."""
-    p = CuspProfiler(curve)
-    band = np.linspace(*OVERLAP_BAND, n)
-    ts = np.concatenate([-band[::-1], band])
-    return float(np.max(np.abs(p.value_direct(ts) - p.value_smooth(ts))))
+    return Profiler(curve, EUCLID_CUSP).profile(tau_grid)

@@ -1,4 +1,4 @@
-"""Shared profile types and the parameter-inversion helpers.
+"""The normalized-curvature profiler shared by all three kinds of singular point.
 
 A normalized curvature profile is a sampled graph of f(tau), where tau is
 the smooth coordinate adapted to the singularity (half-arclength at
@@ -8,8 +8,19 @@ original curve parameter t, so each profile evaluation inverts the smooth
 monotone map tau(t) first.
 
 For all three kinds the map is tau = t L(t)^p.  L is the smooth weighted
-mean of the arclength integrand (s = sgn(t) |t|^(1/p) L(t)) and p is 1/2 at
-Euclidean cusps, 3/5 at affine cusps and 3/4 at inflections.
+mean L(t) = integral_0^1 u^alpha phi(t u) du of the arclength integrand's
+smooth factor phi (|ds/dt| = |t|^alpha phi(t), s = sgn(t) |t|^(1 + alpha)
+L(t)), and p = 1/(1 + alpha) is 1/2 at Euclidean cusps, 3/5 at affine cusps
+and 3/4 at inflections.  A ``Kind`` is the frozen record of what differs
+between the three: p and alpha, phi, the direct formula of the profile on a
+derivative stack d[k][xy], the builder of the germ's smooth jets and the
+profile's value at t = 0.  Each geometry module declares its own kinds
+(``euclidean.EUCLID_CUSP``, ``affine.AFFINE_CUSP`` and ``affine.INFLECTION``),
+and one ``Profiler(curve, kind)`` evaluates any of them: the jet of the
+smooth factorization inside ``SWITCH_RADIUS``, the direct formula with s by
+quadrature (``arclength_factor``) outside.  Both routes are exact up to
+truncation and quadrature error and must agree on ``OVERLAP_BAND``.
+
 ``invert_adapted`` samples L once per grid on a Chebyshev interpolant over
 the t-range from 0 to the grid's extreme targets: from its jet inside
 ``SWITCH_RADIUS``, by quadrature outside.  The degree doubles from 16 until
@@ -22,7 +33,7 @@ analyticity between the singular point and the grid, as at the next
 singular point of the curve, and raises ``ValueError``.  Newton's method
 then runs on the cheap map t L^p, whose slope is L^p + p t L^(p-1) L', and
 the direct route reads s from the same interpolant.  Only a grid of zeros
-uses the exact quadrature map.
+uses the exact quadrature map, whose slope is p phi L^(p-1).
 
 Newton's method itself (``invert_monotone``) calls one fused
 ``value_and_slope`` evaluation per step.  On grids of more than
@@ -34,8 +45,14 @@ point of the final iteration on the whole grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+
+from .jets import _gauss_01, _gauss_panel, _rational_substitution
+
+# Order of the germ whose jets give the smooth route.
+PROFILE_JET_ORDER = 12
 
 # Evaluation switches from direct quadrature formulas to deflated-jet
 # formulas inside this radius (in the original parameter t); the two routes
@@ -45,6 +62,9 @@ OVERLAP_BAND = (0.04, 0.06)
 
 # Chebyshev points solved to seed the inversion of larger grids.
 SEED_NODES = 64
+
+# Largest Newton step in t.
+MAX_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -63,9 +83,7 @@ class NormalizedProfile:
     fddot0: float
 
 
-def invert_monotone(
-    value_and_slope, targets, slope0: float, t_scale: float = 1.0, bounds=(-np.inf, np.inf)
-):
+def invert_monotone(value_and_slope, targets, slope0: float, bounds=(-np.inf, np.inf)):
     """Solve tau(t) = target for each target of a smooth increasing map.
 
     ``value_and_slope(t)`` returns (tau(t), dtau/dt(t)) for an array t, so a
@@ -90,15 +108,15 @@ def invert_monotone(
         lo, hi = float(np.min(targets)), float(np.max(targets))
         if lo < hi:
             seed = np.polynomial.Chebyshev.interpolate(
-                lambda taus: _newton(value_and_slope, taus, taus / slope0, slope0, t_scale, bounds),
+                lambda taus: _newton(value_and_slope, taus, taus / slope0, slope0, bounds),
                 SEED_NODES - 1,
                 domain=[lo, hi],
             )
             start = seed(targets)
-    return _newton(value_and_slope, targets, start, slope0, t_scale, bounds)
+    return _newton(value_and_slope, targets, start, slope0, bounds)
 
 
-def _newton(value_and_slope, targets, start, slope0, t_scale, bounds=(-np.inf, np.inf)):
+def _newton(value_and_slope, targets, start, slope0, bounds=(-np.inf, np.inf)):
     zero = targets == 0.0
     tol = 1e-13 * max(1.0, np.max(np.abs(targets)))
     t_next = np.where(zero, 0.0, np.clip(start, *bounds))
@@ -107,7 +125,7 @@ def _newton(value_and_slope, targets, start, slope0, t_scale, bounds=(-np.inf, n
         tau, slope = value_and_slope(t)
         err = tau - targets
         slope = np.where(np.isfinite(slope) & (slope > 1e-12), slope, slope0)
-        step = np.clip(err / slope, -0.5 * t_scale, 0.5 * t_scale)
+        step = np.clip(err / slope, -MAX_STEP, MAX_STEP)
         t_next = np.where(zero, 0.0, np.clip(t - step, *bounds))
         if np.max(np.abs(err)) < tol:
             return t_next
@@ -183,7 +201,7 @@ def _t_range(exact_value_and_slope, targets, slope0: float):
     ends = np.array([min(np.min(targets), 0.0), max(np.max(targets), 0.0)])
     if not ends[0] < ends[1]:
         return None
-    t_lo, t_hi = _newton(exact_value_and_slope, ends, ends / slope0, slope0, 1.0)
+    t_lo, t_hi = _newton(exact_value_and_slope, ends, ends / slope0, slope0)
     pad = 1e-6 * (t_hi - t_lo)
     return float(t_lo - pad), float(t_hi + pad)
 
@@ -221,3 +239,142 @@ def _chebyshev_interpolant(f, domain):
         f"tolerance {CHOP_TOL:g}); the grid may reach past the next singular "
         "point of the curve"
     )
+
+
+# -- one profiler for every kind -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What the profiler needs to know about one kind of singular point.
+
+    ``phi(curve, us)`` is the smooth factor of the arclength integrand,
+    |ds/dt| = |t|^alpha phi(t); ``direct(d, s)`` is the defining formula of
+    the profile on a derivative stack ``d[k][xy]`` through ``order`` (the
+    layout of ``CurveSpec.derivatives_at`` and ``SynthesisResult.stacks``)
+    with arclength s; ``jets(germ)`` builds the smooth jets of a germ at
+    t = 0 (fields ``f_t``, ``tau_t``, ``f_tau`` and the factor ``L``, and
+    raises ``ValueError`` on a germ of another kind); ``origin(jets)`` is the
+    profile's value at t = 0.
+    """
+
+    name: str  # NormalizedProfile.kind
+    p: float  # tau = t L(t)^p
+    alpha: float  # s = sgn(t) |t|^(1 + alpha) L(t)
+    phi: Callable
+    order: int
+    direct: Callable
+    jets: Callable
+    origin: Callable
+
+
+def arclength_factor(phi, alpha: float, ts, L0: float) -> np.ndarray:
+    """L(t) = integral_0^1 u^alpha phi(t u) du, one Gauss panel per t.
+
+    The substitution u = v^q of ``jets._rational_substitution`` makes the
+    weight polynomial.  ``phi`` maps an array of u to the integrand's smooth
+    factor there; at t = 0 the value is ``L0``.
+    """
+    q, e = _rational_substitution(alpha)
+    v, w = _gauss_01()
+    ts = np.atleast_1d(ts)
+    out = np.full(len(ts), L0)
+    nonzero = ts != 0.0
+    if np.any(nonzero):
+        out[nonzero] = _gauss_panel(phi, ts[nonzero], v**q, q * w * v**e)
+    return out
+
+
+class Profiler:
+    """Evaluator of a kind's normalized profile through the singular point t = 0.
+
+    Inside ``SWITCH_RADIUS`` it evaluates the jet f_t of the smooth
+    factorization; outside, the kind's direct formula with s from
+    quadrature.  Grids are inverted, and their s evaluated, on a Chebyshev
+    interpolant of L (see ``invert_adapted``).  The fields of the kind's jets
+    record (``mu_g``, ``mu_A``, ``f_tau``, ...) read through the profiler.
+    """
+
+    def __init__(self, curve, kind: Kind):
+        self.curve = curve
+        self.kind = kind
+        self.jets = kind.jets(curve.jet(0.0, PROFILE_JET_ORDER))
+        self.f0 = kind.origin(self.jets)
+        self._slope0 = float(self.jets.tau_t.coeffs[1])
+
+    def __getattr__(self, name):
+        if name == "jets":  # not built yet
+            raise AttributeError(name)
+        return getattr(self.jets, name)
+
+    def _factor(self, ts: np.ndarray) -> np.ndarray:
+        return arclength_factor(
+            lambda us: self.kind.phi(self.curve, us), self.kind.alpha, ts, self.jets.L.value()
+        )
+
+    def arclength(self, ts: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
+        """s at ts, from the factor values L at ts if given."""
+        ts = np.atleast_1d(ts)
+        if L is None:
+            L = self._factor(ts)
+        return np.sign(ts) * np.abs(ts) ** (1.0 + self.kind.alpha) * L
+
+    def _tau_and_slope(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """tau = t L^p and dtau/dt = p phi L^(p-1), from one quadrature pass."""
+        ts = np.atleast_1d(ts)
+        L = self._factor(ts)
+        p = self.kind.p
+        Lp = L**p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = p * self.kind.phi(self.curve, ts) * Lp / L
+        return ts * Lp, np.where(np.abs(ts) < 1e-8, self._slope0, slope)
+
+    def t_of_tau(self, taus: np.ndarray) -> np.ndarray:
+        return self._invert(taus)[0]
+
+    def _invert(self, taus):
+        """t(tau), and the interpolant of L it used (None on the exact map)."""
+        return invert_adapted(
+            taus, self.kind.p, self._tau_and_slope, self.jets.L, self._factor, self._slope0
+        )
+
+    def value_direct(self, ts: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
+        """The defining formula, with s from the factor values L at ts if given."""
+        ts = np.atleast_1d(ts)
+        d = self.curve.derivatives_at(ts, self.kind.order)
+        return self.kind.direct(d, self.arclength(ts, L))
+
+    def value_smooth(self, ts: np.ndarray) -> np.ndarray:
+        return self.jets.f_t(np.atleast_1d(ts))
+
+    def values_at_t(self, ts: np.ndarray, factor=None) -> np.ndarray:
+        """Profile values at ts; ``factor`` (a callable L(t)) replaces quadrature."""
+        ts = np.atleast_1d(ts)
+        out = np.empty(len(ts))
+        near = np.abs(ts) < SWITCH_RADIUS
+        if np.any(near):
+            out[near] = self.value_smooth(ts[near])
+        if np.any(~near):
+            far = ts[~near]
+            out[~near] = self.value_direct(far, None if factor is None else factor(far))
+        out[ts == 0.0] = self.f0
+        return out
+
+    def profile(self, tau_grid) -> NormalizedProfile:
+        grid = np.asarray(tau_grid, dtype=float)
+        ts, factor = self._invert(grid)
+        c = self.jets.f_tau.coeffs
+        return NormalizedProfile(
+            kind=self.kind.name,
+            grid=grid,
+            values=self.values_at_t(ts, factor),
+            f0=float(c[0]),
+            fdot0=float(c[1]),
+            fddot0=2.0 * float(c[2]),
+        )
+
+    def overlap_consistency(self) -> float:
+        """Max disagreement of the two evaluation routes on the overlap band."""
+        band = np.linspace(*OVERLAP_BAND, 9)
+        ts = np.concatenate([-band[::-1], band])
+        return float(np.max(np.abs(self.value_direct(ts) - self.value_smooth(ts))))

@@ -51,6 +51,8 @@ from .dsl import BinOp, Func, Neg, Num, Power, Sym, evaluate
 from .jets import Jet, PlaneJet, VecJet, deflate
 from .profiles import SWITCH_RADIUS
 
+_KINDS = {k.name: k for k in (_euclid.EUCLID_CUSP, _affine.AFFINE_CUSP, _affine.INFLECTION)}
+
 _EXPR_NODES = (Num, Sym, Neg, BinOp, Func, Power)
 
 DEFAULT_STEP = 1e-3
@@ -263,11 +265,7 @@ class SynthesisResult:
 
     def tau_normalized(self) -> np.ndarray:
         """The adapted parameter recomputed from the synthesized data."""
-        s = self.arclength
-        if self.kind == "euclid-cusp":
-            return np.sign(self.taus) * np.sqrt(np.abs(s))
-        exponent = 0.6 if self.kind == "affine-cusp" else 0.75
-        return np.sign(self.taus) * np.abs(s) ** exponent
+        return np.sign(self.taus) * np.abs(self.arclength) ** _KINDS[self.kind].p
 
     def profile_recomputed(self) -> np.ndarray:
         """The normalized curvature profile recomputed from the synthesis.
@@ -275,31 +273,13 @@ class SynthesisResult:
         Direct formulas (with the recomputed arclength) away from the
         origin, germ jets inside the switch radius.
         """
+        kind = _KINDS[self.kind]
         ts = self.taus
-        d = self.stacks
         out = np.empty(len(ts))
         near = np.abs(ts) < SWITCH_RADIUS
-        far = ~near
-        if self.kind == "euclid-cusp":
-            b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
-            speed = np.hypot(d[1][0], d[1][1])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[far] = (np.sqrt(np.abs(self.arclength)) * b12 / speed**3)[far]
-            f_t = _euclid.euclidean_profile_jets(self.germ).f_t
-        else:
-            b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
-            b13 = d[1][0] * d[3][1] - d[1][1] * d[3][0]
-            b14 = d[1][0] * d[4][1] - d[1][1] * d[4][0]
-            b23 = d[2][0] * d[3][1] - d[2][1] * d[3][0]
-            num = 3.0 * b12 * b14 + 12.0 * b12 * b23 - 5.0 * b13**2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kappa = num / (9.0 * np.abs(b12) ** (8.0 / 3.0))
-                out[far] = (self.arclength**2 * kappa)[far]
-            if self.kind == "affine-cusp":
-                f_t = _affine.cusp_profile_jets(self.germ).f_t
-            else:
-                f_t = _affine.inflection_profile_jets(self.germ).f_t
-        out[near] = f_t(ts[near])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[~near] = kind.direct(self.stacks, self.arclength)[~near]
+        out[near] = kind.jets(self.germ).f_t(ts[near])
         return out
 
 
@@ -342,13 +322,13 @@ def _cross_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _corrected_arclength(taus: np.ndarray, s_raw: np.ndarray, tau_t_jet: Jet, s_exponent: float) -> np.ndarray:
+def _corrected_arclength(taus: np.ndarray, s_raw: np.ndarray, tau_t_jet: Jet, p: float) -> np.ndarray:
     """Replace the near-origin part of the integrated arclength by germ data.
 
     The arclength integrand has a fractional-power kink at 0, which costs
     the integrator accuracy on the first few steps; the germ jets give the
     exact value at the switch boundary.  ``tau_t_jet`` is the jet of the
-    adapted parameter, and |s| = |tau|^(1/s_exponent).
+    adapted parameter, and |s| = |tau|^(1/p).
     """
     out = s_raw.copy()
     for sign in (1.0, -1.0):
@@ -359,17 +339,17 @@ def _corrected_arclength(taus: np.ndarray, s_raw: np.ndarray, tau_t_jet: Jet, s_
         if not np.any(boundary_candidates):
             # Whole side inside the germ region: use the jet everywhere.
             tau_n = tau_t_jet(taus[side])
-            out[side] = np.sign(tau_n) * np.abs(tau_n) ** (1.0 / s_exponent)
+            out[side] = np.sign(tau_n) * np.abs(tau_n) ** (1.0 / p)
             continue
         idx = np.where(side)[0]
         abs_side = np.abs(taus[idx])
         b = idx[np.argmin(np.where(abs_side >= SWITCH_RADIUS, abs_side, np.inf))]
         tau_b = tau_t_jet(taus[b])
-        s_b = np.sign(tau_b) * abs(tau_b) ** (1.0 / s_exponent)
+        s_b = np.sign(tau_b) * abs(tau_b) ** (1.0 / p)
         inner = side & (np.abs(taus) <= np.abs(taus[b]))
         outer = side & ~inner
         tau_n = tau_t_jet(taus[inner])
-        out[inner] = np.sign(tau_n) * np.abs(tau_n) ** (1.0 / s_exponent)
+        out[inner] = np.sign(tau_n) * np.abs(tau_n) ** (1.0 / p)
         out[outer] = s_b + (s_raw[outer] - s_raw[b])
     return out
 
@@ -462,10 +442,10 @@ def synthesize_euclidean_cusp(
         stacks[1] = d1
         stacks[2] = d2
 
-    jets = _euclid.euclidean_profile_jets(germ)
-    s = _corrected_arclength(taus, s_raw, jets.tau_t, 0.5)
+    kind = _euclid.EUCLID_CUSP
+    s = _corrected_arclength(taus, s_raw, kind.jets(germ).tau_t, kind.p)
     return SynthesisResult(
-        kind="euclid-cusp",
+        kind=kind.name,
         taus=taus,
         positions=positions,
         germ=germ,
@@ -619,10 +599,10 @@ def synthesize_affine_cusp(
     stacks[3] = eta
     stacks[4] = b1 * xi + b2 * eta
 
-    jets = _affine.cusp_profile_jets(germ)
-    s = _corrected_arclength(taus, s_raw, jets.tau_t, 0.6)
+    kind = _affine.AFFINE_CUSP
+    s = _corrected_arclength(taus, s_raw, kind.jets(germ).tau_t, kind.p)
     return SynthesisResult(
-        kind="affine-cusp",
+        kind=kind.name,
         taus=taus,
         positions=frames[:, 0],
         germ=germ,
@@ -770,10 +750,10 @@ def synthesize_inflection(
     stacks[3] = eta
     stacks[4] = a21 * xi + a22 * eta
 
-    jets = _affine.inflection_profile_jets(germ)
-    s = _corrected_arclength(taus, s_raw, jets.tau_t, 0.75)
+    kind = _affine.INFLECTION
+    s = _corrected_arclength(taus, s_raw, kind.jets(germ).tau_t, kind.p)
     return SynthesisResult(
-        kind="inflection",
+        kind=kind.name,
         taus=taus,
         positions=frames[:, 0],
         germ=germ,

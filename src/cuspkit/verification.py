@@ -17,6 +17,7 @@ import numpy as np
 from . import affine, euclidean, synthesis
 from .dsl import CATALOG_CUSPS, catalog_lookup, parse_curve, parse_expression
 from .jets import PlaneJet, moment_quotient
+from .profiles import PROFILE_JET_ORDER, Profiler
 
 DEFAULT_SEED = 0
 
@@ -60,7 +61,7 @@ def check_mu_g_closed_forms() -> CheckResult:
 def check_cusp_limit_richardson() -> CheckResult:
     worst = 0.0
     for name in CATALOG_CUSPS:
-        p = euclidean.CuspProfiler(catalog_lookup(name, {"a": 1.0}))
+        p = Profiler(catalog_lookup(name, {"a": 1.0}), euclidean.EUCLID_CUSP)
         worst = max(worst, abs(_richardson_to_zero(p) - p.f0))
     return _result(
         "02_cusp_limit_richardson", worst, 1e-6, "extrapolated profile vs mu_g/(2 sqrt 2)"
@@ -184,7 +185,7 @@ def random_quartic_inflection_germs(seed: int, count: int = 50):
 def check_inflection_identities(seed: int) -> CheckResult:
     worst = 0.0
     for curve in random_quartic_inflection_germs(seed):
-        jets = affine.inflection_profile_jets(curve.jet(0.0, euclidean.PROFILE_JET_ORDER))
+        jets = affine.inflection_profile_jets(curve.jet(0.0, PROFILE_JET_ORDER))
         worst = max(worst, abs(jets.identity_residual_t), abs(jets.identity_residual_tau))
     return _result(
         "09_inflection_identities", worst, 1e-6, "50 seeded quartic germs, both parameters"

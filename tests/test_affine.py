@@ -9,9 +9,9 @@ from cuspkit.affine import (
     G0_PER_MU_I,
     H0_PER_MU_A,
     INFL_NF_FACTOR,
+    AFFINE_CUSP,
+    INFLECTION,
     INFLECTION_PROFILE_VALUE,
-    AffineCuspProfiler,
-    AffineInflectionProfiler,
     affine_cuspidal_curvature,
     arclength_A,
     identity_residual,
@@ -26,6 +26,7 @@ from cuspkit.affine import (
 )
 from cuspkit.dsl import catalog_lookup, parse_curve
 from cuspkit.jets import Jet
+from cuspkit.profiles import Profiler
 
 
 # -- affine curvature ---------------------------------------------------------
@@ -231,7 +232,7 @@ def test_cusp_profile_rejects_inflection():
 
 @pytest.mark.parametrize("name", ["cycloid", "hyperbolic_cycloid", "cuspidal_cubic"])
 def test_cusp_profile_overlap_consistency(name):
-    p = AffineCuspProfiler(catalog_lookup(name, {"a": 1.0}))
+    p = Profiler(catalog_lookup(name, {"a": 1.0}), AFFINE_CUSP)
     assert p.overlap_consistency() < 1e-8
 
 
@@ -349,7 +350,7 @@ def test_cusp_profile_matches_mpmath_oracle(name):
 
 @pytest.mark.parametrize("name", ["cubic_graph", "skew_cycloid"])
 def test_inflection_profile_overlap_consistency(name):
-    p = AffineInflectionProfiler(catalog_lookup(name, {"a": 1.0}))
+    p = Profiler(catalog_lookup(name, {"a": 1.0}), INFLECTION)
     assert p.overlap_consistency() < 1e-8
 
 

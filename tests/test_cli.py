@@ -89,3 +89,30 @@ def test_profile_rejects_non_finite_grid(capsys, grid, name):
     assert (code, out) == (1, "")
     assert f"{name} must be finite" in err
     assert repr(grid) in err
+
+
+# -- negative option values ----------------------------------------------------------
+
+
+def test_negative_value_with_an_exponent_reaches_the_option(capsys):
+    argv = ["classify", "--curve", "cycloid", "--param", "a=1", "--at", "-1e-3"]
+    assert _run(capsys, argv) == (0, "Regular\n", "")
+
+
+@pytest.mark.parametrize(
+    "option, value, named",
+    [("--step", "-1e-3", "step=-0.001"), ("--tau-max", "-inf", "tau_max=-inf")],
+)
+def test_negative_synthesis_range_is_rejected_by_value(capsys, option, value, named):
+    argv = ["synthesize", "--kind", "euclid-cusp", "--f", "1", "--tau-max", "0.5", option, value]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "error [synthesize]" in err
+    assert named in err
+
+
+def test_profile_expression_may_start_with_a_minus_sign(capsys):
+    argv = ["synthesize", "--kind", "inflection", "--f", "-5/16+t", "--tau-max", "0.05"]
+    code, out, err = _run(capsys, argv + ["--step", "0.01"])
+    assert (code, err) == (0, "")
+    assert out.startswith("tau,x,y\n")

@@ -5,7 +5,7 @@ import pytest
 
 from cuspkit.dsl import CATALOG_CUSPS, catalog_lookup, parse_curve
 from cuspkit.euclidean import (
-    CuspProfiler,
+    EUCLID_CUSP,
     SingularityType,
     arclength_g,
     classify,
@@ -13,10 +13,10 @@ from cuspkit.euclidean import (
     euclidean_report,
     kappa_g,
     mu_g,
-    overlap_consistency_g,
     profile_g,
 )
 from cuspkit.jets import Jet, PlaneJet
+from cuspkit.profiles import Profiler
 
 
 def cusp_curves(a=1.0):
@@ -186,12 +186,12 @@ def test_profile_matches_germ_taylor_near_origin():
 
 @pytest.mark.parametrize("name", CATALOG_CUSPS)
 def test_direct_and_smooth_routes_agree_on_overlap_band(name):
-    assert overlap_consistency_g(catalog_lookup(name, {"a": 1.0})) < 1e-8
+    assert Profiler(catalog_lookup(name, {"a": 1.0}), EUCLID_CUSP).overlap_consistency() < 1e-8
 
 
 @pytest.mark.parametrize("name", CATALOG_CUSPS)
 def test_profile_limit_by_richardson_extrapolation(name):
-    p = CuspProfiler(catalog_lookup(name, {"a": 1.0}))
+    p = Profiler(catalog_lookup(name, {"a": 1.0}), EUCLID_CUSP)
 
     def even(h):
         v = p.values_at_t(p.t_of_tau(np.array([h, -h])))

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from cuspkit.affine import (
-    AffineCuspProfiler,
+    AFFINE_CUSP,
+    INFLECTION,
+    arclength_A,
     cusp_profile_jets,
     inflection_profile_jets,
     profile_A_cusp,
     profile_A_inflection,
 )
 from cuspkit.dsl import CurveSpec, catalog_lookup
-from cuspkit.euclidean import CuspProfiler, euclidean_profile_jets, profile_g
+from cuspkit.euclidean import EUCLID_CUSP, arclength_g, euclidean_profile_jets, profile_g
 from cuspkit.profiles import (
     CHEB_DEGREES,
     SEED_NODES,
+    Profiler,
     _chebyshev_interpolant,
     invert_monotone,
 )
@@ -44,7 +47,7 @@ GRIDS = {
 @pytest.mark.parametrize("a", [0.5, 1.0])
 def test_inversion_matches_cycloid_closed_form(name, a):
     grid = GRIDS[name] * math.sqrt(a)
-    t = CuspProfiler(catalog_lookup("cycloid", {"a": a})).t_of_tau(grid)
+    t = Profiler(catalog_lookup("cycloid", {"a": a}), EUCLID_CUSP).t_of_tau(grid)
     np.testing.assert_allclose(t, cycloid_t_of_tau(grid, a), rtol=0.0, atol=1e-12)
     assert np.all(t[grid == 0.0] == 0.0)
 
@@ -175,7 +178,7 @@ def test_tail_rule_accepts_noisy_samples(name, a, n, left, right):
     prof, _ = profile_A_cusp(curve, grid)
     assert np.all(np.isfinite(prof.values))
     # Against Newton and the direct route on the exact quadrature map.
-    p = AffineCuspProfiler(curve)
+    p = Profiler(curve, AFFINE_CUSP)
     exact = p.values_at_t(invert_monotone(p._tau_and_slope, grid, p._slope0))
     err = np.abs(prof.values - exact) / np.maximum(1.0, np.abs(exact))
     assert np.max(err) <= 1e-11
@@ -240,3 +243,25 @@ def test_non_finite_grid_raises(name, bad):
     for grid, i in (([bad], 0), ([0.0, 0.1, bad, 0.3], 2), ([-0.2, 0.1, bad], 2)):
         with pytest.raises(ValueError, match=f"finite, got tau = {bad!r} at index {i}"):
             fn(curve, np.array(grid))
+
+
+# -- one arclength for every caller ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, arclength, name",
+    [
+        (EUCLID_CUSP, arclength_g, "cycloid"),
+        (EUCLID_CUSP, arclength_g, "hyperbolic_cycloid"),
+        (AFFINE_CUSP, arclength_A, "cycloid"),
+        (AFFINE_CUSP, arclength_A, "hyperbolic_cycloid"),
+        (INFLECTION, arclength_A, "skew_cycloid"),
+        (INFLECTION, arclength_A, "cubic_graph"),
+    ],
+)
+def test_arclength_functions_match_the_profiler(kind, arclength, name):
+    # Point by point: a batched Gauss panel may round its sums differently.
+    curve = catalog_lookup(name, {"a": 1.0})
+    profiler = Profiler(curve, kind)
+    for t in (-0.7, -0.3, 0.1, 0.4, 0.9):
+        assert arclength(curve, t)[0] == profiler.arclength(np.array([t]))[0]

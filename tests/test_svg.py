@@ -1,0 +1,53 @@
+import numpy as np
+import pytest
+
+from cuspkit.svg import RenderSpec, render_svg
+
+SQUARE = [(-1.0, -1.0), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("samples", [[(0.0, 0.0)], np.zeros((0, 2)), [(0.0, 0.0, 0.0)] * 3])
+def test_rejects_fewer_than_two_samples(samples):
+    with pytest.raises(ValueError, match="at least two"):
+        render_svg(samples)
+
+
+@pytest.mark.parametrize("viewport", [(1.0, 1.0, 0.0, 1.0), (2.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)])
+def test_rejects_an_empty_viewport(viewport):
+    with pytest.raises(ValueError, match="xmin < xmax"):
+        render_svg(SQUARE, RenderSpec(viewport=viewport))
+
+
+def _axis_lines(svg: str) -> list[str]:
+    return [line for line in svg.splitlines() if line.startswith("<line")]
+
+
+def test_no_axes_unless_asked():
+    assert _axis_lines(render_svg(SQUARE)) == []
+
+
+def test_axes_through_the_origin_in_view():
+    svg = render_svg(SQUARE, RenderSpec(width=200, height=100, axes=True, viewport=(-1, 1, -1, 1)))
+    assert _axis_lines(svg) == [
+        '<line x1="0" y1="50.0" x2="200" y2="50.0" stroke="#bbbbbb" stroke-width="1"/>',
+        '<line x1="100.0" y1="0" x2="100.0" y2="100" stroke="#bbbbbb" stroke-width="1"/>',
+    ]
+
+
+@pytest.mark.parametrize(
+    "viewport, drawn",
+    [
+        ((1.0, 2.0, -1.0, 1.0), 'y1="50.0"'),  # x = 0 out of view: only the x-axis
+        ((-1.0, 1.0, 1.0, 2.0), 'x1="100.0"'),  # y = 0 out of view: only the y-axis
+    ],
+)
+def test_axis_out_of_view_is_left_out(viewport, drawn):
+    svg = render_svg(SQUARE, RenderSpec(width=200, height=100, axes=True, viewport=viewport))
+    lines = _axis_lines(svg)
+    assert len(lines) == 1
+    assert drawn in lines[0]
+
+
+def test_no_axis_when_the_origin_is_out_of_both_ranges():
+    svg = render_svg(SQUARE, RenderSpec(axes=True, viewport=(1.0, 2.0, 1.0, 2.0)))
+    assert _axis_lines(svg) == []
