@@ -12,8 +12,9 @@ bytes only when numpy matches it.
 
 The set: ``invariants`` JSON for every catalog cusp and inflection at a = 1,
 ``classify`` for the whole catalog, 101-point ``profile`` CSVs of every
-applicable kind, and one ``render`` SVG of the profile CSV
-``RENDER_SAMPLES``, always read from this directory.
+applicable kind, one ``render`` SVG of the profile CSV ``RENDER_SAMPLES``,
+always read from this directory, ``synthesize`` CSVs of every kind and
+method for the profiles ``SYNTHESIS_PROFILES``, and one ``synthesize`` SVG.
 """
 
 from __future__ import annotations
@@ -38,11 +39,24 @@ INFLECTIONS = ("cubic_graph", "skew_cycloid")
 CATALOG_PARAMS = {"circle": ["r=1"], "line": [], "parabola": []}
 GRID = "-0.5:0.5:101"
 RENDER_SAMPLES = "profile_affine-cusp_cycloid.csv"
+# The profiles of tests/test_synthesis.py; the affine cusp's is h, the
+# tau^2-coefficient of its profile.
+SYNTHESIS_PROFILES = {
+    "euclid-cusp": "1 + 0.3*t - 0.2*t^2",
+    "affine-cusp": "0.5 + 0.1*t - 0.12*t^2",
+    "inflection": "-5/16 + 0.3*t - 0.16*t^2 + 0.1*t^3",
+}
+SYNTHESIS_RANGE = ["--tau-max", "0.5", "--step", "1e-2"]
 
 
 def _curve_args(name: str) -> list[str]:
     params = CATALOG_PARAMS.get(name, ["a=1"])
     return ["--curve", name] + [a for p in params for a in ("--param", p)]
+
+
+def _synthesize_args(kind: str) -> list[str]:
+    flag = "--h" if kind == "affine-cusp" else "--f"
+    return ["synthesize", "--kind", kind, flag, SYNTHESIS_PROFILES[kind], *SYNTHESIS_RANGE]
 
 
 def _cases() -> dict[str, list[list[str]]]:
@@ -65,6 +79,15 @@ def _cases() -> dict[str, list[list[str]]]:
             ]
     cases["render_profile.svg"] = [
         ["render", "--samples", os.path.join(GOLDEN_DIR, RENDER_SAMPLES), "--svg", "-"]
+    ]
+    for method in ("frame", "quadrature"):
+        cases[f"synthesize_euclid-cusp_{method}.csv"] = [
+            [*_synthesize_args("euclid-cusp"), "--method", method]
+        ]
+    for kind in ("affine-cusp", "inflection"):
+        cases[f"synthesize_{kind}.csv"] = [_synthesize_args(kind)]
+    cases["synthesize_affine-cusp.svg"] = [
+        [*_synthesize_args("affine-cusp"), "--out", os.devnull, "--svg", "-"]
     ]
     return cases
 
