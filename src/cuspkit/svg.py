@@ -44,10 +44,9 @@ def render_svg(samples, spec: RenderSpec | None = None) -> str:
     sx = spec.width / (xmax - xmin)
     sy = spec.height / (ymax - ymin)
 
-    def to_px(p):
-        return float((p[0] - xmin) * sx), float((ymax - p[1]) * sy)
-
-    coords = " ".join(f"{x!r},{y!r}" for x, y in (to_px(p) for p in points))
+    xs = ((points[:, 0] - xmin) * sx).tolist()
+    ys = ((ymax - points[:, 1]) * sy).tolist()
+    coords = " ".join(f"{x!r},{y!r}" for x, y in zip(xs, ys))
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -55,7 +54,7 @@ def render_svg(samples, spec: RenderSpec | None = None) -> str:
         f'viewBox="0 0 {spec.width} {spec.height}">',
     ]
     if spec.axes:
-        x0, y0 = to_px((0.0, 0.0))
+        x0, y0 = float((0.0 - xmin) * sx), float((ymax - 0.0) * sy)
         if 0.0 <= y0 <= spec.height:
             parts.append(
                 f'<line x1="0" y1="{y0!r}" x2="{spec.width}" y2="{y0!r}" '

@@ -27,20 +27,25 @@ Three inverse problems are solved, one per singularity type:
 
 All integrations use classical fixed-step RK4 (default step 1e-3) with a
 half-step comparison as a built-in error estimate.  The three frame
-systems are linear, Y' = A(tau) Y, and act alike on the x and y columns,
-so each kind supplies only its 3x3 coefficient matrix A and its arclength
-integrand.  The linear frame system is advanced by batched RK4 step
+systems are linear, Y' = A(tau) Y, and act alike on the x and y columns.
+Each kind declares its system once, as a :class:`FrameSystem` record: the
+entries of the 3x3 coefficient matrix A, written once as a function that
+runs on arrays and on jets, the initial frame, the arclength integrand and
+the rows of Y and A Y that hold the derivatives of gamma.  One driver
+serves every kind.  The frame system is advanced by batched RK4 step
 matrices chained with a log-depth prefix product; the arclength is the RK4
 quadrature of the integrand over the stage states.  Derivatives of the
-synthesized curve are reconstructed from the right-hand sides and the
-frame relations, never by differencing positions; the germ at tau = 0 is
-obtained by Picard iteration of the same system in jet arithmetic.
+synthesized curve are read from Y and A Y, never by differencing
+positions; the germ at tau = 0 comes from the Taylor recurrence
+Y_{k+1} = (A_0 Y_k + ... + A_k Y_0) / (k + 1) on the jet coefficients of
+the same A.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Union
 
 import numpy as np
@@ -48,10 +53,8 @@ import numpy as np
 from . import affine as _affine
 from . import euclidean as _euclid
 from .dsl import BinOp, Func, Neg, Num, Power, Sym, evaluate
-from .jets import Jet, PlaneJet, VecJet, deflate
-from .profiles import SWITCH_RADIUS
-
-_KINDS = {k.name: k for k in (_euclid.EUCLID_CUSP, _affine.AFFINE_CUSP, _affine.INFLECTION)}
+from .jets import Jet, PlaneJet, VecJet, _gauss_01, deflate, rational_pow
+from .profiles import SWITCH_RADIUS, Kind
 
 _EXPR_NODES = (Num, Sym, Neg, BinOp, Func, Power)
 
@@ -156,7 +159,7 @@ def as_profile(fn, label: str = "") -> ProfileFunction:
     return ProfileFunction(fn, label)
 
 
-# -- fixed-step RK4 over a precomputed half-step grid ---------------------------
+# -- the frame system: RK4 over a half-step grid, Taylor germ at 0 --------------
 
 
 def _rk4(
@@ -218,19 +221,36 @@ def _check_range(tau_max: float, step: float) -> None:
             raise ValueError(f"synthesis needs a finite {name} > 0, got {name}={value!r}")
 
 
-def _picard_germ(rhs_jets, y0: list[float], order: int) -> list[Jet]:
-    """Power-series solution of y' = F(tau, y) at tau = 0 by Picard iteration.
+def _taylor_germ(entries: dict, frame0: np.ndarray, order: int) -> PlaneJet:
+    """The germ at tau = 0 of Y' = A(tau) Y, Y(0) = frame0, to the given order.
 
-    ``rhs_jets(tau_jet, state_jets)`` must evaluate the right-hand side in
-    jet arithmetic.  Each sweep gains one order, so order + 2 sweeps settle
-    all retained coefficients.
+    ``entries`` holds A's entries as jets at 0 or as constants.  With
+    A = sum_k A_k tau^k and Y = sum_k Y_k tau^k, matching the coefficients
+    of tau^k gives Y_{k+1} = (A_0 Y_k + ... + A_k Y_0) / (k + 1), which needs
+    A through order - 1.  A constant enters A_0 only.
     """
-    tau = Jet.variable(0.0, order)
-    state = [Jet.constant(v, order) for v in y0]
-    for _ in range(order + 2):
-        rhs = rhs_jets(tau, state)
-        state = [r.truncated(order - 1).antiderivative(v) for r, v in zip(rhs, y0)]
-    return state
+    series = {}
+    for ij, a in entries.items():
+        if isinstance(a, Jet) and a.order < order - 1:
+            raise ValueError(
+                f"a germ of order {order} needs A through order {order - 1}; a{ij} has {a.order}"
+            )
+        series[ij] = a.coeffs[:order] if isinstance(a, Jet) else Jet.constant(a, order - 1).coeffs
+    A = _frame_matrix(series, order)
+    Y = np.zeros((order + 1, 3, 2))
+    Y[0] = frame0
+    for k in range(order):
+        Y[k + 1] = np.einsum("kij,kjc->ic", A[: k + 1], Y[k::-1]) / (k + 1)
+    return PlaneJet.from_coeffs(Y[:, 0, 0], Y[:, 0, 1])
+
+
+def _frame_matrix(entries: dict, n: int) -> np.ndarray:
+    """A at n points, shape (n, 3, 3), from its entries; row 3 is left out."""
+    A = np.zeros((n, 3, 3))
+    for (i, j), a in entries.items():
+        if i < 3:
+            A[:, i, j] = a
+    return A
 
 
 # -- results -------------------------------------------------------------------
@@ -242,10 +262,11 @@ class SynthesisResult:
 
     ``samples`` holds (tau, x, y) rows on the integration grid.  ``stacks``
     holds gamma and its first four derivative vectors at each grid point,
-    reconstructed from the system's right-hand sides; ``arclength`` is the
-    recomputed s (Euclidean or affine) with the near-origin part taken from
-    the germ jets.  ``step_error`` is the half-step Richardson estimate of
-    the endpoint position error.
+    read from the frame system; ``arclength`` is the recomputed s (Euclidean
+    or affine) with the near-origin part taken from the germ jets, and
+    ``profile_jets`` holds those jets (the kind's ``jets(germ)``).
+    ``step_error`` is the half-step Richardson estimate of the endpoint
+    position error.
     """
 
     kind: str  # 'euclid-cusp' | 'affine-cusp' | 'inflection'
@@ -258,6 +279,7 @@ class SynthesisResult:
     arclength: np.ndarray | None = None
     step_error: float = math.nan
     method: str = "frame"
+    profile_jets: object = None
 
     @property
     def samples(self) -> np.ndarray:
@@ -265,7 +287,7 @@ class SynthesisResult:
 
     def tau_normalized(self) -> np.ndarray:
         """The adapted parameter recomputed from the synthesized data."""
-        return np.sign(self.taus) * np.abs(self.arclength) ** _KINDS[self.kind].p
+        return np.sign(self.taus) * np.abs(self.arclength) ** SYSTEMS[self.kind].kind.p
 
     def profile_recomputed(self) -> np.ndarray:
         """The normalized curvature profile recomputed from the synthesis.
@@ -273,48 +295,35 @@ class SynthesisResult:
         Direct formulas (with the recomputed arclength) away from the
         origin, germ jets inside the switch radius.
         """
-        kind = _KINDS[self.kind]
         ts = self.taus
         out = np.empty(len(ts))
         near = np.abs(ts) < SWITCH_RADIUS
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[~near] = kind.direct(self.stacks, self.arclength)[~near]
-        out[near] = kind.jets(self.germ).f_t(ts[near])
+            out[~near] = SYSTEMS[self.kind].kind.direct(self.stacks, self.arclength)[~near]
+        out[near] = self.profile_jets.f_t(ts[near])
         return out
 
 
 # -- shared assembly helpers ----------------------------------------------------
 
 
-def _integrate_sides(make_system, frame0, tau_max, step, richardson=True):
-    """Integrate one system over both signed ranges; return merged arrays.
+def _both_sides(side, richardson: bool):
+    """Run a one-sided integrator on [0, tau_max] and on [-tau_max, 0] and merge.
 
-    ``make_system(taus_half)`` returns the coefficient matrices A on the
-    given half-step grid and the arclength integrand (see :func:`_rk4`).
-    Returns the grid, the frames (n, 3, 2), the raw arclength and the
-    Richardson estimate, which compares endpoint positions against a
-    half-step rerun.
+    ``side(sign, h_scale)`` integrates from 0 to sign * tau_max with the
+    step scaled by h_scale and returns arrays with the grid on the first
+    axis: the grid, the positions, then anything else.  Returns the merged
+    arrays and the Richardson estimate, the largest change of an endpoint
+    position in a half-step rerun.
     """
-
-    def run(sign, h_scale):
-        taus, h, n = _half_grid(sign * tau_max, step * h_scale)
-        A, speed = make_system(taus)
-        return taus[::2], *_rk4(A, frame0, h, n, speed)
-
-    taus_p, frames_p, s_p = run(+1.0, 1.0)
-    taus_m, frames_m, s_m = run(-1.0, 1.0)
-    taus = np.concatenate([taus_m[::-1], taus_p[1:]])
-    frames = np.concatenate([frames_m[::-1], frames_p[1:]])
-    s_raw = np.concatenate([s_m[::-1], s_p[1:]])
+    runs = {sign: side(sign, 1.0) for sign in (1.0, -1.0)}
+    merged = [np.concatenate([m[::-1], p[1:]]) for p, m in zip(runs[1.0], runs[-1.0])]
     err = math.nan
     if richardson:
-        _, fine_p, _ = run(+1.0, 0.5)
-        _, fine_m, _ = run(-1.0, 0.5)
         err = max(
-            float(np.max(np.abs(frames_p[-1, 0] - fine_p[-1, 0]))),
-            float(np.max(np.abs(frames_m[-1, 0] - fine_m[-1, 0]))),
+            float(np.max(np.abs(run[1][-1] - side(sign, 0.5)[1][-1]))) for sign, run in runs.items()
         )
-    return taus, frames, s_raw, err
+    return merged, err
 
 
 def _cross_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -354,40 +363,218 @@ def _corrected_arclength(taus: np.ndarray, s_raw: np.ndarray, tau_t_jet: Jet, p:
     return out
 
 
-# -- Euclidean cusp synthesis ----------------------------------------------------
+# -- the frame systems -------------------------------------------------------------
 
 
-def _euclid_frame_rhs_factory(profile, taus_half):
-    """A for (gamma, u1, u2): gamma' = q (u1 + m u2), u1' = omega u2, u2' = -omega u1."""
-    f, fd = profile.value_and_slope(taus_half)
-    denom = 1.0 + 4.0 * taus_half**2 * f**2
-    q = 2.0 * taus_half / np.sqrt(denom)
-    m = -2.0 * taus_half * f
-    omega = 2.0 * (2.0 * f + 4.0 * taus_half**2 * f**3 + taus_half * fd) / denom
-    A = np.zeros((len(taus_half), 3, 3))
-    A[:, 0, 1] = q
-    A[:, 0, 2] = q * m
-    A[:, 1, 2] = omega
-    A[:, 2, 1] = -omega
-    return A, lambda dz, z: np.hypot(dz[..., 0, 0], dz[..., 0, 1])
+@dataclass(frozen=True)
+class FrameSystem:
+    """One kind's frame system Y' = A(tau) Y and how a synthesis reads it.
+
+    Y has rows (gamma, xi, eta) and columns (x, y) and starts at gamma = 0,
+    xi = (1, 0), eta = (0, eta0).  ``coefficients(tau, u, v)`` returns the
+    nonzero entries {(i, j): a_ij} of A; it runs on arrays for the integrator
+    and on jets for the germ.  An entry in row 3 is no part of the system:
+    it gives one more derivative of gamma as a combination of the frame.
+    ``inputs(profile)`` returns the function that makes (u, v) on a tau
+    array and the jets (u, v) at tau = 0.  ``speed(AZ, Z)`` is the arclength
+    integrand at the states Z.  ``stack_rows[k]`` names the row that holds
+    the k-th derivative of gamma: ("Y", i) or ("AY", i).  ``accepts`` is the
+    test the germ's ``SingularityClass`` must pass.
+    """
+
+    kind: Kind
+    coefficients: Callable
+    inputs: Callable
+    eta0: float
+    speed: Callable
+    stack_rows: tuple
+    accepts: Callable
+    germ_name: str  # for the message when ``accepts`` fails
+
+    @property
+    def frame0(self) -> np.ndarray:
+        return np.array([[0.0, 0.0], [1.0, 0.0], [0.0, self.eta0]])
 
 
-def _euclid_frame_germ(profile, order: int) -> tuple[PlaneJet, Jet]:
+def _profile_inputs(profile):
+    """(u, v) = (f, f') of the prescribed function, on arrays and as jets at 0."""
+    f_jet = profile.jet(0.0, GERM_ORDER)
+    return profile.value_and_slope, (f_jet, f_jet.derivative())
+
+
+def _euclid_cusp_coefficients(tau, f, fd):
+    """(gamma, u1, u2): gamma' = q (u1 + m u2), u1' = omega u2, u2' = -omega u1.
+
+    Row 3 is gamma'' = 2 sqrt(1 + 4 tau^2 f^2) u1.
+    """
+    denom = 1.0 + 4.0 * tau**2 * f**2
+    root = rational_pow(denom, 1, 2)
+    q = 2.0 * tau / root
+    m = -2.0 * tau * f
+    omega = 2.0 * (2.0 * f + 4.0 * tau**2 * f**3 + tau * fd) / denom
+    return {(0, 1): q, (0, 2): q * m, (1, 2): omega, (2, 1): -omega, (3, 1): 2.0 * root}
+
+
+def _affine_cusp_coefficients(tau, h, hd):
+    """(gamma, xi, eta): gamma' = a1 xi + a2 eta, xi' = eta, eta' = b1 xi + b2 eta."""
+    D = 18.0 + 25.0 * tau**2 * h
+    if isinstance(D, np.ndarray) and np.any(D <= 0.0):
+        i = int(np.argmax(D <= 0.0))
+        raise ValueError(
+            "affine cusp synthesis needs 18 + 25 tau^2 h(tau) > 0 over the whole range, "
+            f"but it is {D[i]:.6g} at tau = {tau[i]:.6g}"
+        )
+    return {
+        (0, 1): 18.0 * tau / D,
+        (0, 2): -9.0 * tau**2 / D,
+        (1, 2): 1.0,
+        (2, 1): -25.0 * (18.0 * tau * hd + 25.0 * tau**2 * h**2 + 54.0 * h) / (9.0 * D),
+        (2, 2): 25.0 * tau * (tau * hd + 2.0 * h) / D,
+    }
+
+
+def _inflection_gh_jets(profile, order: int) -> tuple[Jet, Jet]:
+    """g and h of a profile that ``restore_inflection_constraint`` returned."""
     f_jet = profile.jet(0.0, order)
+    g_jet = deflate(f_jet - _affine.INFLECTION_PROFILE_VALUE, 1, tol=1e-9)
+    constraint = 9.0 * float(g_jet.derivative().value()) + 16.0 * float(g_jet.value()) ** 2
+    scale = max(1.0, abs(float(g_jet.value())) ** 2)
+    if abs(constraint) > 1e-8 * scale:
+        raise ValueError(
+            "profile violates the inflection germ constraint "
+            f"32 f'(0)^2 + 9 f''(0) = 0 (residual {2*constraint:.3e})"
+        )
+    h_jet = deflate(9.0 * g_jet.derivative() + 16.0 * g_jet * g_jet, 1, tol=max(1e-9, 1e-7 * scale))
+    return g_jet, h_jet
 
-    def rhs_jets(tau, state):
-        u1x, u1y, u2x, u2y = state[2], state[3], state[4], state[5]
-        f = f_jet
-        denom = 1.0 + 4.0 * tau * tau * f * f
-        q = 2.0 * tau / denom.sqrt()
-        m = -2.0 * tau * f
-        omega = 2.0 * (2.0 * f + 4.0 * tau * tau * f * f * f + tau * f.derivative()) / denom
-        velx = q * (u1x + m * u2x)
-        vely = q * (u1y + m * u2y)
-        return [velx, vely, omega * u2x, omega * u2y, -omega * u1x, -omega * u1y]
 
-    state = _picard_germ(rhs_jets, [0.0, 0.0, 1.0, 0.0, 0.0, 1.0], order)
-    return PlaneJet(state[0], state[1]), f_jet
+def _inflection_inputs(profile):
+    """(u, v) = (g, h) with f = -5/16 + tau g and 9 g' + 16 g^2 = tau h.
+
+    h loses three orders to two deflations and a derivative, so the germ's
+    jets start from f at GERM_ORDER + 3.  Inside SWITCH_RADIUS the arrays
+    read the same jets cut back to the orders that f at GERM_ORDER gives;
+    the three extra orders serve the germ only.
+    """
+    g_jet, h_jet = _inflection_gh_jets(profile, GERM_ORDER + 3)
+    g_near, h_near = g_jet.truncated(GERM_ORDER - 1), h_jet.truncated(GERM_ORDER - 3)
+
+    def values(taus):
+        f_v, fd_v = profile.value_and_slope(taus)
+        g, hh = np.empty_like(taus), np.empty_like(taus)
+        near = np.abs(taus) < SWITCH_RADIUS
+        g[near], hh[near] = g_near(taus[near]), h_near(taus[near])
+        far = ~near
+        tf = taus[far]
+        gf = (f_v[far] - _affine.INFLECTION_PROFILE_VALUE) / tf
+        gd = (fd_v[far] - gf) / tf
+        g[far] = gf
+        hh[far] = (9.0 * gd + 16.0 * gf**2) / tf
+        return g, hh
+
+    return values, (g_jet, h_jet)
+
+
+def _inflection_coefficients(tau, g, h):
+    """(gamma, xi, eta): gamma' = xi, xi' = a11 xi + tau eta, eta' = a21 xi - a11 eta."""
+    return {
+        (0, 1): 1.0,
+        (1, 1): 16.0 * g / 9.0,
+        (1, 2): tau,
+        (2, 1): -16.0 * h / 81.0,
+        (2, 2): -16.0 * g / 9.0,
+    }
+
+
+EUCLID_CUSP_SYSTEM = FrameSystem(
+    kind=_euclid.EUCLID_CUSP,
+    coefficients=_euclid_cusp_coefficients,
+    inputs=_profile_inputs,
+    eta0=1.0,
+    speed=lambda dz, z: np.hypot(dz[..., 0, 0], dz[..., 0, 1]),
+    stack_rows=(("Y", 0), ("AY", 0), ("AY", 3)),
+    accepts=attrgetter("is_cusp"),
+    germ_name="a cusp",
+)
+AFFINE_CUSP_SYSTEM = FrameSystem(
+    kind=_affine.AFFINE_CUSP,
+    coefficients=_affine_cusp_coefficients,
+    inputs=_profile_inputs,
+    eta0=AFFINE_CUSP_ETA0,
+    speed=lambda dz, z: np.abs(_cross_last(dz[..., 0, :], z[..., 1, :])) ** (1.0 / 3.0),
+    stack_rows=(("Y", 0), ("AY", 0), ("Y", 1), ("Y", 2), ("AY", 2)),
+    accepts=attrgetter("is_cusp"),
+    germ_name="a cusp",
+)
+INFLECTION_SYSTEM = FrameSystem(
+    kind=_affine.INFLECTION,
+    coefficients=_inflection_coefficients,
+    inputs=_inflection_inputs,
+    eta0=INFLECTION_ETA0,
+    speed=lambda dz, z: np.abs(_cross_last(z[..., 1, :], dz[..., 1, :])) ** (1.0 / 3.0),
+    stack_rows=(("Y", 0), ("Y", 1), ("AY", 1), ("Y", 2), ("AY", 2)),
+    accepts=attrgetter("is_inflection"),
+    germ_name="a generic inflection",
+)
+SYSTEMS = {s.kind.name: s for s in (EUCLID_CUSP_SYSTEM, AFFINE_CUSP_SYSTEM, INFLECTION_SYSTEM)}
+
+
+# -- the driver ---------------------------------------------------------------------
+
+
+def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method="frame"):
+    """Germ, curve, derivative stacks and arclength of one kind's synthesis.
+
+    The frame route integrates Y' = A Y by RK4 over both sides and reads the
+    derivatives from Y and A Y; the Euclidean quadrature route shares only
+    the germ and the assembly of the result.
+    """
+    values, germ_inputs = system.inputs(profile)
+    tau = Jet.variable(0.0, GERM_ORDER)
+    germ = _taylor_germ(system.coefficients(tau, *germ_inputs), system.frame0, GERM_ORDER)
+    if not system.accepts(_euclid.classify(germ)):
+        raise ValueError(f"synthesized germ failed to classify as {system.germ_name}")
+
+    if method == "quadrature":
+        (taus, positions, s_raw, d1, d2), err = _both_sides(
+            lambda sign, h_scale: _euclid_quadrature(profile, sign * tau_max, step * h_scale),
+            richardson,
+        )
+        derivatives = [positions.T, d1.T, d2.T]
+    else:
+
+        def frame_side(sign, h_scale):
+            taus_half, h, n = _half_grid(sign * tau_max, step * h_scale)
+            A = _frame_matrix(system.coefficients(taus_half, *values(taus_half)), len(taus_half))
+            frames, s = _rk4(A, system.frame0, h, n, system.speed)
+            return taus_half[::2], frames[:, 0], s, frames
+
+        (taus, positions, s_raw, frames), err = _both_sides(frame_side, richardson)
+        Y = frames.transpose(1, 2, 0)  # Y[i] is row i, shape (2, n)
+        AY = {}
+        for (i, j), a in system.coefficients(taus, *values(taus)).items():
+            AY[i] = AY[i] + a * Y[j] if i in AY else a * Y[j]
+        derivatives = [Y[i] if source == "Y" else AY[i] for source, i in system.stack_rows]
+
+    jets = system.kind.jets(germ)
+    stacks = np.zeros((5, 2, len(taus)))
+    stacks[: len(derivatives)] = derivatives
+    return SynthesisResult(
+        kind=system.kind.name,
+        taus=taus,
+        positions=positions,
+        germ=germ,
+        input_profile=profile,
+        step=step,
+        stacks=stacks,
+        arclength=_corrected_arclength(taus, s_raw, jets.tau_t, system.kind.p),
+        step_error=err,
+        method=method,
+        profile_jets=jets,
+    )
+
+
+# -- the public routes ------------------------------------------------------------
 
 
 def synthesize_euclidean_cusp(
@@ -409,165 +596,50 @@ def synthesize_euclidean_cusp(
         raise ValueError("Euclidean cusp synthesis needs f(0) != 0")
     if method not in ("frame", "quadrature"):
         raise ValueError(f"unknown method {method!r}; use 'frame' or 'quadrature'")
+    return _synthesize(EUCLID_CUSP_SYSTEM, profile, tau_max, step, richardson, method)
 
-    germ, _ = _euclid_frame_germ(profile, GERM_ORDER)
-    if not _euclid.classify(germ).is_cusp:
-        raise ValueError("synthesized germ failed to classify as a cusp")
 
-    if method == "frame":
-        taus, frames, s_raw, err = _integrate_sides(
-            lambda th: _euclid_frame_rhs_factory(profile, th),
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            tau_max,
-            step,
-            richardson,
-        )
-        positions = frames[:, 0]
-        # gamma' from the frame relation, gamma'' = 2 sqrt(1 + 4 tau^2 f^2) u1.
-        fvals, fd = profile.value_and_slope(taus)
-        denom = 1.0 + 4.0 * taus**2 * fvals**2
-        q = 2.0 * taus / np.sqrt(denom)
-        u1 = frames[:, 1].T
-        u2 = frames[:, 2].T
-        d1 = q * (u1 - 2.0 * taus * fvals * u2)
-        d2 = 2.0 * np.sqrt(denom) * u1
-        stacks = np.zeros((5, 2, len(taus)))
-        stacks[0] = positions.T
-        stacks[1] = d1
-        stacks[2] = d2
-    else:
-        taus, positions, s_raw, d1, d2, err = _euclid_quadrature(profile, tau_max, step, richardson)
-        stacks = np.zeros((5, 2, len(taus)))
-        stacks[0] = positions.T
-        stacks[1] = d1
-        stacks[2] = d2
+def _euclid_quadrature(profile, tau_end: float, step: float):
+    """Direct quadrature route from 0 to tau_end: nested Gauss panels per step for theta and gamma.
 
-    kind = _euclid.EUCLID_CUSP
-    s = _corrected_arclength(taus, s_raw, kind.jets(germ).tau_t, kind.p)
-    return SynthesisResult(
-        kind=kind.name,
-        taus=taus,
-        positions=positions,
-        germ=germ,
-        input_profile=profile,
-        step=step,
-        stacks=stacks,
-        arclength=s,
-        step_error=err,
-        method=method,
+    Returns the grid, the positions, the arclength and gamma', gamma'' there,
+    each with the grid on the first axis.
+    """
+    x8, w8 = _gauss_01(8)
+    n = max(1, math.ceil(abs(tau_end) / step))
+    h = tau_end / n
+    starts = h * np.arange(n)
+    # main nodes per step: a + h x_i ; inner nodes: a + h x_i x_j
+    main = starts[:, None] + h * x8[None, :]
+    inner = starts[:, None, None] + h * (x8[:, None] * x8[None, :])[None, :, :]
+    fm = np.asarray(profile(main.ravel()), dtype=float).reshape(main.shape)
+    fi = np.asarray(profile(inner.ravel()), dtype=float).reshape(inner.shape)
+    # theta at step starts (cumulative) and at main nodes
+    dtheta = 2.0 * h * (fm @ w8)
+    theta_start = np.concatenate([[0.0], np.cumsum(dtheta)])
+    theta_main = theta_start[:-1, None] + 2.0 * h * x8[None, :] * (fi @ w8)
+    # gamma increment per step and speed samples
+    cx = np.cos(theta_main)
+    sx = np.sin(theta_main)
+    gx = h * ((2.0 * main * cx) @ w8)
+    gy = h * ((2.0 * main * sx) @ w8)
+    pos = np.zeros((n + 1, 2))
+    pos[1:, 0] = np.cumsum(gx)
+    pos[1:, 1] = np.cumsum(gy)
+    ds = h * ((2.0 * np.abs(main)) @ w8)
+    s = np.concatenate([[0.0], np.cumsum(ds)])
+    taus = np.concatenate([[0.0], starts + h])
+    # derivatives at step points from theta there
+    theta_pts = theta_start
+    f_pts = np.asarray(profile(taus), dtype=float)
+    d1 = 2.0 * taus * np.array([np.cos(theta_pts), np.sin(theta_pts)])
+    d2 = 2.0 * np.array([np.cos(theta_pts), np.sin(theta_pts)]) + 2.0 * taus * 2.0 * f_pts * np.array(
+        [-np.sin(theta_pts), np.cos(theta_pts)]
     )
+    return taus, pos, s, d1.T, d2.T
 
 
-def _euclid_quadrature(profile, tau_max, step, richardson):
-    """Direct quadrature route: nested Gauss panels per step for theta and gamma."""
-    x8, w8 = np.polynomial.legendre.leggauss(8)
-    x8 = 0.5 * (x8 + 1.0)
-    w8 = 0.5 * w8
-
-    def run(sign, h_scale):
-        n = max(1, math.ceil(abs(tau_max) / (step * h_scale)))
-        h = sign * tau_max / n
-        starts = h * np.arange(n)
-        # main nodes per step: a + h x_i ; inner nodes: a + h x_i x_j
-        main = starts[:, None] + h * x8[None, :]
-        inner = starts[:, None, None] + h * (x8[:, None] * x8[None, :])[None, :, :]
-        fm = np.asarray(profile(main.ravel()), dtype=float).reshape(main.shape)
-        fi = np.asarray(profile(inner.ravel()), dtype=float).reshape(inner.shape)
-        # theta at step starts (cumulative) and at main nodes
-        dtheta = 2.0 * h * (fm @ w8)
-        theta_start = np.concatenate([[0.0], np.cumsum(dtheta)])
-        theta_main = theta_start[:-1, None] + 2.0 * h * x8[None, :] * (fi @ w8)
-        # gamma increment per step and speed samples
-        cx = np.cos(theta_main)
-        sx = np.sin(theta_main)
-        gx = h * ((2.0 * main * cx) @ w8)
-        gy = h * ((2.0 * main * sx) @ w8)
-        pos = np.zeros((n + 1, 2))
-        pos[1:, 0] = np.cumsum(gx)
-        pos[1:, 1] = np.cumsum(gy)
-        ds = h * ((2.0 * np.abs(main)) @ w8)
-        s = np.concatenate([[0.0], np.cumsum(ds)])
-        taus = np.concatenate([[0.0], starts + h])
-        # derivatives at step points from theta there
-        theta_pts = theta_start
-        f_pts = np.asarray(profile(taus), dtype=float)
-        d1 = 2.0 * taus * np.array([np.cos(theta_pts), np.sin(theta_pts)])
-        d2 = 2.0 * np.array([np.cos(theta_pts), np.sin(theta_pts)]) + 2.0 * taus * 2.0 * f_pts * np.array(
-            [-np.sin(theta_pts), np.cos(theta_pts)]
-        )
-        return taus, pos, s, d1, d2
-
-    tp, pp, sp, d1p, d2p = run(+1.0, 1.0)
-    tm, pm, sm, d1m, d2m = run(-1.0, 1.0)
-    taus = np.concatenate([tm[::-1], tp[1:]])
-    positions = np.vstack([pm[::-1], pp[1:]])
-    s_raw = np.concatenate([sm[::-1], sp[1:]])
-    d1 = np.concatenate([d1m[:, ::-1], d1p[:, 1:]], axis=1)
-    d2 = np.concatenate([d2m[:, ::-1], d2p[:, 1:]], axis=1)
-    err = math.nan
-    if richardson:
-        _, pp2, *_ = run(+1.0, 0.5)
-        _, pm2, *_ = run(-1.0, 0.5)
-        err = max(
-            float(np.max(np.abs(pp[-1] - pp2[-1]))),
-            float(np.max(np.abs(pm[-1] - pm2[-1]))),
-        )
-    return taus, positions, s_raw, d1, d2, err
-
-
-# -- affine cusp synthesis --------------------------------------------------------
-
-
-def _affine_cusp_coeffs(h_vals, hd_vals, taus):
-    D = 18.0 + 25.0 * taus**2 * h_vals
-    if np.any(D == 0.0):
-        raise ValueError("affine cusp synthesis: coefficient denominator 18 + 25 tau^2 h vanishes")
-    a1 = 18.0 * taus / D
-    a2 = -9.0 * taus**2 / D
-    b1 = -25.0 * (18.0 * taus * hd_vals + 25.0 * taus**2 * h_vals**2 + 54.0 * h_vals) / (9.0 * D)
-    b2 = 25.0 * taus * (taus * hd_vals + 2.0 * h_vals) / D
-    return a1, a2, b1, b2
-
-
-def _affine_cusp_rhs_factory(profile, taus_half):
-    """A for (gamma, xi, eta): gamma' = a1 xi + a2 eta, xi' = eta, eta' = b1 xi + b2 eta."""
-    hv, hd = profile.value_and_slope(taus_half)
-    a1, a2, b1, b2 = _affine_cusp_coeffs(hv, hd, taus_half)
-    A = np.zeros((len(taus_half), 3, 3))
-    A[:, 0, 1] = a1
-    A[:, 0, 2] = a2
-    A[:, 1, 2] = 1.0
-    A[:, 2, 1] = b1
-    A[:, 2, 2] = b2
-    return A, lambda dz, z: np.abs(_cross_last(dz[..., 0, :], z[..., 1, :])) ** (1.0 / 3.0)
-
-
-def _affine_cusp_germ(profile, order: int) -> PlaneJet:
-    h_jet = profile.jet(0.0, order)
-
-    def rhs_jets(tau, state):
-        xix, xiy, etax, etay = state[2], state[3], state[4], state[5]
-        hd = h_jet.derivative()
-        D = 18.0 + 25.0 * tau * tau * h_jet
-        a1 = 18.0 * tau / D
-        a2 = -9.0 * tau * tau / D
-        b1 = (
-            -25.0
-            * (18.0 * tau * hd + 25.0 * tau * tau * h_jet * h_jet + 54.0 * h_jet)
-            / (9.0 * D)
-        )
-        b2 = 25.0 * tau * (tau * hd + 2.0 * h_jet) / D
-        return [
-            a1 * xix + a2 * etax,
-            a1 * xiy + a2 * etay,
-            etax,
-            etay,
-            b1 * xix + b2 * etax,
-            b1 * xiy + b2 * etay,
-        ]
-
-    state = _picard_germ(rhs_jets, [0.0, 0.0, 1.0, 0.0, 0.0, AFFINE_CUSP_ETA0], order)
-    return PlaneJet(state[0], state[1])
+# -- affine cusp and generic inflection -------------------------------------------
 
 
 def synthesize_affine_cusp(
@@ -578,61 +650,7 @@ def synthesize_affine_cusp(
     tau is the 3/5-arclength parameter of the result.
     """
     _check_range(tau_max, step)
-    profile = as_profile(h)
-    germ = _affine_cusp_germ(profile, GERM_ORDER)
-    if not _euclid.classify(germ).is_cusp:
-        raise ValueError("synthesized germ failed to classify as a cusp")
-
-    frame0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, AFFINE_CUSP_ETA0]])
-    taus, frames, s_raw, err = _integrate_sides(
-        lambda th: _affine_cusp_rhs_factory(profile, th), frame0, tau_max, step, richardson
-    )
-
-    hv, hd = profile.value_and_slope(taus)
-    a1, a2, b1, b2 = _affine_cusp_coeffs(hv, hd, taus)
-    xi = frames[:, 1].T
-    eta = frames[:, 2].T
-    stacks = np.zeros((5, 2, len(taus)))
-    stacks[0] = frames[:, 0].T
-    stacks[1] = a1 * xi + a2 * eta
-    stacks[2] = xi
-    stacks[3] = eta
-    stacks[4] = b1 * xi + b2 * eta
-
-    kind = _affine.AFFINE_CUSP
-    s = _corrected_arclength(taus, s_raw, kind.jets(germ).tau_t, kind.p)
-    return SynthesisResult(
-        kind=kind.name,
-        taus=taus,
-        positions=frames[:, 0],
-        germ=germ,
-        input_profile=profile,
-        step=step,
-        stacks=stacks,
-        arclength=s,
-        step_error=err,
-    )
-
-
-# -- generic inflection synthesis ---------------------------------------------------
-
-
-def _inflection_gh_jets(profile, order: int) -> tuple[Jet, Jet, Jet]:
-    f_jet = profile.jet(0.0, order)
-    if abs(f_jet.value() - _affine.INFLECTION_PROFILE_VALUE) > 1e-9:
-        raise ValueError(
-            f"inflection synthesis needs f(0) = -5/16, got f(0) = {f_jet.value()}"
-        )
-    g_jet = deflate(f_jet - _affine.INFLECTION_PROFILE_VALUE, 1, tol=1e-9)
-    constraint = 9.0 * float(g_jet.derivative().value()) + 16.0 * float(g_jet.value()) ** 2
-    scale = max(1.0, abs(float(g_jet.value())) ** 2)
-    if abs(constraint) > 1e-8 * scale:
-        raise ValueError(
-            "profile violates the inflection germ constraint "
-            f"32 f'(0)^2 + 9 f''(0) = 0 (residual {2*constraint:.3e})"
-        )
-    h_jet = deflate(9.0 * g_jet.derivative() + 16.0 * g_jet * g_jet, 1, tol=max(1e-9, 1e-7 * scale))
-    return f_jet, g_jet, h_jet
+    return _synthesize(AFFINE_CUSP_SYSTEM, as_profile(h), tau_max, step, richardson)
 
 
 def restore_inflection_constraint(profile) -> tuple[object, float]:
@@ -664,54 +682,6 @@ def restore_inflection_constraint(profile) -> tuple[object, float]:
     return ReparametrizedProfile(profile, c), c
 
 
-def _inflection_coeff_arrays(profile, f_jet, g_jet, h_jet, taus):
-    f_v, fd_v = profile.value_and_slope(taus)
-    g = np.empty_like(taus)
-    hh = np.empty_like(taus)
-    near = np.abs(taus) < SWITCH_RADIUS
-    far = ~near
-    if np.any(near):
-        g[near] = g_jet(taus[near])
-        hh[near] = h_jet(taus[near])
-    if np.any(far):
-        tf = taus[far]
-        gf = (f_v[far] - _affine.INFLECTION_PROFILE_VALUE) / tf
-        gd = (fd_v[far] - gf) / tf
-        g[far] = gf
-        hh[far] = (9.0 * gd + 16.0 * gf**2) / tf
-    return 16.0 * g / 9.0, taus.copy(), -16.0 * hh / 81.0, -16.0 * g / 9.0
-
-
-def _inflection_rhs_factory(profile, jets, taus_half):
-    """A for (gamma, xi, eta): gamma' = xi, xi' = a11 xi + a12 eta, eta' = a21 xi + a22 eta."""
-    a11, a12, a21, a22 = _inflection_coeff_arrays(profile, *jets, taus_half)
-    A = np.zeros((len(taus_half), 3, 3))
-    A[:, 0, 1] = 1.0
-    A[:, 1, 1] = a11
-    A[:, 1, 2] = a12
-    A[:, 2, 1] = a21
-    A[:, 2, 2] = a22
-    return A, lambda dz, z: np.abs(_cross_last(z[..., 1, :], dz[..., 1, :])) ** (1.0 / 3.0)
-
-
-def _inflection_germ(g_jet: Jet, h_jet: Jet, order: int) -> PlaneJet:
-    def rhs_jets(tau, state):
-        xix, xiy, etax, etay = state[2], state[3], state[4], state[5]
-        a11 = 16.0 * g_jet / 9.0
-        a21 = -16.0 * h_jet / 81.0
-        return [
-            xix,
-            xiy,
-            a11 * xix + tau * etax,
-            a11 * xiy + tau * etay,
-            a21 * xix - a11 * etax,
-            a21 * xiy - a11 * etay,
-        ]
-
-    state = _picard_germ(rhs_jets, [0.0, 0.0, 1.0, 0.0, 0.0, INFLECTION_ETA0], order)
-    return PlaneJet(state[0], state[1])
-
-
 def synthesize_inflection(
     f, tau_max: float, step: float = DEFAULT_STEP, richardson: bool = True
 ) -> SynthesisResult:
@@ -725,44 +695,8 @@ def synthesize_inflection(
     """
     _check_range(tau_max, step)
     profile, _ = restore_inflection_constraint(f)
-    f_jet, g_jet, h_jet = _inflection_gh_jets(profile, GERM_ORDER)
-    germ = _inflection_germ(g_jet, h_jet, GERM_ORDER)
-    if not _euclid.classify(germ).is_inflection:
-        raise ValueError("synthesized germ failed to classify as a generic inflection")
+    return _synthesize(INFLECTION_SYSTEM, profile, tau_max, step, richardson)
 
-    frame0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, INFLECTION_ETA0]])
-    jets3 = (f_jet, g_jet, h_jet)
-    taus, frames, s_raw, err = _integrate_sides(
-        lambda th: _inflection_rhs_factory(profile, jets3, th),
-        frame0,
-        tau_max,
-        step,
-        richardson,
-    )
-
-    a11, a12, a21, a22 = _inflection_coeff_arrays(profile, f_jet, g_jet, h_jet, taus)
-    xi = frames[:, 1].T
-    eta = frames[:, 2].T
-    stacks = np.zeros((5, 2, len(taus)))
-    stacks[0] = frames[:, 0].T
-    stacks[1] = xi
-    stacks[2] = a11 * xi + a12 * eta
-    stacks[3] = eta
-    stacks[4] = a21 * xi + a22 * eta
-
-    kind = _affine.INFLECTION
-    s = _corrected_arclength(taus, s_raw, kind.jets(germ).tau_t, kind.p)
-    return SynthesisResult(
-        kind=kind.name,
-        taus=taus,
-        positions=frames[:, 0],
-        germ=germ,
-        input_profile=profile,
-        step=step,
-        stacks=stacks,
-        arclength=s,
-        step_error=err,
-    )
 
 
 # -- round trips ------------------------------------------------------------------
@@ -797,3 +731,4 @@ def roundtrip(fn, kind: str, tau_max: float, step: float = DEFAULT_STEP) -> floa
     else:
         target = np.asarray(profile(tau_n))
     return float(np.max(np.abs(recomputed - target)))
+

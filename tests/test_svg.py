@@ -51,3 +51,16 @@ def test_axis_out_of_view_is_left_out(viewport, drawn):
 def test_no_axis_when_the_origin_is_out_of_both_ranges():
     svg = render_svg(SQUARE, RenderSpec(axes=True, viewport=(1.0, 2.0, 1.0, 2.0)))
     assert _axis_lines(svg) == []
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_polyline_matches_a_per_point_loop(scale):
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(500, 2)) * scale
+    spec = RenderSpec(width=300, height=200, viewport=(-3 * scale, 3 * scale, -2 * scale, 2.5 * scale))
+    xmin, xmax, ymin, ymax = spec.viewport
+    sx, sy = spec.width / (xmax - xmin), spec.height / (ymax - ymin)
+    want = " ".join(
+        f"{float((x - xmin) * sx)!r},{float((ymax - y) * sy)!r}" for x, y in points
+    )
+    assert f'points="{want}"' in render_svg(points, spec)

@@ -8,6 +8,7 @@ import pytest
 from cuspkit import cli
 from cuspkit import synthesis as S
 from cuspkit.dsl import parse_expression
+from cuspkit.jets import Jet, PlaneJet, deflate
 from cuspkit.synthesis import synthesize_euclidean_cusp
 
 
@@ -35,15 +36,10 @@ KINDS = tuple(PROFILES)
 def _system(kind, taus_half):
     """(A, speed, frame0) of one kind's frame system on a half-step grid."""
     profile = S.as_profile(parse_expression(PROFILES[kind]))
-    if kind == "euclid-cusp":
-        A, speed = S._euclid_frame_rhs_factory(profile, taus_half)
-        return A, speed, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    if kind == "affine-cusp":
-        A, speed = S._affine_cusp_rhs_factory(profile, taus_half)
-        return A, speed, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, S.AFFINE_CUSP_ETA0]])
-    jets = S._inflection_gh_jets(profile, S.GERM_ORDER)
-    A, speed = S._inflection_rhs_factory(profile, jets, taus_half)
-    return A, speed, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, S.INFLECTION_ETA0]])
+    system = S.SYSTEMS[kind]
+    values, _ = system.inputs(profile)
+    A = S._frame_matrix(system.coefficients(taus_half, *values(taus_half)), len(taus_half))
+    return A, system.speed, system.frame0
 
 
 def _textbook_rk4(A, frame0, h, n_steps, speed):
@@ -155,3 +151,137 @@ def test_cli_synthesize_rejects_zero_step(tmp_path, capsys):
     argv = _synthesize_argv("euclid-cusp", tmp_path / "c.csv", tmp_path / "c.svg", "--step", "0")
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error [synthesize]")
+
+
+# -- the affine cusp's coefficient denominator ------------------------------------------
+
+
+@pytest.mark.parametrize("h, sign", [(-1.9, 1.0), ("-3*t", 1.0), ("3*t", -1.0)])
+def test_affine_cusp_denominator_sign_change_raises(h, sign):
+    # D = 18 + 25 tau^2 h changes sign between grid nodes near |tau| = 0.62:
+    # h = -1.9 on both sides, h = -3t for tau > 0 only, h = 3t for tau < 0 only.
+    fn = parse_expression(h) if isinstance(h, str) else h
+    with pytest.raises(ValueError, match=re.escape("18 + 25 tau^2 h(tau) > 0")) as info:
+        S.synthesize_affine_cusp(fn, 0.7)
+    found = re.search(r"it is (\S+) at tau = (\S+)$", str(info.value))
+    D, tau = float(found.group(1)), float(found.group(2))
+    assert D <= 0.0
+    assert np.sign(tau) == sign and 0.6 < abs(tau) < 0.63
+
+
+def test_affine_cusp_inside_the_denominator_range_still_round_trips():
+    assert S.roundtrip(-1.9, "affine-cusp", 0.5) <= 1e-9
+
+
+# -- the germ's profile jets -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, kw",
+    [("euclid-cusp", {}), ("euclid-cusp", {"method": "quadrature"}), ("affine-cusp", {}),
+     ("inflection", {})],
+)
+def test_profile_jets_are_built_once_per_synthesis(kind, kw, monkeypatch):
+    calls = []
+    inverted = Jet.inverted
+
+    def counted(self):
+        calls.append(self.order)
+        return inverted(self)
+
+    monkeypatch.setattr(Jet, "inverted", counted)
+    res = S.synthesize(kind, parse_expression(PROFILES[kind]), 0.5, **kw)
+    assert len(calls) == 1
+    res.profile_recomputed()
+    res.profile_recomputed()
+    assert len(calls) == 1
+
+
+# -- the germ against an independent Picard iteration ------------------------------------
+
+
+def _picard_germ(rhs_jets, y0, order):
+    """Power-series solution of y' = F(tau, y) at tau = 0 by Picard iteration.
+
+    ``rhs_jets(tau_jet, state_jets)`` evaluates the right-hand side in jet
+    arithmetic.  Each sweep gains one order, so order + 2 sweeps settle all
+    retained coefficients.
+    """
+    tau = Jet.variable(0.0, order)
+    state = [Jet.constant(v, order) for v in y0]
+    for _ in range(order + 2):
+        rhs = rhs_jets(tau, state)
+        state = [r.truncated(order - 1).antiderivative(v) for r, v in zip(rhs, y0)]
+    return PlaneJet(state[0], state[1])
+
+
+def _euclid_cusp_reference(profile, order):
+    f = profile.jet(0.0, order)
+
+    def rhs(tau, state):
+        u1x, u1y, u2x, u2y = state[2:]
+        denom = 1.0 + 4.0 * tau * tau * f * f
+        q = 2.0 * tau / denom.sqrt()
+        m = -2.0 * tau * f
+        omega = 2.0 * (2.0 * f + 4.0 * tau * tau * f * f * f + tau * f.derivative()) / denom
+        return [q * (u1x + m * u2x), q * (u1y + m * u2y),
+                omega * u2x, omega * u2y, -omega * u1x, -omega * u1y]
+
+    return _picard_germ(rhs, [0.0, 0.0, 1.0, 0.0, 0.0, 1.0], order)
+
+
+def _affine_cusp_reference(profile, order):
+    h = profile.jet(0.0, order)
+    hd = h.derivative()
+
+    def rhs(tau, state):
+        xix, xiy, etax, etay = state[2:]
+        D = 18.0 + 25.0 * tau * tau * h
+        a1 = 18.0 * tau / D
+        a2 = -9.0 * tau * tau / D
+        b1 = -25.0 * (18.0 * tau * hd + 25.0 * tau * tau * h * h + 54.0 * h) / (9.0 * D)
+        b2 = 25.0 * tau * (tau * hd + 2.0 * h) / D
+        return [a1 * xix + a2 * etax, a1 * xiy + a2 * etay, etax, etay,
+                b1 * xix + b2 * etax, b1 * xiy + b2 * etay]
+
+    return _picard_germ(rhs, [0.0, 0.0, 1.0, 0.0, 0.0, S.AFFINE_CUSP_ETA0], order)
+
+
+def _inflection_reference(profile, order):
+    # f = -5/16 + tau g and 9 g' + 16 g^2 = tau h.
+    g = deflate(profile.jet(0.0, order) + 5.0 / 16.0, 1, tol=1e-9)
+    h = deflate(9.0 * g.derivative() + 16.0 * g * g, 1, tol=1e-7)
+    a11 = 16.0 * g / 9.0
+    a21 = -16.0 * h / 81.0
+
+    def rhs(tau, state):
+        xix, xiy, etax, etay = state[2:]
+        return [xix, xiy, a11 * xix + tau * etax, a11 * xiy + tau * etay,
+                a21 * xix - a11 * etax, a21 * xiy - a11 * etay]
+
+    return _picard_germ(rhs, [0.0, 0.0, 1.0, 0.0, 0.0, S.INFLECTION_ETA0], order)
+
+
+GERM_CASES = [
+    ("euclid-cusp", "1 + 0.3*t - 0.2*t^2", _euclid_cusp_reference),
+    ("euclid-cusp", "-2 + sin(t)", _euclid_cusp_reference),
+    ("euclid-cusp", "cos(t)", _euclid_cusp_reference),
+    ("affine-cusp", "0.5 + 0.1*t - 0.12*t^2", _affine_cusp_reference),
+    ("affine-cusp", "-2 + sin(t)", _affine_cusp_reference),
+    ("affine-cusp", "cos(t)", _affine_cusp_reference),
+    ("inflection", PROFILES["inflection"], _inflection_reference),
+    # 32 f'(0)^2 + 9 f''(0) = 0 with f'(0) = 0.3, f''(0) = -0.32.
+    ("inflection", "-5/16 + 0.3*sin(t) - 0.32*(1 - cos(t))", _inflection_reference),
+    # Violates the constraint, so the synthesis reparametrizes it first.
+    ("inflection", "-5/16 + 0.2*sin(t)", _inflection_reference),
+]
+
+
+@pytest.mark.parametrize("kind, text, reference", GERM_CASES)
+def test_germ_matches_picard_iteration(kind, text, reference):
+    res = S.synthesize(kind, parse_expression(text), 0.04, richardson=False)
+    want = reference(res.input_profile, S.GERM_ORDER)
+    assert res.germ.order == S.GERM_ORDER
+    for got, ref in ((res.germ.x.coeffs, want.x.coeffs), (res.germ.y.coeffs, want.y.coeffs)):
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
