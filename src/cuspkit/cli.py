@@ -182,18 +182,24 @@ def _cmd_synthesize(args) -> int:
         if args.f is None:
             raise ValueError(f"{args.kind} synthesis needs --f (the profile function)")
         fn = parse_expression(args.f)
-    kwargs = {"step": args.step}
+    spec = _render_spec(args)
+    # Only tau, x, y are written, so the Richardson rerun behind step_error is skipped.
+    kwargs = {"step": args.step, "richardson": False}
     if args.kind == "euclid-cusp":
         kwargs["method"] = args.method
     result = synthesis.synthesize(args.kind, fn, args.tau_max, **kwargs)
     rows = zip(result.taus, result.positions[:, 0], result.positions[:, 1])
     _write_text(args.out, _csv_text(["tau", "x", "y"], rows))
     if args.svg:
-        spec = svg.RenderSpec(
-            width=args.width, height=args.height, stroke_width=args.stroke_width, axes=args.axes
-        )
         _write_text(args.svg, svg.render_svg(result.positions, spec))
     return 0
+
+
+def _render_spec(args) -> svg.RenderSpec:
+    """The SVG options, checked before any work or output."""
+    return svg.RenderSpec(
+        width=args.width, height=args.height, stroke_width=args.stroke_width, axes=args.axes
+    )
 
 
 def _read_samples_csv(path: str) -> np.ndarray:
@@ -210,10 +216,8 @@ def _read_samples_csv(path: str) -> np.ndarray:
 
 
 def _cmd_render(args) -> int:
+    spec = _render_spec(args)
     points = _read_samples_csv(args.samples)
-    spec = svg.RenderSpec(
-        width=args.width, height=args.height, stroke_width=args.stroke_width, axes=args.axes
-    )
     _write_text(args.svg, svg.render_svg(points, spec))
     return 0
 

@@ -674,14 +674,22 @@ def _gauss_01(n: int = 64) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS_CACHE[n]
 
 
-def _gauss_panel(integrand, ts: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _gauss_panel(integrand, ts: np.ndarray, nodes: np.ndarray, weights: np.ndarray, also_at=None):
     """For each t of ``ts``, the sum over j of weights[j] * integrand(t * nodes[j]).
 
     ``integrand`` maps the flat array of every t * nodes[j] to its values in
     one call, so a whole grid of quadratures is one vectorized evaluation.
+    Given points ``also_at``, the same call evaluates the integrand there
+    too, and (panel, integrand(also_at)) is returned.  The panel is the same
+    (len(ts), len(nodes)) matrix-vector product either way, so its rounding
+    does not depend on ``also_at``.
     """
     ts = np.atleast_1d(ts)
-    return integrand(np.outer(ts, nodes).ravel()).reshape(len(ts), -1) @ weights
+    args = np.outer(ts, nodes).ravel()
+    if also_at is None:
+        return integrand(args).reshape(len(ts), len(nodes)) @ weights
+    values = integrand(np.concatenate([args, also_at]))
+    return values[: args.size].reshape(len(ts), len(nodes)) @ weights, values[args.size :]
 
 
 def _rational_substitution(alpha: float) -> tuple[int, float]:

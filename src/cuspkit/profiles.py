@@ -268,18 +268,22 @@ class Kind:
     origin: Callable
 
 
-def arclength_factor(phi, alpha: float, ts, L0: float) -> np.ndarray:
+def arclength_factor(phi, alpha: float, ts, L0: float, with_phi: bool = False):
     """L(t) = integral_0^1 u^alpha phi(t u) du, one Gauss panel per t.
 
     The substitution u = v^q of ``jets._rational_substitution`` makes the
     weight polynomial.  ``phi`` maps an array of u to the integrand's smooth
-    factor there; at t = 0 the value is ``L0``.
+    factor there; at t = 0 the value is ``L0``.  With ``with_phi``, returns
+    (L, phi(ts)), phi at ts coming from the same call as the panel's nodes.
     """
     q, e = _rational_substitution(alpha)
     v, w = _gauss_01()
     ts = np.atleast_1d(ts)
     out = np.full(len(ts), L0)
     nonzero = ts != 0.0
+    if with_phi:
+        out[nonzero], phi_ts = _gauss_panel(phi, ts[nonzero], v**q, q * w * v**e, also_at=ts)
+        return out, phi_ts
     if np.any(nonzero):
         out[nonzero] = _gauss_panel(phi, ts[nonzero], v**q, q * w * v**e)
     return out
@@ -307,9 +311,13 @@ class Profiler:
             raise AttributeError(name)
         return getattr(self.jets, name)
 
-    def _factor(self, ts: np.ndarray) -> np.ndarray:
+    def _factor(self, ts: np.ndarray, with_phi: bool = False):
         return arclength_factor(
-            lambda us: self.kind.phi(self.curve, us), self.kind.alpha, ts, self.jets.L.value()
+            lambda us: self.kind.phi(self.curve, us),
+            self.kind.alpha,
+            ts,
+            self.jets.L.value(),
+            with_phi,
         )
 
     def arclength(self, ts: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
@@ -320,13 +328,17 @@ class Profiler:
         return np.sign(ts) * np.abs(ts) ** (1.0 + self.kind.alpha) * L
 
     def _tau_and_slope(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """tau = t L^p and dtau/dt = p phi L^(p-1), from one quadrature pass."""
+        """tau = t L^p and dtau/dt = p phi L^(p-1), from one evaluation of phi.
+
+        phi runs once, on the quadrature nodes and the ts together; at t = 0
+        it may be 0/0, and the slope there is the germ's.
+        """
         ts = np.atleast_1d(ts)
-        L = self._factor(ts)
         p = self.kind.p
-        Lp = L**p
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = p * self.kind.phi(self.curve, ts) * Lp / L
+            L, phi = self._factor(ts, with_phi=True)
+            Lp = L**p
+            slope = p * phi * Lp / L
         return ts * Lp, np.where(np.abs(ts) < 1e-8, self._slope0, slope)
 
     def t_of_tau(self, taus: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,12 +10,28 @@ import numpy as np
 
 @dataclass(frozen=True)
 class RenderSpec:
+    """Canvas size in pixels, polyline stroke width, margin, axes and viewport.
+
+    Raises ``ValueError`` unless width and height are > 0 and the stroke
+    width is finite and > 0.
+    """
+
     width: int = 640
     height: int = 480
     stroke_width: float = 1.5
     margin: float = 0.05  # padding as a fraction of the data extent
     axes: bool = False
     viewport: tuple[float, float, float, float] | None = None  # xmin, xmax, ymin, ymax
+
+    def __post_init__(self):
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"SVG {name} must be > 0, got {name}={value!r}")
+        if not (math.isfinite(self.stroke_width) and self.stroke_width > 0):
+            raise ValueError(
+                f"SVG stroke width must be finite and > 0, got stroke_width={self.stroke_width!r}"
+            )
 
 
 def _viewport(points: np.ndarray, spec: RenderSpec) -> tuple[float, float, float, float]:

@@ -34,9 +34,11 @@ runs on arrays and on jets, the initial frame, the arclength integrand and
 the rows of Y and A Y that hold the derivatives of gamma.  One driver
 serves every kind.  The frame system is advanced by batched RK4 step
 matrices chained with a log-depth prefix product; the arclength is the RK4
-quadrature of the integrand over the stage states.  Derivatives of the
-synthesized curve are read from Y and A Y, never by differencing
-positions; the germ at tau = 0 comes from the Taylor recurrence
+quadrature of the integrand over the stage states.  The half-step rerun
+keeps only its endpoint, so it multiplies its step matrices in pairs down
+to the last frame and builds no other.  Derivatives of the synthesized
+curve are read from Y and A Y, never by differencing positions; the germ
+at tau = 0 comes from the Taylor recurrence
 Y_{k+1} = (A_0 Y_k + ... + A_k Y_0) / (k + 1) on the jet coefficients of
 the same A.
 """
@@ -162,25 +164,16 @@ def as_profile(fn, label: str = "") -> ProfileFunction:
 # -- the frame system: RK4 over a half-step grid, Taylor germ at 0 --------------
 
 
-def _rk4(
-    A: np.ndarray, frame0: np.ndarray, h: float, n_steps: int, speed
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 for the linear frame system Y' = A(tau) Y, plus arclength.
+def _step_matrices(A: np.ndarray, h: float):
+    """The RK4 step matrices of Y' = A(tau) Y on a half-step grid, with their stages.
 
     ``A`` holds the coefficient matrix on the half-step grid, shape
-    (2 n_steps + 1, 3, 3); the state Y (rows gamma, xi, eta; columns x, y)
-    starts at ``frame0``, shape (3, 2).  Because the system is linear, each
-    step is a 3x3 matrix P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with stage
-    matrices K1 = A_k, K2 = A_{k+1/2} (I + h/2 K1), K3 = A_{k+1/2} (I + h/2 K2)
-    and K4 = A_{k+1} (I + h K3).  All steps are built in one batched pass and
-    chained by a log-depth inclusive prefix product, so Y_{k+1} = P_k ... P_0 Y_0.
-
-    The arclength is the RK4 quadrature of ``speed(AZ, Z)`` over the four
-    stage states Z = S_i Y_k (S = I, I + h/2 K1, I + h/2 K2, I + h K3), where
-    AZ = K_i Y_k is the state's derivative there.
-
-    Returns the frames at every full step, shape (n_steps + 1, 3, 2), and
-    the arclength there, shape (n_steps + 1,).
+    (2 n + 1, 3, 3).  Because the system is linear, each step is a 3x3 matrix
+    P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with stage matrices K1 = A_k,
+    K2 = A_{k+1/2} S2, K3 = A_{k+1/2} S3 and K4 = A_{k+1} S4, where S2 = I + h/2 K1,
+    S3 = I + h/2 K2 and S4 = I + h K3 map Y_k to the stage states.  All steps
+    are built in one batched pass.  Returns (K1, K2, K3, K4), (S2, S3, S4)
+    and P, each of shape (n, 3, 3).
     """
     eye = np.eye(3)
     k1, a_mid, a_end = A[0:-1:2], A[1::2], A[2::2]
@@ -190,7 +183,28 @@ def _rk4(
     k3 = a_mid @ s3
     s4 = eye + h * k3
     k4 = a_end @ s4
-    chain = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return (k1, k2, k3, k4), (s2, s3, s4), eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4(
+    A: np.ndarray, frame0: np.ndarray, h: float, n_steps: int, speed
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 for the linear frame system Y' = A(tau) Y, plus arclength.
+
+    The state Y (rows gamma, xi, eta; columns x, y) starts at ``frame0``,
+    shape (3, 2), and advances by the step matrices of ``_step_matrices``.
+    They are chained by a log-depth inclusive prefix product (the doubling
+    scan), so Y_{k+1} = P_k ... P_0 Y_0 at every step.
+
+    The arclength is the RK4 quadrature of ``speed(AZ, Z)`` over the four
+    stage states Z = S_i Y_k (S = I, S2, S3, S4), where AZ = K_i Y_k is the
+    state's derivative there.
+
+    Returns the frames at every full step, shape (n_steps + 1, 3, 2), and
+    the arclength there, shape (n_steps + 1,).  ``_rk4_endpoint`` computes
+    the last frame alone.
+    """
+    slopes, (s2, s3, s4), chain = _step_matrices(A, h)
     # After the pass with stride d, chain[k] = P_k ... P_{max(0, k - 2d + 1)}.
     d = 1
     while d < n_steps:
@@ -202,10 +216,27 @@ def _rk4(
 
     y = frames[:-1]
     stages = np.stack([y, s2 @ y, s3 @ y, s4 @ y])
-    slopes = np.stack([k1, k2, k3, k4]) @ y
-    sigma = speed(slopes, stages)
+    sigma = speed(np.stack(slopes) @ y, stages)
     ds = (h / 6.0) * (sigma[0] + 2.0 * sigma[1] + 2.0 * sigma[2] + sigma[3])
     return frames, np.concatenate([[0.0], np.cumsum(ds)])
+
+
+def _rk4_endpoint(A: np.ndarray, frame0: np.ndarray, h: float) -> np.ndarray:
+    """The last frame of ``_rk4``, Y_n = P_{n-1} ... P_0 Y_0, without the others.
+
+    The step matrices are multiplied in pairs from the right, P_{n-1} P_{n-2},
+    P_{n-3} P_{n-4}, ..., which halves the stack on each pass; when the
+    stack is odd, its first element waits for the next pass.  This is how
+    the doubling scan of ``_rk4`` associates its last element, so the result
+    is bit-identical to ``_rk4(...)[0][-1]``, with no prefix frames, stage
+    states or arclength.
+    """
+    chain = _step_matrices(A, h)[2]
+    while len(chain) > 1:
+        odd = len(chain) % 2
+        pairs = chain[odd + 1 :: 2] @ chain[odd::2]
+        chain = np.concatenate([chain[:1], pairs]) if odd else pairs
+    return chain[0] @ frame0
 
 
 def _half_grid(tau_max: float, step: float) -> tuple[np.ndarray, float, int]:
@@ -266,7 +297,10 @@ class SynthesisResult:
     or affine) with the near-origin part taken from the germ jets, and
     ``profile_jets`` holds those jets (the kind's ``jets(germ)``).
     ``step_error`` is the half-step Richardson estimate of the endpoint
-    position error.
+    position error: the largest change of an endpoint position when each
+    side is rerun at half the step, NaN when the rerun is off.  The frame
+    route's rerun computes only its endpoint, as the product of its step
+    matrices applied to the initial frame (``_rk4_endpoint``).
     """
 
     kind: str  # 'euclid-cusp' | 'affine-cusp' | 'inflection'
@@ -307,22 +341,22 @@ class SynthesisResult:
 # -- shared assembly helpers ----------------------------------------------------
 
 
-def _both_sides(side, richardson: bool):
+def _both_sides(side, endpoint, richardson: bool):
     """Run a one-sided integrator on [0, tau_max] and on [-tau_max, 0] and merge.
 
-    ``side(sign, h_scale)`` integrates from 0 to sign * tau_max with the
-    step scaled by h_scale and returns arrays with the grid on the first
-    axis: the grid, the positions, then anything else.  Returns the merged
-    arrays and the Richardson estimate, the largest change of an endpoint
-    position in a half-step rerun.
+    ``side(sign)`` integrates from 0 to sign * tau_max and returns arrays
+    with the grid on the first axis: the grid, the positions, then anything
+    else.  ``endpoint(sign)`` reruns the same side at half the step and
+    returns only its endpoint position; the frame route computes it by the
+    endpoint product of ``_rk4_endpoint``.  Returns the merged arrays and the
+    Richardson estimate, the largest change of an endpoint position in the
+    half-step rerun (NaN unless ``richardson``).
     """
-    runs = {sign: side(sign, 1.0) for sign in (1.0, -1.0)}
+    runs = {sign: side(sign) for sign in (1.0, -1.0)}
     merged = [np.concatenate([m[::-1], p[1:]]) for p, m in zip(runs[1.0], runs[-1.0])]
     err = math.nan
     if richardson:
-        err = max(
-            float(np.max(np.abs(run[1][-1] - side(sign, 0.5)[1][-1]))) for sign, run in runs.items()
-        )
+        err = max(float(np.max(np.abs(run[1][-1] - endpoint(sign)))) for sign, run in runs.items())
     return merged, err
 
 
@@ -537,19 +571,28 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method=
 
     if method == "quadrature":
         (taus, positions, s_raw, d1, d2), err = _both_sides(
-            lambda sign, h_scale: _euclid_quadrature(profile, sign * tau_max, step * h_scale),
+            lambda sign: _euclid_quadrature(profile, sign * tau_max, step),
+            lambda sign: _euclid_quadrature(profile, sign * tau_max, 0.5 * step)[1][-1],
             richardson,
         )
         derivatives = [positions.T, d1.T, d2.T]
     else:
 
-        def frame_side(sign, h_scale):
-            taus_half, h, n = _half_grid(sign * tau_max, step * h_scale)
+        def half_grid_system(sign, side_step):
+            taus_half, h, n = _half_grid(sign * tau_max, side_step)
             A = _frame_matrix(system.coefficients(taus_half, *values(taus_half)), len(taus_half))
+            return taus_half, h, n, A
+
+        def frame_side(sign):
+            taus_half, h, n, A = half_grid_system(sign, step)
             frames, s = _rk4(A, system.frame0, h, n, system.speed)
             return taus_half[::2], frames[:, 0], s, frames
 
-        (taus, positions, s_raw, frames), err = _both_sides(frame_side, richardson)
+        def frame_endpoint(sign):
+            _, h, _, A = half_grid_system(sign, 0.5 * step)
+            return _rk4_endpoint(A, system.frame0, h)[0]
+
+        (taus, positions, s_raw, frames), err = _both_sides(frame_side, frame_endpoint, richardson)
         Y = frames.transpose(1, 2, 0)  # Y[i] is row i, shape (2, n)
         AY = {}
         for (i, j), a in system.coefficients(taus, *values(taus)).items():

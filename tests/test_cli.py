@@ -116,3 +116,26 @@ def test_profile_expression_may_start_with_a_minus_sign(capsys):
     code, out, err = _run(capsys, argv + ["--step", "0.01"])
     assert (code, err) == (0, "")
     assert out.startswith("tau,x,y\n")
+
+
+@pytest.mark.parametrize(
+    "option, value, named",
+    [
+        ("--width", "0", "width=0"),
+        ("--width", "-5", "width=-5"),
+        ("--height", "0", "height=0"),
+        ("--stroke-width", "nan", "stroke_width=nan"),
+    ],
+)
+@pytest.mark.parametrize("command", ["synthesize", "render"])
+def test_bad_svg_options_exit_before_any_output(capsys, tmp_path, command, option, value, named):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("tau,x,y\n0,0,0\n1,1,1\n")
+    if command == "synthesize":
+        argv = ["synthesize", "--kind", "euclid-cusp", "--f", "1", "--tau-max", "0.5", "--svg", "-"]
+    else:
+        argv = ["render", "--samples", str(samples), "--svg", "-"]
+    code, out, err = _run(capsys, argv + [option, value])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error [{command}]")
+    assert named in err

@@ -107,6 +107,33 @@ def test_profile_inverts_on_the_interpolant_of_L(case, monkeypatch):
     assert sum(nodes) <= 16 * n
 
 
+@pytest.mark.parametrize(
+    "kind, name", [(EUCLID_CUSP, "cycloid"), (AFFINE_CUSP, "cycloid"), (INFLECTION, "skew_cycloid")]
+)
+def test_exact_newton_step_evaluates_phi_once(kind, name, monkeypatch):
+    # phi runs on the quadrature nodes and the ts together; L keeps the
+    # rounding of the factor's own panel and the slope that of phi at ts.
+    curve = catalog_lookup(name, {"a": 1.0})
+    p = Profiler(curve, kind)
+    ts = np.array([-0.4, -1e-9, 0.0, 0.03, 0.2, 0.7])
+    L = p._factor(ts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = kind.p * kind.phi(curve, ts) * L**kind.p / L
+    calls = []
+    original = CurveSpec.derivatives_at
+    monkeypatch.setattr(
+        CurveSpec,
+        "derivatives_at",
+        lambda self, us, max_order: calls.append(np.size(us)) or original(self, us, max_order),
+    )
+    tau, dtau = p._tau_and_slope(ts)
+    assert calls == [64 * 5 + len(ts)]
+    np.testing.assert_array_equal(tau, ts * L**kind.p)
+    far = np.abs(ts) >= 1e-8
+    np.testing.assert_array_equal(dtau[far], slope[far])
+    assert np.all(dtau[~far] == p._slope0)
+
+
 # -- the interpolant of the arclength factor L(t) ---------------------------------
 
 

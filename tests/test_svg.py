@@ -64,3 +64,22 @@ def test_polyline_matches_a_per_point_loop(scale):
         f"{float((x - xmin) * sx)!r},{float((ymax - y) * sy)!r}" for x, y in points
     )
     assert f'points="{want}"' in render_svg(points, spec)
+
+
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        ({"width": 0}, "width=0"),
+        ({"width": -5}, "width=-5"),
+        ({"height": 0}, "height=0"),
+        ({"height": -480}, "height=-480"),
+        ({"stroke_width": 0.0}, "stroke_width=0.0"),
+        ({"stroke_width": -1.5}, "stroke_width=-1.5"),
+        ({"stroke_width": float("nan")}, "stroke_width=nan"),
+        ({"stroke_width": float("inf")}, "stroke_width=inf"),
+    ],
+)
+def test_spec_rejects_an_empty_canvas_or_stroke(options, named):
+    with pytest.raises(ValueError, match=f"{named}$") as exc:
+        RenderSpec(**options)
+    assert "> 0" in str(exc.value)

@@ -79,6 +79,7 @@ def test_rk4_matches_textbook_loop(kind, n_steps, tau_max):
     assert frames.shape == (n_steps + 1, 3, 2)
     assert _rel_err(frames, want_frames) <= 1e-13
     assert _rel_err(s, want_s) <= 1e-13
+    assert _rel_err(S._rk4_endpoint(A, frame0, h), want_frames[-1]) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -90,6 +91,53 @@ def test_synthesis_is_fourth_order(kind):
     ]
     ratio = np.linalg.norm(ends[0] - ends[1]) / np.linalg.norm(ends[1] - ends[2])
     assert 14.0 <= ratio <= 18.0
+
+
+# -- the Richardson step error ---------------------------------------------------------
+
+ROUTES = [(kind, {}) for kind in KINDS] + [("euclid-cusp", {"method": "quadrature"})]
+
+
+def _reference_step_error(kind, kw, tau_max, step):
+    """Rerun each side in full at half the step and compare endpoints."""
+    fn = parse_expression(PROFILES[kind])
+    res = S.synthesize(kind, fn, tau_max, step=step, richardson=False, **kw)
+    errs = []
+    for sign, end in ((1.0, res.positions[-1]), (-1.0, res.positions[0])):
+        if kw.get("method") == "quadrature":
+            half = S._euclid_quadrature(res.input_profile, sign * tau_max, 0.5 * step)[1]
+        else:
+            taus_half, h, n = S._half_grid(sign * tau_max, 0.5 * step)
+            A, speed, frame0 = _system(kind, taus_half)
+            half = S._rk4(A, frame0, h, n, speed)[0][:, 0]
+        errs.append(float(np.max(np.abs(end - half[-1]))))
+    return max(errs)
+
+
+@pytest.mark.parametrize("kind, kw", ROUTES)
+@pytest.mark.parametrize("half_steps", [1, 2, 3, 7, 64, 65, 1000])
+def test_step_error_is_the_full_half_step_rerun(kind, kw, half_steps):
+    # Binary fractions: the rerun takes exactly half_steps steps per side.
+    step = 2.0**-10
+    tau_max = half_steps * step / 2.0
+    assert S._half_grid(tau_max, 0.5 * step)[2] == half_steps
+    fn = parse_expression(PROFILES[kind])
+    res = S.synthesize(kind, fn, tau_max, step=step, **kw)
+    assert res.step_error == _reference_step_error(kind, kw, tau_max, step)
+
+
+@pytest.mark.parametrize("kind, kw", ROUTES)
+def test_step_error_is_nan_without_richardson(kind, kw):
+    fn = parse_expression(PROFILES[kind])
+    assert math.isnan(S.synthesize(kind, fn, 0.5, richardson=False, **kw).step_error)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_step_error_shrinks_at_fourth_order(kind):
+    # The quadrature route's error is at rounding level already.
+    fn = parse_expression(PROFILES[kind])
+    coarse, fine = (S.synthesize(kind, fn, 1.0, step=step).step_error for step in (4e-3, 2e-3))
+    assert 0.0 < fine <= coarse / 10.0
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -145,6 +193,20 @@ def test_cli_synthesize_is_repeatable_and_renders_every_row(kind, tmp_path):
     assert rows[0] == "tau,x,y"
     line = ET.fromstring(svg_bytes).find("{http://www.w3.org/2000/svg}polyline")
     assert len(line.get("points").split()) == len(rows) - 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_synthesize_skips_the_unreported_rerun(kind, tmp_path, monkeypatch):
+    results = []
+    original = S.synthesize
+
+    def recorded(*args, **kw):
+        results.append(original(*args, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(S, "synthesize", recorded)
+    assert cli.main(_synthesize_argv(kind, tmp_path / "c.csv", tmp_path / "c.svg")) == 0
+    assert len(results) == 1 and math.isnan(results[0].step_error)
 
 
 def test_cli_synthesize_rejects_zero_step(tmp_path, capsys):
