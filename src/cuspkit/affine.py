@@ -147,7 +147,10 @@ def arclength_A(curve: CurveSpec, t: float) -> tuple[float, float, float]:
 
     Returns (s_A, tau35, tau34) with tau35 = sgn(s_A)|s_A|^(3/5) (smooth at
     cusps) and tau34 = sgn(t)|s_A|^(3/4) (smooth at generic inflections).
+    Raises ``ValueError`` for a t that is not finite.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"arclength parameter t must be finite, got t={t!r}")
     cls = classify(curve.jet(0.0, 3))
     ts = np.array([t])
     if cls.is_cusp or cls.is_inflection:

@@ -205,14 +205,17 @@ def _render_spec(args) -> svg.RenderSpec:
 def _read_samples_csv(path: str) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows)
     if header[:3] == ["tau", "x", "y"]:
-        return data[:, 1:3]
-    if header[:2] == ["tau", "f"]:
-        return data[:, 0:2]
-    raise ValueError(f"unrecognized CSV header {header!r}; expected tau,x,y or tau,f")
+        columns = slice(1, 3)
+    elif header[:2] == ["tau", "f"]:
+        columns = slice(0, 2)
+    else:
+        raise ValueError(f"unrecognized CSV header {header!r}; expected tau,x,y or tau,f")
+    if not rows:  # render_svg reports the missing samples
+        return np.empty((0, 2))
+    return np.asarray(rows)[:, columns]
 
 
 def _cmd_render(args) -> int:

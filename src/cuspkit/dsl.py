@@ -38,7 +38,6 @@ from .jets import (
     DEFAULT_ORDER,
     Jet,
     PlaneJet,
-    VecJet,
     _reduce_exponent,
     cos,
     cosh,
@@ -106,9 +105,9 @@ Expression = Union[Num, Sym, Neg, BinOp, Func, Power]
 def evaluate(expr: Expression, t, params: dict[str, float]):
     """Evaluate an expression with the parameter symbol bound to ``t``.
 
-    ``t`` may be a float, a numpy array, a Jet, or a VecJet; the result is
-    whatever the algebra produces (a plain float if the expression does not
-    involve t).
+    ``t`` may be a float, a numpy array or a Jet (scalar or batched); the
+    result is whatever the algebra produces (a plain float if the expression
+    does not involve t).
     """
     if isinstance(expr, Num):
         return expr.value
@@ -374,42 +373,28 @@ class CurveSpec:
             raise ValueError(f"jet order {order} exceeds the supported maximum {MAX_JET_ORDER}")
         if not math.isfinite(t0):
             raise ValueError(f"jet base point t0 must be finite, got t0={t0!r}")
-        t = Jet.variable(float(t0), order)
-        x = evaluate(self.x_expr, t, self.params)
-        y = evaluate(self.y_expr, t, self.params)
-        if not isinstance(x, Jet):
-            x = Jet.constant(float(x), order, float(t0))
-        if not isinstance(y, Jet):
-            y = Jet.constant(float(y), order, float(t0))
-        return PlaneJet(x, y)
-
-    def jets_at(self, ts, order: int) -> tuple[VecJet, VecJet]:
-        """Vectorized jets at an array of base points (internal fast path)."""
-        t = VecJet.variable(ts, order)
-        x = evaluate(self.x_expr, t, self.params)
-        y = evaluate(self.y_expr, t, self.params)
-        n = np.atleast_1d(ts).size
-        if not isinstance(x, VecJet):
-            c = np.zeros((order + 1, n))
-            c[0] = x
-            x = VecJet(c)
-        if not isinstance(y, VecJet):
-            c = np.zeros((order + 1, n))
-            c[0] = y
-            y = VecJet(c)
-        return x, y
+        return PlaneJet(*self._components(Jet.variable(float(t0), order)))
 
     def derivatives_at(self, ts, max_order: int) -> np.ndarray:
         """Array of derivative vectors: shape (max_order+1, 2, len(ts)).
 
         Entry [k, :, i] is gamma^(k) at ts[i].
         """
-        x, y = self.jets_at(ts, max_order)
-        out = np.empty((max_order + 1, 2, np.atleast_1d(ts).size))
-        for k in range(max_order + 1):
-            out[k, 0] = x.derivative_values(k)
-            out[k, 1] = y.derivative_values(k)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        x, y = self._components(Jet.variable(ts, max_order))
+        out = np.stack([x.coeffs, y.coeffs], axis=1)
+        out *= np.array([math.factorial(k) for k in range(max_order + 1)])[:, None, None]
         return out
+
+    def _components(self, t: Jet) -> tuple[Jet, Jet]:
+        """Both components on the jet t; one free of t is padded to a constant jet."""
+        x = evaluate(self.x_expr, t, self.params)
+        y = evaluate(self.y_expr, t, self.params)
+        if not isinstance(x, Jet):
+            x = Jet.constant(float(x), t.order, t.base_point)
+        if not isinstance(y, Jet):
+            y = Jet.constant(float(y), t.order, t.base_point)
+        return x, y
 
 
 def parse_expression(text: str) -> Expression:

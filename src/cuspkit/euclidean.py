@@ -171,7 +171,10 @@ def arclength_g(curve: CurveSpec, t: float) -> tuple[float, float]:
 
     At a cusp the second value is the half-arclength parameter
     tau = sgn(t) sqrt(|s_g|); at a regular origin it is s_g itself.
+    Raises ``ValueError`` for a t that is not finite.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"arclength parameter t must be finite, got t={t!r}")
     cls = classify(curve.jet(0.0, 3))
     if cls.is_cusp:
         s = float(Profiler(curve, EUCLID_CUSP).arclength(np.array([t]))[0])

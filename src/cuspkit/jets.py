@@ -1,7 +1,9 @@
 """Truncated Taylor-series (jet) arithmetic.
 
 A :class:`Jet` stores the Taylor coefficients of a scalar quantity about a
-base parameter value t0::
+base parameter value t0, or, with a batch axis (``coeffs`` of shape
+(order+1, n)), about each base point of an array (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 13)::
 
     coeffs[k] == (d^k f / dt^k)(t0) / k!
 
@@ -26,6 +28,7 @@ Everything here is an immutable value; all functions are pure.
 from __future__ import annotations
 
 import math
+from functools import partial
 from math import gcd
 from typing import Callable, Sequence, Union
 
@@ -66,8 +69,49 @@ def signed_power(x, m: int, n: int = 1):
     return out
 
 
+def _cauchy(a: np.ndarray, b: np.ndarray, divide: bool = False) -> np.ndarray:
+    """Truncated product of two series, or with ``divide`` the quotient q with q*b = a.
+
+    The sums over the order axis (axis 0) use ``np.convolve`` and ``np.dot``
+    for a scalar jet and one einsum per coefficient for a batch.
+    """
+    if a.ndim == 1:
+        if not divide:
+            return np.convolve(a, b)[: len(a)]
+        dot = np.dot
+    else:
+        dot = partial(np.einsum, "ij,ij->j")
+    out = np.zeros_like(a)
+    if not divide:
+        for i in range(len(a)):
+            out[i] = dot(a[: i + 1], b[i::-1])
+        return out
+    out[0] = a[0] / b[0]
+    for i in range(1, len(a)):
+        out[i] = (a[i] - dot(out[:i], b[i:0:-1])) / b[0]
+    return out
+
+
+def _has_zero(c0) -> bool:
+    """Whether a constant coefficient is 0 (np.any on a scalar's numpy float is slow)."""
+    return bool(np.any(c0 == 0.0)) if c0.ndim else c0 == 0.0
+
+
+def _wrap(coeffs: np.ndarray, base_point) -> "Jet":
+    """A jet on ``coeffs`` and ``base_point`` as they are: no copy, no check."""
+    jet = object.__new__(Jet)
+    jet.base_point, jet.coeffs = base_point, coeffs
+    return jet
+
+
 class Jet:
-    """Truncated Taylor series of a scalar quantity at a base point."""
+    """Truncated Taylor series of a scalar quantity at one or many base points.
+
+    ``coeffs`` has shape (order+1,) at one base point, a float, or (order+1, n)
+    for a batch at the n base points of one array, which every jet derived
+    from it shares.  Only ``variable`` and ``constant`` make a batch; the
+    calculus operations are scalar only.
+    """
 
     __slots__ = ("base_point", "coeffs")
 
@@ -81,19 +125,20 @@ class Jet:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def constant(cls, value: float, order: int = DEFAULT_ORDER, base_point: float = 0.0) -> "Jet":
-        c = np.zeros(order + 1)
+    def constant(cls, value, order: int = DEFAULT_ORDER, base_point=0.0) -> "Jet":
+        """The constant jet at base_point, a float or a 1-D array of base points."""
+        batch = isinstance(base_point, np.ndarray) and base_point.ndim == 1
+        c = np.zeros((order + 1, base_point.size) if batch else order + 1)
         c[0] = value
-        return cls(c, base_point)
+        return _wrap(c, base_point if batch else float(base_point))
 
     @classmethod
-    def variable(cls, base_point: float = 0.0, order: int = DEFAULT_ORDER) -> "Jet":
-        """The jet of the identity map t |-> t."""
-        c = np.zeros(order + 1)
-        c[0] = base_point
+    def variable(cls, base_point=0.0, order: int = DEFAULT_ORDER) -> "Jet":
+        """The jet of the identity map t |-> t, at one base point or at an array of them."""
+        jet = cls.constant(base_point, order, base_point)
         if order >= 1:
-            c[1] = 1.0
-        return cls(c, base_point)
+            jet.coeffs[1] = 1.0
+        return jet
 
     # -- basic queries -----------------------------------------------------
 
@@ -126,15 +171,16 @@ class Jet:
         return Jet(self.coeffs[: order + 1], self.base_point)
 
     def __repr__(self) -> str:
-        return f"Jet(base={self.base_point:g}, coeffs={np.array2string(self.coeffs, precision=6)})"
+        return f"Jet(base={self.base_point}, coeffs={np.array2string(self.coeffs, precision=6)})"
 
     # -- arithmetic --------------------------------------------------------
 
     def _check_base(self, other: "Jet") -> None:
-        if self.base_point != other.base_point:
-            raise ValueError(
-                f"jet base points differ: {self.base_point} vs {other.base_point}"
-            )
+        a, b = self.base_point, other.base_point
+        if a is b:
+            return
+        if not (a == b if isinstance(a, float) and isinstance(b, float) else np.array_equal(a, b)):
+            raise ValueError(f"jet base points differ: {a} vs {b}")
 
     def _binary(self, other):
         if isinstance(other, Jet):
@@ -151,7 +197,7 @@ class Jet:
         a, b = self._binary(other)
         if a is None:
             return NotImplemented
-        return Jet(a + b, self.base_point)
+        return _wrap(a + b, self.base_point)
 
     __radd__ = __add__
 
@@ -159,44 +205,40 @@ class Jet:
         a, b = self._binary(other)
         if a is None:
             return NotImplemented
-        return Jet(a - b, self.base_point)
+        return _wrap(a - b, self.base_point)
 
     def __rsub__(self, other):
         a, b = self._binary(other)
         if a is None:
             return NotImplemented
-        return Jet(b - a, self.base_point)
+        return _wrap(b - a, self.base_point)
 
     def __neg__(self):
-        return Jet(-self.coeffs, self.base_point)
+        return _wrap(-self.coeffs, self.base_point)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Jet(self.coeffs * other, self.base_point)
+            return _wrap(self.coeffs * other, self.base_point)
         if not isinstance(other, Jet):
             return NotImplemented
         self._check_base(other)
         k = min(self.order, other.order)
-        out = np.convolve(self.coeffs[: k + 1], other.coeffs[: k + 1])[: k + 1]
-        return Jet(out, self.base_point)
+        return _wrap(_cauchy(self.coeffs[: k + 1], other.coeffs[: k + 1]), self.base_point)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Jet(self.coeffs / other, self.base_point)
+            return _wrap(self.coeffs / other, self.base_point)
         if not isinstance(other, Jet):
             return NotImplemented
         self._check_base(other)
         k = min(self.order, other.order)
         u = self.coeffs[: k + 1]
         w = other.coeffs[: k + 1]
-        if w[0] == 0.0:
+        if _has_zero(w[0]):
             raise ZeroDivisionError("division by a jet with zero constant coefficient")
-        v = np.zeros(k + 1)
-        for i in range(k + 1):
-            v[i] = (u[i] - np.dot(v[:i], w[i:0:-1])) / w[0]
-        return Jet(v, self.base_point)
+        return _wrap(_cauchy(u, w, divide=True), self.base_point)
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
@@ -227,7 +269,7 @@ class Jet:
         if n == 1:
             return self ** m
         u = self.coeffs
-        if u[0] == 0.0:
+        if _has_zero(u[0]):
             raise ZeroDivisionError(
                 "fractional power of a jet with zero constant coefficient"
             )
@@ -239,35 +281,36 @@ class Jet:
             for j in range(1, k + 1):
                 s += ((r + 1.0) * j - k) * u[j] * v[k - j]
             v[k] = s / (k * u[0])
-        return Jet(v, self.base_point)
+        return _wrap(v, self.base_point)
 
     def sqrt(self) -> "Jet":
         return self.pow_rational(1, 2)
 
     # -- elementary functions (standard Taylor recurrences) -----------------
+    # Coefficient 0 comes from the dispatchers below: math.* for a scalar, np.* for a batch.
 
     def exp(self) -> "Jet":
         u = self.coeffs
         v = np.zeros_like(u)
-        v[0] = math.exp(u[0])
+        v[0] = exp(u[0])
         for k in range(1, len(u)):
             v[k] = sum(j * u[j] * v[k - j] for j in range(1, k + 1)) / k
-        return Jet(v, self.base_point)
+        return _wrap(v, self.base_point)
 
     def _circular(self, hyperbolic: bool) -> tuple["Jet", "Jet"]:
         u = self.coeffs
         s = np.zeros_like(u)
         c = np.zeros_like(u)
         if hyperbolic:
-            s[0], c[0] = math.sinh(u[0]), math.cosh(u[0])
+            s[0], c[0] = sinh(u[0]), cosh(u[0])
             sign = 1.0
         else:
-            s[0], c[0] = math.sin(u[0]), math.cos(u[0])
+            s[0], c[0] = sin(u[0]), cos(u[0])
             sign = -1.0
         for k in range(1, len(u)):
             s[k] = sum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k
             c[k] = sign * sum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k
-        return Jet(s, self.base_point), Jet(c, self.base_point)
+        return _wrap(s, self.base_point), _wrap(c, self.base_point)
 
     def sin(self) -> "Jet":
         return self._circular(False)[0]
@@ -484,182 +527,6 @@ class PlaneJet:
 def bracket(a: PlaneJet, b: PlaneJet) -> Jet:
     """Jet of the plane determinant a_x b_y - a_y b_x."""
     return a.x * b.y - a.y * b.x
-
-
-class VecJet:
-    """Jets over an array of base points, vectorized along the last axis.
-
-    ``coeffs`` has shape (order+1, n): column i is the coefficient vector of
-    an independent jet at base point i.  Used internally to evaluate curve
-    derivatives at many parameter values in one expression-tree pass; the
-    supported operation set mirrors :class:`Jet`.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: np.ndarray):
-        self.coeffs = coeffs
-
-    @classmethod
-    def variable(cls, base_points, order: int) -> "VecJet":
-        base = np.atleast_1d(np.asarray(base_points, dtype=float))
-        c = np.zeros((order + 1, base.size))
-        c[0] = base
-        if order >= 1:
-            c[1] = 1.0
-        return cls(c)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def value(self) -> np.ndarray:
-        return self.coeffs[0]
-
-    def derivative_values(self, k: int) -> np.ndarray:
-        return self.coeffs[k] * math.factorial(k)
-
-    def _pair(self, other):
-        if isinstance(other, VecJet):
-            k = min(self.order, other.order) + 1
-            return self.coeffs[:k], other.coeffs[:k]
-        if isinstance(other, (int, float)):
-            c = np.zeros_like(self.coeffs)
-            c[0] = other
-            return self.coeffs, c
-        return None, None
-
-    def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return VecJet(a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return VecJet(a - b)
-
-    def __rsub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return VecJet(b - a)
-
-    def __neg__(self):
-        return VecJet(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return VecJet(self.coeffs * other)
-        if not isinstance(other, VecJet):
-            return NotImplemented
-        k = min(self.order, other.order) + 1
-        a, b = self.coeffs[:k], other.coeffs[:k]
-        out = np.zeros_like(a)
-        for i in range(k):
-            out[i] = np.einsum("ij,ij->j", a[: i + 1], b[i::-1])
-        return VecJet(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return VecJet(self.coeffs / other)
-        if not isinstance(other, VecJet):
-            return NotImplemented
-        k = min(self.order, other.order) + 1
-        u, w = self.coeffs[:k], other.coeffs[:k]
-        if np.any(w[0] == 0.0):
-            raise ZeroDivisionError("division by a jet with zero constant coefficient")
-        v = np.zeros_like(u)
-        for i in range(k):
-            acc = u[i] - np.einsum("ij,ij->j", v[:i], w[i:0:-1]) if i else u[i]
-            v[i] = acc / w[0]
-        return VecJet(v)
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            c = np.zeros_like(self.coeffs)
-            c[0] = other
-            return VecJet(c) / self
-        return NotImplemented
-
-    def __pow__(self, e):
-        if isinstance(e, int):
-            if e < 0:
-                return (1.0 / self) ** (-e)
-            c = np.zeros_like(self.coeffs)
-            c[0] = 1.0
-            result = VecJet(c)
-            base = self
-            while e:
-                if e & 1:
-                    result = result * base
-                base = base * base
-                e >>= 1
-            return result
-        return NotImplemented
-
-    def pow_rational(self, m: int, n: int) -> "VecJet":
-        m, n = _reduce_exponent(m, n)
-        if n == 1:
-            return self ** m
-        u = self.coeffs
-        if np.any(u[0] == 0.0):
-            raise ZeroDivisionError(
-                "fractional power of a jet with zero constant coefficient"
-            )
-        r = m / n
-        v = np.zeros_like(u)
-        v[0] = signed_power(u[0], m, n)
-        for k in range(1, u.shape[0]):
-            s = np.zeros(u.shape[1])
-            for j in range(1, k + 1):
-                s += ((r + 1.0) * j - k) * u[j] * v[k - j]
-            v[k] = s / (k * u[0])
-        return VecJet(v)
-
-    def sqrt(self) -> "VecJet":
-        return self.pow_rational(1, 2)
-
-    def exp(self) -> "VecJet":
-        u = self.coeffs
-        v = np.zeros_like(u)
-        v[0] = np.exp(u[0])
-        for k in range(1, u.shape[0]):
-            v[k] = sum(j * u[j] * v[k - j] for j in range(1, k + 1)) / k
-        return VecJet(v)
-
-    def _circular(self, hyperbolic: bool) -> tuple["VecJet", "VecJet"]:
-        u = self.coeffs
-        s = np.zeros_like(u)
-        c = np.zeros_like(u)
-        if hyperbolic:
-            s[0], c[0] = np.sinh(u[0]), np.cosh(u[0])
-            sign = 1.0
-        else:
-            s[0], c[0] = np.sin(u[0]), np.cos(u[0])
-            sign = -1.0
-        for k in range(1, u.shape[0]):
-            s[k] = sum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k
-            c[k] = sign * sum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k
-        return VecJet(s), VecJet(c)
-
-    def sin(self) -> "VecJet":
-        return self._circular(False)[0]
-
-    def cos(self) -> "VecJet":
-        return self._circular(False)[1]
-
-    def sinh(self) -> "VecJet":
-        return self._circular(True)[0]
-
-    def cosh(self) -> "VecJet":
-        return self._circular(True)[1]
 
 
 # -- smooth quotients of singular integrals ----------------------------------

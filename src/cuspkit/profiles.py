@@ -158,10 +158,12 @@ def invert_adapted(
     interpolated on that t-range, and ``invert_monotone`` runs on the cheap
     map, clipped to the range.  The interpolant of L is returned with the
     solution so that the caller can evaluate s on the same grid; it is None
-    when every target is 0 and the exact map was used.  A non-finite
-    target raises ``ValueError``.
+    when every target is 0 and the exact map was used.  A grid that is not a
+    non-empty 1-D array, or a non-finite target, raises ``ValueError``.
     """
     targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 1 or targets.size == 0:
+        raise ValueError(f"tau grid must be a non-empty 1-D array, got shape {targets.shape}")
     bad = ~np.isfinite(targets)
     if np.any(bad):
         i = int(np.argmax(bad))

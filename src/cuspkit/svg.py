@@ -51,12 +51,18 @@ def render_svg(samples, spec: RenderSpec | None = None) -> str:
     """Render (x, y) samples as a standalone SVG document string.
 
     The viewport auto-fits the data with a margin unless given explicitly;
-    the y-axis points up (mathematical orientation).
+    the y-axis points up (mathematical orientation).  Raises ``ValueError``
+    for fewer than two samples or for a sample that is not finite.
     """
     spec = spec or RenderSpec()
     points = np.atleast_2d(np.asarray(samples, dtype=float))
     if points.shape[0] < 2 or points.shape[1] != 2:
         raise ValueError("render_svg needs at least two (x, y) samples")
+    bad = ~np.all(np.isfinite(points), axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        x, y = points[i].tolist()
+        raise ValueError(f"render_svg needs finite samples, got ({x!r}, {y!r}) at index {i}")
     xmin, xmax, ymin, ymax = _viewport(points, spec)
     sx = spec.width / (xmax - xmin)
     sy = spec.height / (ymax - ymin)

@@ -55,7 +55,7 @@ import numpy as np
 from . import affine as _affine
 from . import euclidean as _euclid
 from .dsl import BinOp, Func, Neg, Num, Power, Sym, evaluate
-from .jets import Jet, PlaneJet, VecJet, _gauss_01, deflate, rational_pow
+from .jets import Jet, PlaneJet, _gauss_01, deflate, rational_pow
 from .profiles import SWITCH_RADIUS, Kind
 
 _EXPR_NODES = (Num, Sym, Neg, BinOp, Func, Power)
@@ -98,10 +98,10 @@ class ProfileFunction:
             return np.full(tau.shape, float(out))
         return out
 
-    def jet(self, base: float, order: int) -> Jet:
-        out = self._fn(Jet.variable(float(base), order))
+    def jet(self, base, order: int) -> Jet:
+        out = self._fn(Jet.variable(base, order))
         if isinstance(out, (int, float)):
-            return Jet.constant(float(out), order, float(base))
+            return Jet.constant(float(out), order, base)
         if not isinstance(out, Jet):
             raise TypeError(
                 "profile function is not jet-evaluable; build it from DSL "
@@ -110,10 +110,8 @@ class ProfileFunction:
         return out
 
     def value_and_slope(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = self._fn(VecJet.variable(taus, 1))
-        if isinstance(out, (int, float)):
-            return np.full(taus.shape, float(out)), np.zeros(taus.shape)
-        return out.coeffs[0].copy(), out.coeffs[1].copy()
+        jet = self.jet(taus, 1)
+        return jet.coeffs[0].copy(), jet.coeffs[1].copy()
 
 
 class ReparametrizedProfile:

@@ -119,6 +119,36 @@ def test_profile_expression_may_start_with_a_minus_sign(capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tau,x,y\n", "at least two"),
+        ("tau,f\n\n", "at least two"),
+        ("tau,x,y\n0,0,0\n", "at least two"),
+        ("", "unrecognized CSV header []"),
+        ("tau,x,y\n0,0,0\n1,nan,1\n", "finite samples, got (nan, 1.0) at index 1"),
+        ("tau,f\n0,0\n1,1\n2,inf\n", "finite samples, got (2.0, inf) at index 2"),
+    ],
+)
+def test_render_rejects_bad_samples_before_any_output(capsys, tmp_path, text, message):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(text)
+    code, out, err = _run(capsys, ["render", "--samples", str(samples), "--svg", "-"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error [render]")
+    assert message in err
+
+
+def test_synthesize_then_render_round_trip(capsys, tmp_path):
+    csv_path, svg_path = tmp_path / "s.csv", tmp_path / "s.svg"
+    argv = ["synthesize", "--kind", "euclid-cusp", "--f", "1", "--tau-max", "0.5"]
+    assert _run(capsys, argv + ["--out", str(csv_path), "--svg", str(svg_path)]) == (0, "", "")
+    direct = svg_path.read_text()
+    code, out, err = _run(capsys, ["render", "--samples", str(csv_path), "--svg", "-"])
+    assert (code, err) == (0, "")
+    assert out == direct
+
+
+@pytest.mark.parametrize(
     "option, value, named",
     [
         ("--width", "0", "width=0"),

@@ -47,6 +47,80 @@ def test_base_point_mismatch_rejected():
         a + b
 
 
+BATCH = np.array([-1.1, -0.3, 0.0, 0.25, 0.9])
+
+BATCHED_OPS = {
+    "add": lambda t: (t * 3.0 + 1.0) + t * t - 2.0 * t,
+    "mul": lambda t: (t + 2.0) * (t * t - 1.5),
+    "div": lambda t: (t * t + 1.0) / (t + 3.0) + 2.0 / (1.5 - t),
+    "pow": lambda t: (t + 2.0) ** 3 * (t * t + 1.0) ** -2,
+    "pow_rational": lambda t: (t * t + 0.5).pow_rational(2, 3) - (t + 3.0).pow_rational(-1, 2),
+    "exp": lambda t: (t * 0.7).exp(),
+    "sin": lambda t: (t * t).sin() + t.cos(),
+    "sinh": lambda t: (t * 1.3).sinh() * t.cosh(),
+}
+
+
+@pytest.mark.parametrize("op", sorted(BATCHED_OPS))
+def test_batched_jet_columns_are_the_scalar_jets(op):
+    fn = BATCHED_OPS[op]
+    batch = fn(Jet.variable(BATCH, 8))
+    assert batch.coeffs.shape == (9, len(BATCH))
+    for i, t0 in enumerate(BATCH):
+        want = fn(Jet.variable(float(t0), 8)).coeffs
+        got = batch.coeffs[:, i]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), (op, t0)
+
+
+@pytest.mark.parametrize("fn", ["exp", "sin", "cos", "sinh", "cosh"])
+def test_seeds_are_math_for_a_scalar_jet_and_numpy_for_a_batch(fn):
+    # math.* and np.* differ in the last bit on some inputs, so each shape
+    # seeds with a fixed one of them.
+    base = np.random.default_rng(5).uniform(-3.0, 3.0, 200)
+    batch = getattr(Jet.variable(base, 2), fn)()
+    assert np.array_equal(batch.coeffs[0], getattr(np, fn)(base))
+    for t0 in base[:20]:
+        assert getattr(Jet.variable(float(t0), 2), fn)().coeffs[0] == getattr(math, fn)(t0)
+
+
+def test_batched_jets_share_their_base_array():
+    t = Jet.variable(BATCH, 4)
+    derived = (t * t + 1.0).pow_rational(1, 2) / (t - 2.0)
+    assert derived.base_point is t.base_point
+    assert Jet.constant(2.0, 4, t.base_point).base_point is t.base_point
+
+
+def test_batched_base_point_mismatch_rejected():
+    a = Jet.variable(BATCH, 3)
+    for other in (Jet.variable(BATCH + 0.5, 3), Jet.variable(BATCH[:3], 3), Jet.variable(0.0, 3)):
+        with pytest.raises(ValueError, match="base points differ"):
+            a * other
+        with pytest.raises(ValueError, match="base points differ"):
+            a + other
+    # equal base points in another array are the same batch
+    assert np.array_equal((a * Jet.variable(BATCH.copy(), 3)).coeffs, (a * a).coeffs)
+
+
+def test_batched_division_by_a_zero_constant_at_one_base_point_rejected():
+    t = Jet.variable(BATCH, 3)  # BATCH holds 0.0, so t has a zero constant there
+    with pytest.raises(ZeroDivisionError, match="zero constant coefficient"):
+        1.0 / t
+    with pytest.raises(ZeroDivisionError, match="zero constant coefficient"):
+        t.pow_rational(1, 3)
+    assert np.all(np.isfinite((1.0 / (t + 2.0)).coeffs))
+
+
+def test_batched_jet_repr_and_shape_check():
+    t = Jet.variable(np.array([0.5, -1.25]), 2)
+    text = repr(t * t)
+    assert text.startswith("Jet(base=[ 0.5  -1.25], coeffs=[[")
+    assert repr(Jet.variable(0.37, 2)).startswith("Jet(base=0.37, coeffs=[")
+    with pytest.raises(ValueError, match="one-dimensional, non-empty"):
+        Jet(np.zeros((3, 2, 2)), 0.0)
+    empty = Jet.variable(np.array([]), 3).sin() / 2.0
+    assert empty.coeffs.shape == (4, 0)
+
+
 def test_result_order_is_minimum_of_inputs():
     a = Jet.variable(0.0, 6)
     b = Jet.variable(0.0, 3)

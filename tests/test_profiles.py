@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,28 @@ def test_non_finite_grid_raises(name, bad):
     for grid, i in (([bad], 0), ([0.0, 0.1, bad, 0.3], 2), ([-0.2, 0.1, bad], 2)):
         with pytest.raises(ValueError, match=f"finite, got tau = {bad!r} at index {i}"):
             fn(curve, np.array(grid))
+
+
+@pytest.mark.parametrize("grid", [[], np.zeros((0, 3)), [[0.1, 0.2]], np.zeros((2, 2)), 0.3])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CASES))
+def test_grid_that_is_not_a_non_empty_vector_raises(name, grid):
+    fn, curve_name = NON_FINITE_CASES[name]
+    curve = catalog_lookup(curve_name, {"a": 1.0})
+    shape = np.shape(grid)
+    with pytest.raises(ValueError, match=f"non-empty 1-D array, got shape {re.escape(str(shape))}"):
+        fn(curve, grid)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "arclength, name",
+    [(arclength_g, "cycloid"), (arclength_g, "circle"), (arclength_A, "cycloid"),
+     (arclength_A, "skew_cycloid"), (arclength_A, "circle")],
+)
+def test_arclength_at_a_non_finite_t_raises(arclength, name, t):
+    curve = catalog_lookup(name, {"r" if name == "circle" else "a": 1.0})
+    with pytest.raises(ValueError, match=f"t must be finite, got t={t!r}"):
+        arclength(curve, t)
 
 
 # -- one arclength for every caller ------------------------------------------------

@@ -12,6 +12,16 @@ def test_rejects_fewer_than_two_samples(samples):
         render_svg(samples)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index, column", [(0, 0), (1, 1), (3, 0)])
+def test_rejects_a_non_finite_sample_by_index(bad, index, column):
+    points = np.arange(10.0).reshape(5, 2)
+    points[index, column] = bad
+    points[4, 1] = np.nan  # only the first bad sample is named
+    with pytest.raises(ValueError, match=f"finite samples, got .* at index {index}$"):
+        render_svg(points)
+
+
 @pytest.mark.parametrize("viewport", [(1.0, 1.0, 0.0, 1.0), (2.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)])
 def test_rejects_an_empty_viewport(viewport):
     with pytest.raises(ValueError, match="xmin < xmax"):
