@@ -35,7 +35,7 @@ import numpy as np
 
 from . import affine, euclidean, svg, synthesis, verification
 from .dsl import CATALOG_NAMES, CurveSpec, ParseError, catalog_lookup, parse_curve, parse_expression
-from .profiles import Profiler
+from .profiles import PROFILE_JET_ORDER
 
 PROFILE_KINDS = ("euclid-cusp", "affine-cusp", "inflection")
 
@@ -109,7 +109,9 @@ def _cmd_classify(args) -> int:
 
 
 def _invariant_report(curve: CurveSpec) -> dict:
-    germ = curve.jet(0.0, 10)
+    """The report of one germ: the profile jets read it to full order, the rest to order 10."""
+    full = curve.jet(0.0, PROFILE_JET_ORDER)
+    germ = full.truncated(10)
     cls = euclidean.classify(germ)
     report: dict = {
         "label": curve.label or str(curve),
@@ -118,7 +120,7 @@ def _invariant_report(curve: CurveSpec) -> dict:
     }
     if cls.is_cusp:
         rep_g = euclidean.euclidean_report(germ)
-        rep_a = Profiler(curve, affine.AFFINE_CUSP).jets.report()
+        rep_a = affine.AFFINE_CUSP.jets(full).report()
         nf = affine.normal_form(germ, "cusp")
         report.update(
             mu_g=rep_g.mu_g,
@@ -130,7 +132,7 @@ def _invariant_report(curve: CurveSpec) -> dict:
             c=nf.c,
         )
     elif cls.is_inflection:
-        rep_i = Profiler(curve, affine.INFLECTION).jets.report()
+        rep_i = affine.INFLECTION.jets(full).report()
         nf = affine.normal_form(germ, "inflection")
         report.update(
             mu_I=rep_i.mu_I,
@@ -142,8 +144,8 @@ def _invariant_report(curve: CurveSpec) -> dict:
             c=nf.c,
         )
     elif cls.label is euclidean.SingularityType.REGULAR:
-        report["kappa_g"] = euclidean.kappa_g(curve, 0.0)
-        report["kappa_A"] = affine.kappa_A(curve, 0.0)
+        report["kappa_g"] = euclidean.curvature_from_jet(germ)
+        report["kappa_A"] = affine.affine_curvature_from_jet(germ)
     else:
         report["diagnostics"] = {
             "speed": cls.speed,

@@ -213,8 +213,13 @@ _TOKEN_RE = re.compile(
 class _Token:
     kind: str  # 'num', 'ident', 'op', 'end'
     text: str
-    line: int
-    column: int
+    offset: int  # of the token's first character in the source text
+
+
+def _error_at(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at ``offset`` of ``text``; line and column count from 1."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -227,23 +232,18 @@ def _tokenize(text: str) -> list[_Token]:
             if not stripped:
                 break
             bad_pos = len(text) - len(stripped)
-            line = text.count("\n", 0, bad_pos) + 1
-            column = bad_pos - (text.rfind("\n", 0, bad_pos) + 1) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, column)
-        start = m.start() + len(m.group(0)) - len(m.group(0).lstrip())
-        line = text.count("\n", 0, start) + 1
-        column = start - (text.rfind("\n", 0, start) + 1) + 1
-        kind = "num" if m.group("num") else ("ident" if m.group("ident") else "op")
-        tokens.append(_Token(kind, m.group(0).strip(), line, column))
+            raise _error_at(text, bad_pos, f"unexpected character {stripped[0]!r}")
+        kind = m.lastgroup  # exactly one of num, ident and op matches
+        start = m.start(kind)
+        tokens.append(_Token(kind, text[start : m.end()], start))
         pos = m.end()
-    end_line = text.count("\n") + 1
-    end_col = len(text) - (text.rfind("\n") + 1) + 1
-    tokens.append(_Token("end", "", end_line, end_col))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -254,7 +254,7 @@ class _Parser:
     def _fail(self, expected: str):
         tok = self.current
         got = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise ParseError(f"expected {expected}, got {got}", tok.line, tok.column)
+        raise _error_at(self.text, tok.offset, f"expected {expected}, got {got}")
 
     def accept(self, text: str) -> bool:
         if self.current.kind == "op" and self.current.text == text:
@@ -304,7 +304,7 @@ class _Parser:
             m, n = self.parse_signed_integer(), 1
         if n == 0:
             tok = self.tokens[self.i - 1]
-            raise ParseError("zero denominator in rational exponent", tok.line, tok.column)
+            raise _error_at(self.text, tok.offset, "zero denominator in rational exponent")
         return _reduce_exponent(m, n)
 
     def parse_signed_integer(self) -> int:

@@ -97,6 +97,15 @@ def _has_zero(c0) -> bool:
     return bool(np.any(c0 == 0.0)) if c0.ndim else c0 == 0.0
 
 
+def _terms(coeffs: np.ndarray) -> list:
+    """The coefficients as a list: Python floats for a scalar jet, row arrays for a batch.
+
+    A recurrence over single coefficients runs faster on floats than on
+    numpy scalars, and rounds the same.
+    """
+    return coeffs.tolist() if coeffs.ndim == 1 else list(coeffs)
+
+
 def _wrap(coeffs: np.ndarray, base_point) -> "Jet":
     """A jet on ``coeffs`` and ``base_point`` as they are: no copy, no check."""
     jet = object.__new__(Jet)
@@ -268,20 +277,20 @@ class Jet:
         m, n = _reduce_exponent(m, n)
         if n == 1:
             return self ** m
-        u = self.coeffs
-        if _has_zero(u[0]):
+        if _has_zero(self.coeffs[0]):
             raise ZeroDivisionError(
                 "fractional power of a jet with zero constant coefficient"
             )
         r = m / n
-        v = np.zeros_like(u)
-        v[0] = signed_power(u[0], m, n)
+        u = _terms(self.coeffs)
+        u0 = u[0]
+        v = [signed_power(u0, m, n)]
         for k in range(1, len(u)):
             s = 0.0
             for j in range(1, k + 1):
                 s += ((r + 1.0) * j - k) * u[j] * v[k - j]
-            v[k] = s / (k * u[0])
-        return _wrap(v, self.base_point)
+            v.append(s / (k * u0))
+        return _wrap(np.array(v), self.base_point)
 
     def sqrt(self) -> "Jet":
         return self.pow_rational(1, 2)
@@ -290,27 +299,24 @@ class Jet:
     # Coefficient 0 comes from the dispatchers below: math.* for a scalar, np.* for a batch.
 
     def exp(self) -> "Jet":
-        u = self.coeffs
-        v = np.zeros_like(u)
-        v[0] = exp(u[0])
+        u = _terms(self.coeffs)
+        v = [exp(u[0])]
         for k in range(1, len(u)):
-            v[k] = sum(j * u[j] * v[k - j] for j in range(1, k + 1)) / k
-        return _wrap(v, self.base_point)
+            v.append(sum(j * u[j] * v[k - j] for j in range(1, k + 1)) / k)
+        return _wrap(np.array(v), self.base_point)
 
     def _circular(self, hyperbolic: bool) -> tuple["Jet", "Jet"]:
-        u = self.coeffs
-        s = np.zeros_like(u)
-        c = np.zeros_like(u)
+        u = _terms(self.coeffs)
         if hyperbolic:
-            s[0], c[0] = sinh(u[0]), cosh(u[0])
+            s, c = [sinh(u[0])], [cosh(u[0])]
             sign = 1.0
         else:
-            s[0], c[0] = sin(u[0]), cos(u[0])
+            s, c = [sin(u[0])], [cos(u[0])]
             sign = -1.0
         for k in range(1, len(u)):
-            s[k] = sum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k
-            c[k] = sign * sum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k
-        return _wrap(s, self.base_point), _wrap(c, self.base_point)
+            s.append(sum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k)
+            c.append(sign * sum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k)
+        return _wrap(np.array(s), self.base_point), _wrap(np.array(c), self.base_point)
 
     def sin(self) -> "Jet":
         return self._circular(False)[0]
@@ -344,20 +350,12 @@ class Jet:
         """Jet of self(inner(t)) at inner's base point.
 
         The constant coefficient of ``inner`` must equal this jet's base
-        point.
+        point.  With w = inner - inner(t0), the result is sum_j a_j w^j: the
+        outer coefficients a_j times the power matrix of w, whose row j is
+        the jet of w^j, built by k truncated products (Brent & Kung, "Fast
+        algorithms for manipulating formal power series", JACM 1978).
         """
-        scale = max(1.0, abs(self.base_point))
-        if abs(inner.coeffs[0] - self.base_point) > 1e-9 * scale:
-            raise ValueError(
-                "compose: inner constant coefficient "
-                f"{inner.coeffs[0]} does not match outer base point {self.base_point}"
-            )
-        k = min(self.order, inner.order)
-        w = Jet(np.concatenate([[0.0], inner.coeffs[1 : k + 1]]), inner.base_point)
-        acc = Jet.constant(float(self.coeffs[k]), k, inner.base_point)
-        for c in self.coeffs[k - 1 :: -1] if k >= 1 else []:
-            acc = acc * w + float(c)
-        return acc
+        return _composed((self,), inner)[0]
 
     def inverted(self) -> "Jet":
         """Series reversion by Lagrange inversion: the jet of the inverse map.
@@ -382,6 +380,26 @@ class Jet:
             h_n = np.convolve(h_n, h)[:k]
             out[n] = h_n[n - 1] / n
         return Jet(out, float(s[0]))
+
+
+def _composed(outers: Sequence[Jet], inner: Jet) -> list[Jet]:
+    """Each outer jet of one base point composed with ``inner``, on one power matrix."""
+    base = outers[0].base_point
+    if abs(inner.coeffs[0] - base) > 1e-9 * max(1.0, abs(base)):
+        raise ValueError(
+            "compose: inner constant coefficient "
+            f"{inner.coeffs[0]} does not match outer base point {base}"
+        )
+    k = min(inner.order, *(jet.order for jet in outers))
+    w = inner.coeffs[: k + 1].copy()
+    w[0] = 0.0
+    powers = np.zeros((k + 1, k + 1))
+    powers[0, 0] = 1.0
+    if k >= 1:
+        powers[1] = w
+    for j in range(2, k + 1):
+        powers[j] = _cauchy(powers[j - 1], w)
+    return [_wrap(jet.coeffs[: k + 1] @ powers, inner.base_point) for jet in outers]
 
 
 # -- polymorphic elementary functions ---------------------------------------
@@ -510,8 +528,8 @@ class PlaneJet:
         return PlaneJet(newx, newy)
 
     def compose(self, inner: Jet) -> "PlaneJet":
-        """Reparametrize the germ by t = inner(u)."""
-        return PlaneJet(self.x.compose(inner), self.y.compose(inner))
+        """Reparametrize the germ by t = inner(u), both components on one power matrix."""
+        return PlaneJet(*_composed((self.x, self.y), inner))
 
     def reversed_orientation(self) -> "PlaneJet":
         """The germ of t |-> gamma(-t); base point must be 0."""

@@ -1,4 +1,4 @@
-"""Shared test helpers: finite-difference oracles and catalog shortcuts."""
+"""Shared test helpers: finite-difference oracles, catalog shortcuts and model germs."""
 
 import numpy as np
 import pytest
@@ -20,6 +20,18 @@ def finite_difference(f, t0: float, order: int) -> float:
     offsets, weights = FD_STENCILS[order]
     h = FD_STEPS[order]
     return sum(w * f(t0 + o * h) for o, w in zip(offsets, weights)) / h**order
+
+
+# Two model cusps and two model inflections, the second of each after the
+# reparametrization t + t^2/3, a linear map of determinant 1 and a shift.
+MODEL_GERMS = [
+    "(t^2, t^3 + t^5)",
+    "(2*(t + t^2/3)^2 + (t + t^2/3)^3 - 0.5*(t + t^2/3)^5 + 1,"
+    " 3*(t + t^2/3)^2 + 2*(t + t^2/3)^3 - (t + t^2/3)^5 - 2)",
+    "(t, t^3 + t^4)",
+    "(2*(t + t^2/3) + (t + t^2/3)^3 + 0.7*(t + t^2/3)^4 + 1,"
+    " 3*(t + t^2/3) + 2*(t + t^2/3)^3 + 1.4*(t + t^2/3)^4 - 2)",
+]
 
 
 @pytest.fixture

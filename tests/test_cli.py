@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from conftest import MODEL_GERMS
 
-from cuspkit import cli
+from cuspkit import affine, cli, euclidean
+from cuspkit.dsl import CATALOG_CUSPS, CATALOG_INFLECTIONS, catalog_lookup, parse_curve
+from cuspkit.profiles import Profiler
 
 
 def _run(capsys, argv):
@@ -169,3 +172,34 @@ def test_bad_svg_options_exit_before_any_output(capsys, tmp_path, command, optio
     assert (code, out) == (1, "")
     assert err.startswith(f"error [{command}]")
     assert named in err
+
+
+# -- the invariants report on one germ -------------------------------------------
+
+
+REPORT_NAMES = CATALOG_CUSPS + CATALOG_INFLECTIONS
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [catalog_lookup(name, {"a": 1.3}) for name in REPORT_NAMES]
+    + [parse_curve(text) for text in MODEL_GERMS],
+    ids=list(REPORT_NAMES) + [f"model{i}" for i in range(len(MODEL_GERMS))],
+)
+def test_report_reads_the_profilers_jets(spec):
+    report = cli._invariant_report(spec)
+    if report["class"].endswith("Cusp"):
+        want = Profiler(spec, affine.AFFINE_CUSP).jets.report()
+        fields = ("mu_A", "f0", "fdot0", "h0")
+    else:
+        want = Profiler(spec, affine.INFLECTION).jets.report()
+        fields = ("mu_I", "eps_I", "f0", "g0", "identity_residual_t", "identity_residual_tau")
+    assert {f: report[f] for f in fields} == {f: getattr(want, f) for f in fields}
+
+
+def test_report_of_a_regular_point_matches_the_curvature_functions():
+    spec = catalog_lookup("circle", {"r": 2.0})
+    report = cli._invariant_report(spec)
+    assert report["class"] == "Regular"
+    assert report["kappa_g"] == euclidean.kappa_g(spec, 0.0) == 0.5
+    assert report["kappa_A"] == affine.kappa_A(spec, 0.0)

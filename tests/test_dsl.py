@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import MODEL_GERMS
 
 from cuspkit.dsl import (
     CATALOG_NAMES,
@@ -57,6 +58,30 @@ def test_error_positions_point_at_the_problem():
     with pytest.raises(ParseError) as err:
         parse_curve("(t, 2*)")
     assert err.value.column == 7
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(a*t,\n  t^2 $ 1) with a=1", "line 2, column 7: unexpected character '$'"),
+        ("(t,\n t^(1/0))", "line 2, column 8: zero denominator in rational exponent"),
+        (
+            "(t^2,\n  t^3)\nwith a=",
+            "line 3, column 8: expected a numeric parameter value, got end of input",
+        ),
+        (
+            "(t^2,\n\n    t^3 + 2*)",
+            "line 3, column 13: expected a number, name, function call, or '(', got ')'",
+        ),
+        ("(t,\n t) with\n  a = x", "line 3, column 7: expected a numeric parameter value, got 'x'"),
+    ],
+)
+def test_errors_past_the_first_line_name_their_line_and_column(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_curve(text)
+    assert str(err.value) == message
+    line, column = message.split(":")[0].removeprefix("line ").split(", column ")
+    assert (err.value.line, err.value.column) == (int(line), int(column))
 
 
 def test_precedence_matches_standard_notation():
@@ -143,6 +168,20 @@ def test_jets_are_linear_in_the_curve():
     ja, jb, js = a.jet(0.2, 6), b.jet(0.2, 6), summed.jet(0.2, 6)
     assert np.allclose(js.x.coeffs, ja.x.coeffs + jb.x.coeffs)
     assert np.allclose(js.y.coeffs, ja.y.coeffs + jb.y.coeffs)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [catalog_lookup(name, params) for name, params in ALL_CATALOG]
+    + [parse_curve(text) for text in MODEL_GERMS],
+    ids=[name for name, _ in ALL_CATALOG] + [f"model{i}" for i in range(len(MODEL_GERMS))],
+)
+def test_truncated_full_jet_is_the_lower_order_jet(curve):
+    full = curve.jet(0.0, 12)
+    for k in (2, 4, 10):
+        low, cut = curve.jet(0.0, k), full.truncated(k)
+        assert np.array_equal(cut.x.coeffs, low.x.coeffs), k
+        assert np.array_equal(cut.y.coeffs, low.y.coeffs), k
 
 
 def test_jet_order_cap():
