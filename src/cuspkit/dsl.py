@@ -247,6 +247,11 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
 
+    def fail_unbound(self, names: set[str]):
+        """Report the names at the first occurrence of any of them."""
+        offset = next(tok.offset for tok in self.tokens if tok.kind == "ident" and tok.text in names)
+        raise _error_at(self.text, offset, f"unbound parameter(s): {', '.join(sorted(names))}")
+
     @property
     def current(self) -> _Token:
         return self.tokens[self.i]
@@ -405,7 +410,7 @@ def parse_expression(text: str) -> Expression:
         parser._fail("end of input")
     unbound = free_symbols(expr) - {"t"}
     if unbound:
-        raise ParseError(f"unbound parameter(s): {', '.join(sorted(unbound))}", 1, 1)
+        parser.fail_unbound(unbound)
     return expr
 
 
@@ -448,8 +453,7 @@ def parse_curve(text: str, params: dict[str, float] | None = None) -> CurveSpec:
 
     unbound = (free_symbols(x_expr) | free_symbols(y_expr)) - {"t"} - set(bindings)
     if unbound:
-        names = ", ".join(sorted(unbound))
-        raise ParseError(f"unbound parameter(s): {names}", 1, 1)
+        parser.fail_unbound(unbound)
     for name, value in bindings.items():
         if not math.isfinite(value):
             raise ValueError(f"curve parameter {name} must be finite, got {name}={value!r}")

@@ -32,15 +32,21 @@ Each kind declares its system once, as a :class:`FrameSystem` record: the
 entries of the 3x3 coefficient matrix A, written once as a function that
 runs on arrays and on jets, the initial frame, the arclength integrand and
 the rows of Y and A Y that hold the derivatives of gamma.  One driver
-serves every kind.  The frame system is advanced by batched RK4 step
-matrices chained with a log-depth prefix product; the arclength is the RK4
-quadrature of the integrand over the stage states.  The half-step rerun
-keeps only its endpoint, so it multiplies its step matrices in pairs down
-to the last frame and builds no other.  Derivatives of the synthesized
-curve are read from Y and A Y, never by differencing positions; the germ
-at tau = 0 comes from the Taylor recurrence
-Y_{k+1} = (A_0 Y_k + ... + A_k Y_0) / (k + 1) on the jet coefficients of
-the same A.
+serves every kind.  Column 0 of A is zero in every system (gamma never
+feeds back), so A is stored entries-first as its 3x2 block of columns
+(xi, eta), and an RK4 step is the affine map Z_{k+1} = Q_k Z_k,
+gamma_{k+1} = gamma_k + g_k Z_k of the 2x2 block Z = (xi, eta).  The step
+maps are chained by a log-depth prefix scan under one associative combine
+(Blelloch, "Prefix sums and their applications", 1990); the arclength is
+the RK4 quadrature of the integrand over the stage states.  The half-step
+Richardson rerun, exactly 2n steps of h/2, shares its side's coefficient
+grid and composes its step maps in pairs down to its endpoint.
+Derivatives of the synthesized curve are read from Y and A Y, never by
+differencing positions; the germ at tau = 0 comes from the Taylor
+recurrence Y_{k+1} = (A_0 Y_k + ... + A_k Y_0) / (k + 1) on the jet
+coefficients of the same A.  The quadrature route gets theta at the Gauss
+nodes of each step from one spectral integration matrix (Greengard, SIAM
+J. Numer. Anal. 28, 1991).
 """
 
 from __future__ import annotations
@@ -159,88 +165,123 @@ def as_profile(fn, label: str = "") -> ProfileFunction:
     return ProfileFunction(fn, label)
 
 
-# -- the frame system: RK4 over a half-step grid, Taylor germ at 0 --------------
+# -- the frame system: RK4 by affine step maps, Taylor germ at 0 ------------------
 
 
-def _step_matrices(A: np.ndarray, h: float):
-    """The RK4 step matrices of Y' = A(tau) Y on a half-step grid, with their stages.
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2x2 ``b``, batched over the last axis of both.
 
-    ``A`` holds the coefficient matrix on the half-step grid, shape
-    (2 n + 1, 3, 3).  Because the system is linear, each step is a 3x3 matrix
-    P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with stage matrices K1 = A_k,
-    K2 = A_{k+1/2} S2, K3 = A_{k+1/2} S3 and K4 = A_{k+1} S4, where S2 = I + h/2 K1,
-    S3 = I + h/2 K2 and S4 = I + h K3 map Y_k to the stage states.  All steps
-    are built in one batched pass.  Returns (K1, K2, K3, K4), (S2, S3, S4)
-    and P, each of shape (n, 3, 3).
+    ``a`` stacks rows of length 2 on its second-to-last axis, shape
+    (..., 2, n), and b[j] is row j of b.  Row r of the result is
+    a[r, 0] b[0] + a[r, 1] b[1]: two broadcast products and a sum, where a
+    batched ``@`` would pay its overhead once per tiny matrix.
     """
-    eye = np.eye(3)
-    k1, a_mid, a_end = A[0:-1:2], A[1::2], A[2::2]
-    s2 = eye + (0.5 * h) * k1
-    k2 = a_mid @ s2
-    s3 = eye + (0.5 * h) * k2
-    k3 = a_mid @ s3
-    s4 = eye + h * k3
-    k4 = a_end @ s4
-    return (k1, k2, k3, k4), (s2, s3, s4), eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return a[..., 0, None, :] * b[0] + a[..., 1, None, :] * b[1]
+
+
+def _compose(second: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The step map ``second`` after ``first``: (Q2 Q1, g1 + g2 Q1).
+
+    A step map sends the frame (gamma, Z), Z the 2x2 block of rows
+    (xi, eta), to (gamma + g Z, Q Z).  It is stored entries-first as
+    [g; Q], shape (3, 2, n): columns 1 and 2 of the 3x3 step matrix, whose
+    column 0 is (1, 0, 0).
+    """
+    out = _matmul(second, first[1:])
+    out[0] += first[0]
+    return out
+
+
+def _apply(maps: np.ndarray, frame0: np.ndarray) -> np.ndarray:
+    """The frames (gamma0 + g Z0, Q Z0) of step maps [g; Q], shape (3, 2, n)."""
+    out = _matmul(maps, frame0[1:, :, None])
+    out[0] += frame0[0, :, None]
+    return out
+
+
+def _step_maps(C: np.ndarray, h: float):
+    """The RK4 steps of the frame system on a half-step grid, as step maps.
+
+    ``C`` holds A's blocks from ``_frame_blocks`` on the half-step grid,
+    shape (4, 2, 2 n + 1); rows 0-2 are A's rows without the zero column 0.
+    Since gamma never feeds back, each stage matrix K_i = A S_i is such a
+    3x2 block too, and the stage maps S2 = I + h/2 K1, S3 = I + h/2 K2 and
+    S4 = I + h K3 act on the 2x2 block Z alone.  Returns the step maps
+    [g; Q] = [0; I] + h/6 (K1 + 2 K2 + 2 K3 + K4), shape (3, 2, n), and the
+    stage matrices (K1, K2, K3, K4), each of shape (3, 2, n).
+    """
+    A = C[:3]
+    k1, a_mid, a_end = A[..., 0:-1:2], A[..., 1::2], A[..., 2::2]
+    eye = np.eye(2)[..., None]
+    k2 = _matmul(a_mid, eye + (0.5 * h) * k1[1:])
+    k3 = _matmul(a_mid, eye + (0.5 * h) * k2[1:])
+    k4 = _matmul(a_end, eye + h * k3[1:])
+    maps = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    maps[1:] += eye
+    return maps, (k1, k2, k3, k4)
 
 
 def _rk4(
-    A: np.ndarray, frame0: np.ndarray, h: float, n_steps: int, speed
+    C: np.ndarray, frame0: np.ndarray, h: float, n_steps: int, speed
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 for the linear frame system Y' = A(tau) Y, plus arclength.
 
     The state Y (rows gamma, xi, eta; columns x, y) starts at ``frame0``,
-    shape (3, 2), and advances by the step matrices of ``_step_matrices``.
-    They are chained by a log-depth inclusive prefix product (the doubling
-    scan), so Y_{k+1} = P_k ... P_0 Y_0 at every step.
+    shape (3, 2).  ``C`` holds A's blocks on the half-step grid, and each
+    step is the affine map of ``_step_maps``.  The maps are chained by a
+    log-depth inclusive prefix scan with the combine ``_compose`` (the
+    doubling scan), so Y_{k+1} is the composite of steps k, ..., 0 applied
+    to Y_0.
 
-    The arclength is the RK4 quadrature of ``speed(AZ, Z)`` over the four
-    stage states Z = S_i Y_k (S = I, S2, S3, S4), where AZ = K_i Y_k is the
-    state's derivative there.
+    The arclength is the RK4 quadrature of ``speed(gamma', xi, xi')`` over
+    the four stage states of each step, each argument with (x, y) on its
+    first axis.  gamma' and xi' there are K_i Z_k, and xi follows from xi'
+    by the RK4 stage updates.
 
-    Returns the frames at every full step, shape (n_steps + 1, 3, 2), and
-    the arclength there, shape (n_steps + 1,).  ``_rk4_endpoint`` computes
-    the last frame alone.
+    Returns the frames at every full step entries-first, shape
+    (3, 2, n_steps + 1), and the arclength there, shape (n_steps + 1,).
+    ``_rk4_endpoint`` computes the last frame alone.
     """
-    slopes, (s2, s3, s4), chain = _step_matrices(A, h)
-    # After the pass with stride d, chain[k] = P_k ... P_{max(0, k - 2d + 1)}.
+    maps, stages = _step_maps(C, h)
+    # After the pass with stride d, map k is the composite of steps
+    # k, ..., max(0, k - 2d + 1).
     d = 1
     while d < n_steps:
-        chain[d:] = chain[d:] @ chain[:-d]
+        maps[..., d:] = _compose(maps[..., d:], maps[..., :-d])
         d *= 2
-    frames = np.empty((n_steps + 1, 3, 2))
-    frames[0] = frame0
-    frames[1:] = chain @ frame0
+    frames = np.concatenate([frame0[..., None], _apply(maps, frame0)], axis=-1)
 
-    y = frames[:-1]
-    stages = np.stack([y, s2 @ y, s3 @ y, s4 @ y])
-    sigma = speed(np.stack(slopes) @ y, stages)
+    z = frames[1:, :, :-1]
+    slopes = _matmul(np.stack([k[:2] for k in stages]), z)  # [stage, (gamma', xi'), x|y, step]
+    xi = np.empty_like(slopes[:, 1])
+    xi[0] = z[0]
+    xi[1:] = z[0] + np.array([0.5 * h, 0.5 * h, h])[:, None, None] * slopes[:3, 1]
+    sigma = speed(*(v.swapaxes(0, 1) for v in (slopes[:, 0], xi, slopes[:, 1])))
     ds = (h / 6.0) * (sigma[0] + 2.0 * sigma[1] + 2.0 * sigma[2] + sigma[3])
     return frames, np.concatenate([[0.0], np.cumsum(ds)])
 
 
-def _rk4_endpoint(A: np.ndarray, frame0: np.ndarray, h: float) -> np.ndarray:
-    """The last frame of ``_rk4``, Y_n = P_{n-1} ... P_0 Y_0, without the others.
+def _rk4_endpoint(C: np.ndarray, frame0: np.ndarray, h: float) -> np.ndarray:
+    """The last frame of ``_rk4``, shape (3, 2), without the others.
 
-    The step matrices are multiplied in pairs from the right, P_{n-1} P_{n-2},
-    P_{n-3} P_{n-4}, ..., which halves the stack on each pass; when the
+    The step maps are composed in pairs from the right, map n-1 after n-2,
+    then n-3 after n-4, ..., which halves the stack on each pass; when the
     stack is odd, its first element waits for the next pass.  This is how
-    the doubling scan of ``_rk4`` associates its last element, so the result
-    is bit-identical to ``_rk4(...)[0][-1]``, with no prefix frames, stage
-    states or arclength.
+    the doubling scan of ``_rk4`` associates its last element, so the
+    result is bit-identical to ``_rk4(...)[0][..., -1]``, with no prefix
+    frames, stage states or arclength.
     """
-    chain = _step_matrices(A, h)[2]
-    while len(chain) > 1:
-        odd = len(chain) % 2
-        pairs = chain[odd + 1 :: 2] @ chain[odd::2]
-        chain = np.concatenate([chain[:1], pairs]) if odd else pairs
-    return chain[0] @ frame0
+    maps = _step_maps(C, h)[0]
+    while maps.shape[-1] > 1:
+        odd = maps.shape[-1] % 2
+        pairs = _compose(maps[..., odd + 1 :: 2], maps[..., odd::2])
+        maps = np.concatenate([maps[..., :1], pairs], axis=-1) if odd else pairs
+    return _apply(maps, frame0)[..., 0]
 
 
-def _half_grid(tau_max: float, step: float) -> tuple[np.ndarray, float, int]:
-    n = max(1, math.ceil(abs(tau_max) / step))
-    h = tau_max / n
-    return np.linspace(0.0, tau_max, 2 * n + 1), h, n
+def _step_count(tau_max: float, step: float) -> int:
+    """Steps of a side: the fewest that keep the step size at most ``step``."""
+    return max(1, math.ceil(abs(tau_max) / step))
 
 
 def _check_range(tau_max: float, step: float) -> None:
@@ -265,21 +306,29 @@ def _taylor_germ(entries: dict, frame0: np.ndarray, order: int) -> PlaneJet:
                 f"a germ of order {order} needs A through order {order - 1}; a{ij} has {a.order}"
             )
         series[ij] = a.coeffs[:order] if isinstance(a, Jet) else Jet.constant(a, order - 1).coeffs
-    A = _frame_matrix(series, order)
+    C = _frame_blocks(series, order)[:3]
     Y = np.zeros((order + 1, 3, 2))
     Y[0] = frame0
     for k in range(order):
-        Y[k + 1] = np.einsum("kij,kjc->ic", A[: k + 1], Y[k::-1]) / (k + 1)
+        Y[k + 1] = np.einsum("ijk,kjc->ic", C[..., : k + 1], Y[k::-1, 1:]) / (k + 1)
     return PlaneJet.from_coeffs(Y[:, 0, 0], Y[:, 0, 1])
 
 
-def _frame_matrix(entries: dict, n: int) -> np.ndarray:
-    """A at n points, shape (n, 3, 3), from its entries; row 3 is left out."""
-    A = np.zeros((n, 3, 3))
+def _frame_blocks(entries: dict, n: int) -> np.ndarray:
+    """A's entries at n points, entries-first: C[i, j - 1] = a_ij, shape (4, 2, n).
+
+    Rows 0-2 are A's rows (gamma, xi, eta) and row 3 the extra derivative
+    row of a ``FrameSystem``.  Column 0 of A must be zero, since gamma never
+    feeds back; so only columns 1 and 2 (xi, eta) are stored.
+    """
+    C = np.zeros((4, 2, n))
     for (i, j), a in entries.items():
-        if i < 3:
-            A[:, i, j] = a
-    return A
+        if j == 0:
+            raise ValueError(
+                f"frame system entry a{i}{j} is not allowed: gamma (column 0) must not feed back"
+            )
+        C[i, j - 1] = a
+    return C
 
 
 # -- results -------------------------------------------------------------------
@@ -296,9 +345,10 @@ class SynthesisResult:
     ``profile_jets`` holds those jets (the kind's ``jets(germ)``).
     ``step_error`` is the half-step Richardson estimate of the endpoint
     position error: the largest change of an endpoint position when each
-    side is rerun at half the step, NaN when the rerun is off.  The frame
-    route's rerun computes only its endpoint, as the product of its step
-    matrices applied to the initial frame (``_rk4_endpoint``).
+    side of n steps of size h is rerun as exactly 2n steps of h/2, NaN when
+    the rerun is off.  The frame route's rerun computes only its endpoint,
+    as the composite of its step maps applied to the initial frame
+    (``_rk4_endpoint``).
     """
 
     kind: str  # 'euclid-cusp' | 'affine-cusp' | 'inflection'
@@ -339,28 +389,30 @@ class SynthesisResult:
 # -- shared assembly helpers ----------------------------------------------------
 
 
-def _both_sides(side, endpoint, richardson: bool):
+def _both_sides(side):
     """Run a one-sided integrator on [0, tau_max] and on [-tau_max, 0] and merge.
 
-    ``side(sign)`` integrates from 0 to sign * tau_max and returns arrays
-    with the grid on the first axis: the grid, the positions, then anything
-    else.  ``endpoint(sign)`` reruns the same side at half the step and
-    returns only its endpoint position; the frame route computes it by the
-    endpoint product of ``_rk4_endpoint``.  Returns the merged arrays and the
-    Richardson estimate, the largest change of an endpoint position in the
-    half-step rerun (NaN unless ``richardson``).
+    ``side(sign)`` integrates from 0 to sign * tau_max.  It returns arrays
+    with the grid on the last axis (the grid, the arclength, then the
+    derivative stacks, positions first), and the endpoint position of the
+    half-step rerun, or None when the rerun is off.  Returns the merged
+    arrays and the Richardson estimate, the largest change of an endpoint
+    position in the rerun (NaN when it is off).
     """
-    runs = {sign: side(sign) for sign in (1.0, -1.0)}
-    merged = [np.concatenate([m[::-1], p[1:]]) for p, m in zip(runs[1.0], runs[-1.0])]
+    (plus, plus_end), (minus, minus_end) = side(1.0), side(-1.0)
+    merged = [np.concatenate([m[..., ::-1], p[..., 1:]], axis=-1) for p, m in zip(plus, minus)]
     err = math.nan
-    if richardson:
-        err = max(float(np.max(np.abs(run[1][-1] - endpoint(sign)))) for sign, run in runs.items())
+    if plus_end is not None:
+        err = max(
+            float(np.max(np.abs(run[2][0, :, -1] - end)))
+            for run, end in ((plus, plus_end), (minus, minus_end))
+        )
     return merged, err
 
 
-def _cross_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] over the trailing (x, y) axis."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] for arrays with (x, y) on the first axis."""
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def _corrected_arclength(taus: np.ndarray, s_raw: np.ndarray, tau_t_jet: Jet, p: float) -> np.ndarray:
@@ -404,14 +456,15 @@ class FrameSystem:
 
     Y has rows (gamma, xi, eta) and columns (x, y) and starts at gamma = 0,
     xi = (1, 0), eta = (0, eta0).  ``coefficients(tau, u, v)`` returns the
-    nonzero entries {(i, j): a_ij} of A; it runs on arrays for the integrator
-    and on jets for the germ.  An entry in row 3 is no part of the system:
-    it gives one more derivative of gamma as a combination of the frame.
-    ``inputs(profile)`` returns the function that makes (u, v) on a tau
-    array and the jets (u, v) at tau = 0.  ``speed(AZ, Z)`` is the arclength
-    integrand at the states Z.  ``stack_rows[k]`` names the row that holds
-    the k-th derivative of gamma: ("Y", i) or ("AY", i).  ``accepts`` is the
-    test the germ's ``SingularityClass`` must pass.
+    nonzero entries {(i, j): a_ij} of A, none in column 0; it runs on arrays
+    for the integrator and on jets for the germ.  An entry in row 3 is no
+    part of the system: it gives one more derivative of gamma as a
+    combination of the frame.  ``inputs(profile)`` returns the function that
+    makes (u, v) on a tau array and the jets (u, v) at tau = 0.
+    ``speed(gamma', xi, xi')`` is the arclength integrand at states with
+    those rows, each with (x, y) on its first axis.  ``stack_rows[k]`` names
+    the row that holds the k-th derivative of gamma: ("Y", i) or ("AY", i).
+    ``accepts`` is the test the germ's ``SingularityClass`` must pass.
     """
 
     kind: Kind
@@ -523,7 +576,7 @@ EUCLID_CUSP_SYSTEM = FrameSystem(
     coefficients=_euclid_cusp_coefficients,
     inputs=_profile_inputs,
     eta0=1.0,
-    speed=lambda dz, z: np.hypot(dz[..., 0, 0], dz[..., 0, 1]),
+    speed=lambda gamma_d, xi, xi_d: np.hypot(gamma_d[0], gamma_d[1]),
     stack_rows=(("Y", 0), ("AY", 0), ("AY", 3)),
     accepts=attrgetter("is_cusp"),
     germ_name="a cusp",
@@ -533,7 +586,7 @@ AFFINE_CUSP_SYSTEM = FrameSystem(
     coefficients=_affine_cusp_coefficients,
     inputs=_profile_inputs,
     eta0=AFFINE_CUSP_ETA0,
-    speed=lambda dz, z: np.abs(_cross_last(dz[..., 0, :], z[..., 1, :])) ** (1.0 / 3.0),
+    speed=lambda gamma_d, xi, xi_d: np.abs(_cross(gamma_d, xi)) ** (1.0 / 3.0),
     stack_rows=(("Y", 0), ("AY", 0), ("Y", 1), ("Y", 2), ("AY", 2)),
     accepts=attrgetter("is_cusp"),
     germ_name="a cusp",
@@ -543,7 +596,7 @@ INFLECTION_SYSTEM = FrameSystem(
     coefficients=_inflection_coefficients,
     inputs=_inflection_inputs,
     eta0=INFLECTION_ETA0,
-    speed=lambda dz, z: np.abs(_cross_last(z[..., 1, :], dz[..., 1, :])) ** (1.0 / 3.0),
+    speed=lambda gamma_d, xi, xi_d: np.abs(_cross(xi, xi_d)) ** (1.0 / 3.0),
     stack_rows=(("Y", 0), ("Y", 1), ("AY", 1), ("Y", 2), ("AY", 2)),
     accepts=attrgetter("is_inflection"),
     germ_name="a generic inflection",
@@ -557,9 +610,11 @@ SYSTEMS = {s.kind.name: s for s in (EUCLID_CUSP_SYSTEM, AFFINE_CUSP_SYSTEM, INFL
 def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method="frame"):
     """Germ, curve, derivative stacks and arclength of one kind's synthesis.
 
-    The frame route integrates Y' = A Y by RK4 over both sides and reads the
-    derivatives from Y and A Y; the Euclidean quadrature route shares only
-    the germ and the assembly of the result.
+    The frame route integrates Y' = A Y by RK4 over both sides, from one
+    coefficient grid per side, and reads the derivatives from Y and A Y; the
+    Euclidean quadrature route shares only the germ and the assembly of the
+    result.  A side of n steps of h has its Richardson rerun in 2n steps of
+    h/2.
     """
     values, germ_inputs = system.inputs(profile)
     tau = Jet.variable(0.0, GERM_ORDER)
@@ -567,36 +622,34 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method=
     if not system.accepts(_euclid.classify(germ)):
         raise ValueError(f"synthesized germ failed to classify as {system.germ_name}")
 
+    n = _step_count(tau_max, step)
     if method == "quadrature":
-        (taus, positions, s_raw, d1, d2), err = _both_sides(
-            lambda sign: _euclid_quadrature(profile, sign * tau_max, step),
-            lambda sign: _euclid_quadrature(profile, sign * tau_max, 0.5 * step)[1][-1],
-            richardson,
-        )
-        derivatives = [positions.T, d1.T, d2.T]
+
+        def side(sign):
+            run = _euclid_quadrature(profile, sign * tau_max, n)
+            if not richardson:
+                return run, None
+            return run, _euclid_quadrature(profile, sign * tau_max, 2 * n)[2][0, :, -1]
+
     else:
+        # One coefficient grid per side, at quarter steps when the rerun is
+        # on: the run reads it at half steps, the stacks at full steps and
+        # the rerun, 2n steps of h/2, at every point.
+        sub = 4 if richardson else 2
 
-        def half_grid_system(sign, side_step):
-            taus_half, h, n = _half_grid(sign * tau_max, side_step)
-            A = _frame_matrix(system.coefficients(taus_half, *values(taus_half)), len(taus_half))
-            return taus_half, h, n, A
+        def side(sign):
+            taus_fine = np.linspace(0.0, sign * tau_max, sub * n + 1)
+            C = _frame_blocks(system.coefficients(taus_fine, *values(taus_fine)), len(taus_fine))
+            h = sign * tau_max / n
+            frames, s = _rk4(C[..., :: sub // 2], system.frame0, h, n, system.speed)
+            AY = _matmul(C[..., ::sub], frames[1:])
+            rows = {"Y": frames, "AY": AY}
+            stacks = np.stack([rows[source][i] for source, i in system.stack_rows])
+            end = _rk4_endpoint(C, system.frame0, 0.5 * h)[0] if richardson else None
+            return (taus_fine[::sub], s, stacks), end
 
-        def frame_side(sign):
-            taus_half, h, n, A = half_grid_system(sign, step)
-            frames, s = _rk4(A, system.frame0, h, n, system.speed)
-            return taus_half[::2], frames[:, 0], s, frames
-
-        def frame_endpoint(sign):
-            _, h, _, A = half_grid_system(sign, 0.5 * step)
-            return _rk4_endpoint(A, system.frame0, h)[0]
-
-        (taus, positions, s_raw, frames), err = _both_sides(frame_side, frame_endpoint, richardson)
-        Y = frames.transpose(1, 2, 0)  # Y[i] is row i, shape (2, n)
-        AY = {}
-        for (i, j), a in system.coefficients(taus, *values(taus)).items():
-            AY[i] = AY[i] + a * Y[j] if i in AY else a * Y[j]
-        derivatives = [Y[i] if source == "Y" else AY[i] for source, i in system.stack_rows]
-
+    (taus, s_raw, derivatives), err = _both_sides(side)
+    positions = derivatives[0].T.copy()
     jets = system.kind.jets(germ)
     stacks = np.zeros((5, 2, len(taus)))
     stacks[: len(derivatives)] = derivatives
@@ -640,44 +693,73 @@ def synthesize_euclidean_cusp(
     return _synthesize(EUCLID_CUSP_SYSTEM, profile, tau_max, step, richardson, method)
 
 
-def _euclid_quadrature(profile, tau_end: float, step: float):
-    """Direct quadrature route from 0 to tau_end: nested Gauss panels per step for theta and gamma.
+def _euclid_quadrature(profile, tau_end: float, n: int):
+    """Direct quadrature route from 0 to tau_end in n steps, by Gauss panels per step.
 
-    Returns the grid, the positions, the arclength and gamma', gamma'' there,
-    each with the grid on the first axis.
+    Returns the grid, the arclength and the derivative stacks
+    (gamma, gamma', gamma''), shape (3, 2, n + 1), with the grid on the
+    last axis.
     """
     x8, w8 = _gauss_01(8)
-    n = max(1, math.ceil(abs(tau_end) / step))
     h = tau_end / n
     starts = h * np.arange(n)
-    # main nodes per step: a + h x_i ; inner nodes: a + h x_i x_j
     main = starts[:, None] + h * x8[None, :]
-    inner = starts[:, None, None] + h * (x8[:, None] * x8[None, :])[None, :, :]
-    fm = np.asarray(profile(main.ravel()), dtype=float).reshape(main.shape)
-    fi = np.asarray(profile(inner.ravel()), dtype=float).reshape(inner.shape)
-    # theta at step starts (cumulative) and at main nodes
-    dtheta = 2.0 * h * (fm @ w8)
-    theta_start = np.concatenate([[0.0], np.cumsum(dtheta)])
-    theta_main = theta_start[:-1, None] + 2.0 * h * x8[None, :] * (fi @ w8)
+    taus = np.concatenate([[0.0], starts + h])
+    f = np.asarray(profile(np.concatenate([main.ravel(), taus])), dtype=float)
+    theta_start, theta_main = _quadrature_theta(f[: main.size].reshape(main.shape), h)
     # gamma increment per step and speed samples
-    cx = np.cos(theta_main)
-    sx = np.sin(theta_main)
-    gx = h * ((2.0 * main * cx) @ w8)
-    gy = h * ((2.0 * main * sx) @ w8)
-    pos = np.zeros((n + 1, 2))
-    pos[1:, 0] = np.cumsum(gx)
-    pos[1:, 1] = np.cumsum(gy)
+    gx = h * ((2.0 * main * np.cos(theta_main)) @ w8)
+    gy = h * ((2.0 * main * np.sin(theta_main)) @ w8)
+    pos = np.zeros((2, n + 1))
+    pos[0, 1:] = np.cumsum(gx)
+    pos[1, 1:] = np.cumsum(gy)
     ds = h * ((2.0 * np.abs(main)) @ w8)
     s = np.concatenate([[0.0], np.cumsum(ds)])
-    taus = np.concatenate([[0.0], starts + h])
     # derivatives at step points from theta there
-    theta_pts = theta_start
-    f_pts = np.asarray(profile(taus), dtype=float)
-    d1 = 2.0 * taus * np.array([np.cos(theta_pts), np.sin(theta_pts)])
-    d2 = 2.0 * np.array([np.cos(theta_pts), np.sin(theta_pts)]) + 2.0 * taus * 2.0 * f_pts * np.array(
-        [-np.sin(theta_pts), np.cos(theta_pts)]
-    )
-    return taus, pos, s, d1.T, d2.T
+    f_pts = f[main.size :]
+    unit = np.array([np.cos(theta_start), np.sin(theta_start)])
+    normal = np.array([-unit[1], unit[0]])
+    d1 = 2.0 * taus * unit
+    d2 = 2.0 * unit + 2.0 * taus * 2.0 * f_pts * normal
+    return taus, s, np.stack([pos, d1, d2])
+
+
+def _quadrature_theta(f_main: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """theta = 2 * integral of f at the step points and at the Gauss nodes of each step.
+
+    ``f_main`` holds f at the 8 Gauss nodes of each step, shape (n, 8).
+    theta at the step points is the cumulative Gauss sum; at the nodes of a
+    step it adds 2 h (f_main @ M^T), with M the integration matrix of
+    ``_gauss_integration_matrix``.  Returns theta at the n + 1 step points
+    and at the nodes, shape (n, 8).
+    """
+    _, w8 = _gauss_01(8)
+    theta_start = np.concatenate([[0.0], np.cumsum(2.0 * h * (f_main @ w8))])
+    return theta_start, theta_start[:-1, None] + 2.0 * h * (f_main @ _gauss_integration_matrix(8).T)
+
+
+_INTEGRATION_CACHE: dict[int, np.ndarray] = {}
+
+
+def _gauss_integration_matrix(n: int) -> np.ndarray:
+    """M[i, j] = integral_0^{x_i} l_j(u) du over the n Gauss nodes x of [0, 1].
+
+    l_j is the Lagrange basis polynomial of node j, so M @ f(x) integrates
+    the interpolant of f from 0 to each node, exactly for polynomials of
+    degree < n (Greengard's spectral integration matrix).  l_j is evaluated
+    in product form at the nested nodes x_i x_m, where the n-point Gauss
+    rule on [0, x_i] integrates it exactly; no Vandermonde matrix is
+    inverted.  Built on first use, like the nodes of ``jets._gauss_01``.
+    """
+    if n not in _INTEGRATION_CACHE:
+        x, w = _gauss_01(n)
+        others = ~np.eye(n, dtype=bool)
+        # factors[i, m, j, k] = (x_i x_m - x_k) / (x_j - x_k), and 1 for k = j.
+        nested = np.outer(x, x)[:, :, None, None]
+        factors = np.where(others, (nested - x) / np.where(others, x[:, None] - x, 1.0), 1.0)
+        basis = np.prod(factors, axis=-1)  # basis[i, m, j] = l_j(x_i x_m)
+        _INTEGRATION_CACHE[n] = x[:, None] * np.einsum("m,imj->ij", w, basis)
+    return _INTEGRATION_CACHE[n]
 
 
 # -- affine cusp and generic inflection -------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from conftest import MODEL_GERMS
 
+import cuspkit
 from cuspkit import affine, cli, euclidean
 from cuspkit.dsl import CATALOG_CUSPS, CATALOG_INFLECTIONS, catalog_lookup, parse_curve
 from cuspkit.profiles import Profiler
@@ -12,6 +16,20 @@ def _run(capsys, argv):
     code = cli.main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+# -- import cost ------------------------------------------------------------------
+
+
+def test_import_does_not_load_numpy_polynomial():
+    # The Gauss nodes and the seed interpolant look numpy.polynomial up on
+    # first use, so a run that never needs them does not load it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cuspkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, cuspkit, cuspkit.cli; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- one parser per process ------------------------------------------------------

@@ -84,6 +84,23 @@ def test_errors_past_the_first_line_name_their_line_and_column(text, message):
     assert (err.value.line, err.value.column) == (int(line), int(column))
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_curve, "(t,\n   b*t)", "line 2, column 4: unbound parameter(s): b"),
+        (parse_curve, "(t,\n  t^2\n   + 2*c)", "line 3, column 8: unbound parameter(s): c"),
+        # Two names: the error points at the first occurrence of either.
+        (parse_curve, "(t,\n  t + c*t\n  + b + c)", "line 2, column 7: unbound parameter(s): b, c"),
+        (parse_curve, "(t,\n  t^2\n  + b) with a=1", "line 3, column 5: unbound parameter(s): b"),
+        (parse_expression, "1 +\n  t*\n  k", "line 3, column 3: unbound parameter(s): k"),
+    ],
+)
+def test_unbound_parameter_error_points_at_its_first_occurrence(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_precedence_matches_standard_notation():
     # ^ binds tighter than unary minus, which binds tighter than * and /
     spec = parse_curve("(-t^2, 2*t + t*t)")

@@ -8,7 +8,7 @@ import pytest
 from cuspkit import cli
 from cuspkit import synthesis as S
 from cuspkit.dsl import parse_expression
-from cuspkit.jets import Jet, PlaneJet, deflate
+from cuspkit.jets import Jet, PlaneJet, _gauss_01, deflate
 from cuspkit.synthesis import synthesize_euclidean_cusp
 
 
@@ -34,15 +34,26 @@ KINDS = tuple(PROFILES)
 
 
 def _system(kind, taus_half):
-    """(A, speed, frame0) of one kind's frame system on a half-step grid."""
+    """(A, C, speed, frame0) of one kind's frame system on a half-step grid.
+
+    A is the textbook (n, 3, 3) coefficient matrix, C the entries-first
+    blocks that the integrator takes.
+    """
     profile = S.as_profile(parse_expression(PROFILES[kind]))
     system = S.SYSTEMS[kind]
     values, _ = system.inputs(profile)
-    A = S._frame_matrix(system.coefficients(taus_half, *values(taus_half)), len(taus_half))
-    return A, system.speed, system.frame0
+    entries = system.coefficients(taus_half, *values(taus_half))
+    A = np.zeros((len(taus_half), 3, 3))
+    for (i, j), a in entries.items():
+        if i < 3:
+            A[:, i, j] = a
+    return A, S._frame_blocks(entries, len(taus_half)), system.speed, system.frame0
 
 
 def _textbook_rk4(A, frame0, h, n_steps, speed):
+    def sigma(d, z):  # gamma', xi and xi' of a stage state
+        return speed(d[0], z[1], d[1])
+
     y, s = frame0.copy(), 0.0
     frames, arclength = [y], [s]
     for k in range(n_steps):
@@ -56,7 +67,7 @@ def _textbook_rk4(A, frame0, h, n_steps, speed):
         d4 = A[2 * k + 2] @ z4
         y = y + h / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
         s = s + h / 6.0 * (
-            speed(d1, z1) + 2.0 * speed(d2, z2) + 2.0 * speed(d3, z3) + speed(d4, z4)
+            sigma(d1, z1) + 2.0 * sigma(d2, z2) + 2.0 * sigma(d3, z3) + sigma(d4, z4)
         )
         frames.append(y)
         arclength.append(s)
@@ -73,13 +84,26 @@ def _rel_err(got, want):
 def test_rk4_matches_textbook_loop(kind, n_steps, tau_max):
     taus_half = np.linspace(0.0, tau_max, 2 * n_steps + 1)
     h = tau_max / n_steps
-    A, speed, frame0 = _system(kind, taus_half)
-    frames, s = S._rk4(A, frame0, h, n_steps, speed)
+    A, C, speed, frame0 = _system(kind, taus_half)
+    frames, s = S._rk4(C, frame0, h, n_steps, speed)
     want_frames, want_s = _textbook_rk4(A, frame0, h, n_steps, speed)
-    assert frames.shape == (n_steps + 1, 3, 2)
-    assert _rel_err(frames, want_frames) <= 1e-13
+    assert frames.shape == (3, 2, n_steps + 1)
+    assert _rel_err(frames.transpose(2, 0, 1), want_frames) <= 1e-13
     assert _rel_err(s, want_s) <= 1e-13
-    assert _rel_err(S._rk4_endpoint(A, frame0, h), want_frames[-1]) <= 1e-13
+    assert _rel_err(S._rk4_endpoint(C, frame0, h), want_frames[-1]) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_frame_system_feeds_gamma_back(kind):
+    taus = np.linspace(-0.5, 0.5, 11)
+    system = S.SYSTEMS[kind]
+    values, _ = system.inputs(S.as_profile(parse_expression(PROFILES[kind])))
+    assert all(j != 0 for _, j in system.coefficients(taus, *values(taus)))
+
+
+def test_block_assembly_rejects_a_gamma_column_entry():
+    with pytest.raises(ValueError, match="a20"):
+        S._frame_blocks({(0, 1): 1.0, (2, 0): 0.5}, 3)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -93,34 +117,72 @@ def test_synthesis_is_fourth_order(kind):
     assert 14.0 <= ratio <= 18.0
 
 
+# -- the quadrature route's theta ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_integration_matrix_is_exact_through_degree_seven(k):
+    x, _ = _gauss_01(8)
+    M = S._gauss_integration_matrix(8)
+    assert np.max(np.abs(M @ x**k - x ** (k + 1) / (k + 1))) <= 1e-15
+
+
+@pytest.mark.parametrize("tau_end, n", [(0.9, 50), (-0.9, 50), (1.0, 7)])
+def test_quadrature_theta_matches_the_closed_form_of_a_cubic(tau_end, n):
+    c = [0.7, -1.3, 0.9, 2.1]
+    h = tau_end / n
+    starts = h * np.arange(n)
+    main = starts[:, None] + h * _gauss_01(8)[0]
+    theta_start, theta_main = S._quadrature_theta(np.polyval(c[::-1], main), h)
+
+    def theta(t):  # 2 * integral_0^t of the cubic
+        return 2.0 * sum(ck * t ** (k + 1) / (k + 1) for k, ck in enumerate(c))
+
+    assert np.max(np.abs(theta_start - theta(np.concatenate([[0.0], starts + h])))) <= 1e-14
+    assert np.max(np.abs(theta_main - theta(main))) <= 1e-14
+
+
 # -- the Richardson step error ---------------------------------------------------------
 
 ROUTES = [(kind, {}) for kind in KINDS] + [("euclid-cusp", {"method": "quadrature"})]
 
 
 def _reference_step_error(kind, kw, tau_max, step):
-    """Rerun each side in full at half the step and compare endpoints."""
+    """Rerun each side in full, 2n steps of h/2, and compare endpoints."""
     fn = parse_expression(PROFILES[kind])
     res = S.synthesize(kind, fn, tau_max, step=step, richardson=False, **kw)
+    n = S._step_count(tau_max, step)
     errs = []
     for sign, end in ((1.0, res.positions[-1]), (-1.0, res.positions[0])):
         if kw.get("method") == "quadrature":
-            half = S._euclid_quadrature(res.input_profile, sign * tau_max, 0.5 * step)[1]
+            half = S._euclid_quadrature(res.input_profile, sign * tau_max, 2 * n)[2][0]
         else:
-            taus_half, h, n = S._half_grid(sign * tau_max, 0.5 * step)
-            A, speed, frame0 = _system(kind, taus_half)
-            half = S._rk4(A, frame0, h, n, speed)[0][:, 0]
-        errs.append(float(np.max(np.abs(end - half[-1]))))
+            _, C, speed, frame0 = _system(kind, np.linspace(0.0, sign * tau_max, 4 * n + 1))
+            half = S._rk4(C, frame0, 0.5 * (sign * tau_max / n), 2 * n, speed)[0][0]
+        assert half.shape == (2, 2 * n + 1)
+        errs.append(float(np.max(np.abs(end - half[:, -1]))))
     return max(errs)
 
 
 @pytest.mark.parametrize("kind, kw", ROUTES)
-@pytest.mark.parametrize("half_steps", [1, 2, 3, 7, 64, 65, 1000])
-def test_step_error_is_the_full_half_step_rerun(kind, kw, half_steps):
-    # Binary fractions: the rerun takes exactly half_steps steps per side.
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 64, 65, 1000])
+def test_step_error_is_the_full_half_step_rerun(kind, kw, steps):
+    # Binary fractions: the run takes exactly ``steps`` steps per side.
     step = 2.0**-10
-    tau_max = half_steps * step / 2.0
-    assert S._half_grid(tau_max, 0.5 * step)[2] == half_steps
+    tau_max = steps * step
+    assert S._step_count(tau_max, step) == steps
+    fn = parse_expression(PROFILES[kind])
+    res = S.synthesize(kind, fn, tau_max, step=step, **kw)
+    assert res.step_error == _reference_step_error(kind, kw, tau_max, step)
+
+
+@pytest.mark.parametrize("kind, kw", ROUTES)
+def test_step_error_rerun_doubles_a_rounded_up_step_count(kind, kw):
+    # 0.3004 / 1e-3 rounds up to n = 301 steps; the rerun takes 2n = 602,
+    # where ceil(0.6008 / 1e-3) = 601 half steps would not double the run.
+    tau_max, step = 0.3004, 1e-3
+    assert S._step_count(tau_max, step) == 301
+    assert math.ceil(tau_max / (0.5 * step)) == 601
     fn = parse_expression(PROFILES[kind])
     res = S.synthesize(kind, fn, tau_max, step=step, **kw)
     assert res.step_error == _reference_step_error(kind, kw, tau_max, step)
