@@ -102,12 +102,20 @@ class Power:
 Expression = Union[Num, Sym, Neg, BinOp, Func, Power]
 
 
-def evaluate(expr: Expression, t, params: dict[str, float]):
+# Functions that come in pairs from one Taylor recurrence on jets: the
+# pair's hyperbolic flag and the function's place in it.
+_PAIRED = {"sin": (False, 0), "cos": (False, 1), "sinh": (True, 0), "cosh": (True, 1)}
+
+
+def evaluate(expr: Expression, t, params: dict[str, float], pairs: dict | None = None):
     """Evaluate an expression with the parameter symbol bound to ``t``.
 
     ``t`` may be a float, a numpy array or a Jet (scalar or batched); the
     result is whatever the algebra produces (a plain float if the expression
-    does not involve t).
+    does not involve t).  ``pairs``, a dict shared by the calls on one ``t``,
+    keeps (sin, cos) and (sinh, cosh) of each argument, so that both members
+    of a pair come from one evaluation of the argument and, on jets, one
+    recurrence.  The values are the same with or without it.
     """
     if isinstance(expr, Num):
         return expr.value
@@ -119,10 +127,10 @@ def evaluate(expr: Expression, t, params: dict[str, float]):
         except KeyError:
             raise ValueError(f"unbound parameter '{expr.name}'") from None
     if isinstance(expr, Neg):
-        return -evaluate(expr.arg, t, params)
+        return -evaluate(expr.arg, t, params, pairs)
     if isinstance(expr, BinOp):
-        a = evaluate(expr.left, t, params)
-        b = evaluate(expr.right, t, params)
+        a = evaluate(expr.left, t, params, pairs)
+        b = evaluate(expr.right, t, params, pairs)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
@@ -131,9 +139,19 @@ def evaluate(expr: Expression, t, params: dict[str, float]):
             return a * b
         return a / b
     if isinstance(expr, Func):
-        return FUNCTIONS[expr.name](evaluate(expr.arg, t, params))
+        if pairs is None or expr.name not in _PAIRED:
+            return FUNCTIONS[expr.name](evaluate(expr.arg, t, params, pairs))
+        hyperbolic, member = _PAIRED[expr.name]
+        key = (expr.arg, hyperbolic)
+        if key not in pairs:
+            arg = evaluate(expr.arg, t, params, pairs)
+            if isinstance(arg, Jet):
+                pairs[key] = arg._circular(hyperbolic)
+            else:
+                pairs[key] = (sinh(arg), cosh(arg)) if hyperbolic else (sin(arg), cos(arg))
+        return pairs[key][member]
     if isinstance(expr, Power):
-        return rational_pow(evaluate(expr.base, t, params), expr.num, expr.den)
+        return rational_pow(evaluate(expr.base, t, params, pairs), expr.num, expr.den)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -393,8 +411,9 @@ class CurveSpec:
 
     def _components(self, t: Jet) -> tuple[Jet, Jet]:
         """Both components on the jet t; one free of t is padded to a constant jet."""
-        x = evaluate(self.x_expr, t, self.params)
-        y = evaluate(self.y_expr, t, self.params)
+        pairs: dict = {}
+        x = evaluate(self.x_expr, t, self.params, pairs)
+        y = evaluate(self.y_expr, t, self.params, pairs)
         if not isinstance(x, Jet):
             x = Jet.constant(float(x), t.order, t.base_point)
         if not isinstance(y, Jet):

@@ -255,17 +255,26 @@ class Jet:
         return NotImplemented
 
     def __pow__(self, e):
+        """Integer power by binary exponentiation (a negative e inverts first).
+
+        Only products that change the value are formed: none with the
+        constant-1 jet, and no square past the highest bit of e.  So t^2
+        takes 1 truncated product, t^3 2 and t^5 3.
+        """
         if isinstance(e, int):
             if e < 0:
                 return (1.0 / self) ** (-e)
-            result = Jet.constant(1.0, self.order, self.base_point)
+            if e == 0:
+                return Jet.constant(1.0, self.order, self.base_point)
+            result = None
             base = self
-            while e:
+            while True:
                 if e & 1:
-                    result = result * base
-                base = base * base
+                    result = base if result is None else result * base
                 e >>= 1
-            return result
+                if not e:
+                    return result
+                base = base * base
         return NotImplemented
 
     def pow_rational(self, m: int, n: int) -> "Jet":
@@ -297,16 +306,20 @@ class Jet:
 
     # -- elementary functions (standard Taylor recurrences) -----------------
     # Coefficient 0 comes from the dispatchers below: math.* for a scalar, np.* for a batch.
+    # The products j * u[j] of the argument's coefficients are formed once per call.
 
     def exp(self) -> "Jet":
         u = _terms(self.coeffs)
+        ju = [j * u[j] for j in range(len(u))]
         v = [exp(u[0])]
         for k in range(1, len(u)):
-            v.append(sum(j * u[j] * v[k - j] for j in range(1, k + 1)) / k)
+            v.append(sum(ju[j] * v[k - j] for j in range(1, k + 1)) / k)
         return _wrap(np.array(v), self.base_point)
 
     def _circular(self, hyperbolic: bool) -> tuple["Jet", "Jet"]:
+        """(sin, cos) of this jet, or (sinh, cosh) with ``hyperbolic``, from one recurrence."""
         u = _terms(self.coeffs)
+        ju = [j * u[j] for j in range(len(u))]
         if hyperbolic:
             s, c = [sinh(u[0])], [cosh(u[0])]
             sign = 1.0
@@ -314,8 +327,8 @@ class Jet:
             s, c = [sin(u[0])], [cos(u[0])]
             sign = -1.0
         for k in range(1, len(u)):
-            s.append(sum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k)
-            c.append(sign * sum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k)
+            s.append(sum(ju[j] * c[k - j] for j in range(1, k + 1)) / k)
+            c.append(sign * sum(ju[j] * s[k - j] for j in range(1, k + 1)) / k)
         return _wrap(np.array(s), self.base_point), _wrap(np.array(c), self.base_point)
 
     def sin(self) -> "Jet":
@@ -565,16 +578,21 @@ def _gauss_panel(integrand, ts: np.ndarray, nodes: np.ndarray, weights: np.ndarr
     ``integrand`` maps the flat array of every t * nodes[j] to its values in
     one call, so a whole grid of quadratures is one vectorized evaluation.
     Given points ``also_at``, the same call evaluates the integrand there
-    too, and (panel, integrand(also_at)) is returned.  The panel is the same
-    (len(ts), len(nodes)) matrix-vector product either way, so its rounding
-    does not depend on ``also_at``.
+    too, and (panel, integrand(also_at)) is returned.
+
+    Each t's sum is numpy's pairwise sum over its own row of products, so
+    its rounding depends neither on the other t's of the batch nor on
+    ``also_at``.  (A BLAS matrix-vector product rounds a 1-row and an n-row
+    batch differently.)
     """
     ts = np.atleast_1d(ts)
     args = np.outer(ts, nodes).ravel()
     if also_at is None:
-        return integrand(args).reshape(len(ts), len(nodes)) @ weights
-    values = integrand(np.concatenate([args, also_at]))
-    return values[: args.size].reshape(len(ts), len(nodes)) @ weights, values[args.size :]
+        values = integrand(args)
+    else:
+        values = integrand(np.concatenate([args, also_at]))
+    panel = (values[: args.size].reshape(len(ts), len(nodes)) * weights).sum(axis=1)
+    return panel if also_at is None else (panel, values[args.size :])
 
 
 def _rational_substitution(alpha: float) -> tuple[int, float]:

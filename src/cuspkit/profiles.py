@@ -35,11 +35,21 @@ then runs on the cheap map t L^p, whose slope is L^p + p t L^(p-1) L', and
 the direct route reads s from the same interpolant.  Only a grid of zeros
 uses the exact quadrature map, whose slope is p phi L^(p-1).
 
+The interpolant (``ChebyshevInterpolant``) keeps its samples at the
+Chebyshev points of the second kind and the values of L' there beside its
+coefficients.  A batch of at most ``SEED_NODES`` points reads L and L' from
+the samples by the barycentric formula, in a few numpy calls; a larger one,
+and every evaluation of s, runs Clenshaw's recurrence on the coefficients,
+whose rounding at a point does not depend on the rest of the batch.  So a
+grid's values do not depend on the grid's size.
+
 Newton's method itself (``invert_monotone``) calls one fused
-``value_and_slope`` evaluation per step.  On grids of more than
-``SEED_NODES`` points it first solves the Chebyshev points of the grid's
-tau range; the interpolant t(tau) through them only supplies the starting
-point of the final iteration on the whole grid.
+``value_and_slope`` evaluation per step.  It starts from the linear
+interpolation of the samples' table (t_j L_j^p, t_j).  On grids of more
+than ``SEED_NODES`` points it first solves the ``SEED_NODES`` Chebyshev
+points of the first kind on the grid's tau range; the interpolant t(tau)
+through them only supplies the starting point of the final iteration on
+the whole grid.
 """
 
 from __future__ import annotations
@@ -83,37 +93,79 @@ class NormalizedProfile:
     fddot0: float
 
 
-def invert_monotone(value_and_slope, targets, slope0: float, bounds=(-np.inf, np.inf)):
+def invert_monotone(
+    value_and_slope, targets, slope0: float, bounds=(-np.inf, np.inf), table=None
+):
     """Solve tau(t) = target for each target of a smooth increasing map.
 
     ``value_and_slope(t)`` returns (tau(t), dtau/dt(t)) for an array t, so a
     Newton step costs one evaluation.  ``slope0`` is the (positive)
-    derivative at t = 0, used as the starting guess t = target / slope0 and
-    as a floor for the Newton slope near the origin.  Iterates are clipped
-    to ``bounds``, the range on which the map is defined.
+    derivative at t = 0, the floor for the Newton slope near the origin.
+    Newton starts from the linear interpolation of ``table``, a pair
+    (taus, ts) of samples of the map with taus increasing, or without one
+    from t = target / slope0.  Iterates are clipped to ``bounds``, the range
+    on which the map is defined.
 
     When there are more than ``SEED_NODES`` targets, not all equal, the
-    ``SEED_NODES`` Chebyshev points of [min target, max target] are solved
-    first, and their Chebyshev interpolant t(tau) gives the starting t of
-    every target.  Either way the result is the Newton iterate on the given
-    map that meets |tau(t) - target| < 1e-13 * max(1, max |target|).
-    ``invert_adapted`` passes the cheap interpolated map tau = t L(t)^p here.
+    ``SEED_NODES`` Chebyshev points of the first kind on [min target,
+    max target] are solved first, and their Chebyshev interpolant t(tau)
+    gives the starting t of every target.  Either way the result is the
+    Newton iterate on the given map that meets
+    |tau(t) - target| < 1e-13 * max(1, max |target|).  ``invert_adapted``
+    passes the cheap interpolated map tau = t L(t)^p here, with the samples
+    of L as the table.
 
     Raises ``ValueError`` when the iteration does not converge, as when the
     grid reaches past the next singular point of the curve.
     """
     targets = np.asarray(targets, dtype=float)
-    start = targets / slope0
+
+    def start(taus):
+        return taus / slope0 if table is None else np.interp(taus, *table)
+
     if targets.size > SEED_NODES:
         lo, hi = float(np.min(targets)), float(np.max(targets))
         if lo < hi:
-            seed = np.polynomial.Chebyshev.interpolate(
-                lambda taus: _newton(value_and_slope, taus, taus / slope0, slope0, bounds),
-                SEED_NODES - 1,
-                domain=[lo, hi],
+            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            points, basis = _first_kind(SEED_NODES)
+            taus = mid + half * points
+            ts = _newton(value_and_slope, taus, start(taus), slope0, bounds)
+            seed = (basis @ ts).tolist()  # t(tau)'s Chebyshev coefficients
+            return _newton(
+                value_and_slope, targets, _clenshaw((targets - mid) / half, seed), slope0, bounds
             )
-            start = seed(targets)
-    return _newton(value_and_slope, targets, start, slope0, bounds)
+    return _newton(value_and_slope, targets, start(targets), slope0, bounds)
+
+
+_FIRST_KIND_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _first_kind(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Chebyshev points of the first kind, and their coefficient map.
+
+    The points are x_j = cos(pi (j + 1/2) / n); the map is the matrix B with
+    c = B @ y the Chebyshev coefficients of the interpolant of samples y at
+    them.  Built on first use, like the nodes of ``jets._gauss_01``.
+    """
+    if n not in _FIRST_KIND_CACHE:
+        angles = np.pi * (np.arange(n) + 0.5) / n
+        basis = np.cos(np.outer(np.arange(n), angles)) * (2.0 / n)
+        basis[0] *= 0.5
+        _FIRST_KIND_CACHE[n] = (np.cos(angles), basis)
+    return _FIRST_KIND_CACHE[n]
+
+
+def _clenshaw(x, c: list):
+    """sum_k c[k] T_k(x) by Clenshaw's recurrence, in numpy's ``chebval`` order.
+
+    ``c`` is a list of at least two floats; the rounding of each value of x
+    does not depend on the others.
+    """
+    x2 = 2.0 * x
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def _newton(value_and_slope, targets, start, slope0, bounds=(-np.inf, np.inf)):
@@ -154,12 +206,14 @@ def invert_adapted(
     ``exact_value_and_slope`` is the quadrature map with its slope;
     ``factor_jet`` (a jet of L at t = 0) and ``factor_quadrature`` (an array
     function) give L inside and outside ``SWITCH_RADIUS``.  The two extreme
-    targets, with 0 among them, are solved on the exact map, L is
-    interpolated on that t-range, and ``invert_monotone`` runs on the cheap
-    map, clipped to the range.  The interpolant of L is returned with the
-    solution so that the caller can evaluate s on the same grid; it is None
-    when every target is 0 and the exact map was used.  A grid that is not a
-    non-empty 1-D array, or a non-finite target, raises ``ValueError``.
+    targets, with 0 among them, are solved on the exact map, and L is
+    interpolated on that t-range (a ``ChebyshevInterpolant``).
+    ``invert_monotone`` then runs on the cheap map, clipped to the range,
+    from the table of the interpolant's own samples (t_j L_j^p, t_j).  The
+    interpolant of L is returned with the solution so that the caller can
+    evaluate s on the same grid; it is None when every target is 0 and the
+    exact map was used.  A grid that is not a non-empty 1-D array, or a
+    non-finite target, raises ``ValueError``.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1 or targets.size == 0:
@@ -182,14 +236,14 @@ def invert_adapted(
         return out
 
     L = _chebyshev_interpolant(factor, t_range)
-    dL = L.deriv()
 
     def value_and_slope(ts):
-        Lt = L(ts)
+        Lt, dL = L.value_and_derivative(ts)
         Lp = Lt**p
-        return ts * Lp, Lp + p * ts * Lp / Lt * dL(ts)
+        return ts * Lp, Lp + p * ts * Lp / Lt * dL
 
-    return invert_monotone(value_and_slope, targets, slope0, bounds=t_range), L
+    table = (L.nodes[::-1] * L.samples[::-1] ** p, L.nodes[::-1])
+    return invert_monotone(value_and_slope, targets, slope0, t_range, table), L
 
 
 def _t_range(exact_value_and_slope, targets, slope0: float):
@@ -208,13 +262,83 @@ def _t_range(exact_value_and_slope, targets, slope0: float):
     return float(t_lo - pad), float(t_hi + pad)
 
 
-def _chebyshev_interpolant(f, domain):
+class ChebyshevInterpolant:
+    """A polynomial on [lo, hi], kept as Chebyshev coefficients and as samples.
+
+    ``samples`` are its values at the Chebyshev points of the second kind,
+    ``nodes`` t_j = mid + half cos(pi j / n), j = 0..n; ``coeffs`` are the
+    coefficients computed from them, and the derivative is kept the same two
+    ways.  Calling it evaluates by Clenshaw's recurrence on the coefficients
+    (in numpy's ``Chebyshev`` order): O(n) numpy calls, and a value's
+    rounding does not depend on the other points of the batch.
+    ``value_and_derivative`` does the same for batches of more than
+    ``SEED_NODES`` points, so a grid's values do not depend on its size.
+    Smaller batches, such as the seed solve's, use the barycentric formula
+    on the samples (Berrut & Trefethen, "Barycentric Lagrange
+    interpolation", SIAM Review 46, 2004): O(1) numpy calls on an
+    (m, n + 1) array, and a point on a node returns the node's sample.
+    """
+
+    def __init__(self, coeffs: np.ndarray, domain, samples: np.ndarray):
+        lo, hi = domain
+        n = len(coeffs) - 1
+        self.domain = (lo, hi)
+        self.coeffs = coeffs
+        self.samples = samples
+        self.nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n + 1) / n)
+        # t -> x in [-1, 1] as numpy's Chebyshev class maps its domain.
+        self._off, self._scl = (-hi - lo) / (hi - lo), 2.0 / (hi - lo)
+        self._c = coeffs.tolist()
+        self._dc = np.polynomial.chebyshev.chebder(coeffs, scl=self._scl).tolist()
+        # The derivative's values at the nodes, sum_k dc_k cos(pi j k / n),
+        # through the even extension as in ``_chebyshev_interpolant``.
+        dc = np.zeros(n + 1)
+        dc[:n] = self._dc
+        dc[0] *= 2.0
+        self.derivative_samples = np.fft.rfft(np.concatenate([dc, dc[-2:0:-1]])).real / 2.0
+        self._weights = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+        self._weights[[0, n]] *= 0.5
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __call__(self, ts):
+        return _clenshaw(self._off + self._scl * ts, self._c)
+
+    def value_and_derivative(self, ts):
+        """(L(ts), L'(ts)): barycentric up to ``SEED_NODES`` points, Clenshaw beyond."""
+        if np.size(ts) > SEED_NODES:
+            return self._clenshaw(ts)
+        return self._barycentric(ts)
+
+    def _clenshaw(self, ts):
+        x = self._off + self._scl * ts
+        return _clenshaw(x, self._c), _clenshaw(x, self._dc)
+
+    def _barycentric(self, ts):
+        d = np.subtract.outer(ts, self.nodes)
+        hit = d == 0.0
+        on_node = hit.any()
+        if on_node:  # those rows take the node's samples below
+            d[hit] = 1.0
+        r = self._weights / d
+        den = r.sum(axis=1)
+        L = (r * self.samples).sum(axis=1) / den
+        dL = (r * self.derivative_samples).sum(axis=1) / den
+        if on_node:
+            rows, cols = np.nonzero(hit)
+            L[rows], dL[rows] = self.samples[cols], self.derivative_samples[cols]
+        return L, dL
+
+
+def _chebyshev_interpolant(f, domain) -> ChebyshevInterpolant:
     """Chebyshev interpolant of f on ``domain``, its degree chosen adaptively.
 
     Samples sit at the Chebyshev points of the second kind, so each doubling
     of the degree reuses every earlier sample.  The first degree in
     ``CHEB_DEGREES`` whose upper half of coefficients is at most ``CHOP_TOL``
-    times the largest coefficient is kept.
+    times the largest coefficient is kept, with its samples.
     """
     lo, hi = domain
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -233,7 +357,7 @@ def _chebyshev_interpolant(f, domain):
         scale = np.max(np.abs(c))
         tail = np.max(np.abs(c[n // 2 :]))
         if tail <= CHOP_TOL * scale:
-            return np.polynomial.Chebyshev(c, domain=[lo, hi])
+            return ChebyshevInterpolant(c, (lo, hi), vals)
     raise ValueError(
         "parameter inversion did not converge: the arclength factor L(t) on "
         f"t in [{lo:.10g}, {hi:.10g}] is not resolved by a Chebyshev interpolant "

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import MODEL_GERMS
@@ -6,9 +8,11 @@ from cuspkit.dsl import (
     CATALOG_NAMES,
     ParseError,
     catalog_lookup,
+    evaluate,
     parse_curve,
     parse_expression,
 )
+from cuspkit.jets import Jet
 
 ALL_CATALOG = [
     ("cuspidal_cubic", {"a": 1.0}),
@@ -220,6 +224,55 @@ def test_vectorized_derivatives_match_scalar_jets(name, params, order):
         for k in range(order + 1):
             want = j.derivative_vector(k)
             assert np.all(np.abs(d[k, :, i] - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+def _plain_components(spec, t):
+    """Both components by plain ``evaluate``: every sin, cos, sinh and cosh on its own."""
+    out = []
+    for expr in (spec.x_expr, spec.y_expr):
+        v = evaluate(expr, t, spec.params)
+        out.append(v if isinstance(v, Jet) else Jet.constant(float(v), t.order, t.base_point))
+    return out
+
+
+# Parameters other than 1, so that they round.
+ODD_PARAMS = [(name, {k: 0.77 for k in params}) for name, params in ALL_CATALOG]
+
+
+@pytest.mark.parametrize("name, params", ODD_PARAMS)
+def test_derivatives_and_jets_equal_plain_evaluation(name, params):
+    # Shared sin/cos pairs change no bit of a batch or a scalar jet.
+    spec = catalog_lookup(name, params)
+    ts = np.linspace(-1.3, 1.7, 101)
+    for order in range(1, 5):
+        x, y = _plain_components(spec, Jet.variable(ts, order))
+        factorials = np.array([math.factorial(k) for k in range(order + 1)])[:, None, None]
+        want = np.stack([x.coeffs, y.coeffs], axis=1) * factorials
+        assert np.array_equal(spec.derivatives_at(ts, order), want), order
+    for t0 in (0.0, 0.3, -1.1):
+        jet = spec.jet(t0, 12)
+        x, y = _plain_components(spec, Jet.variable(t0, 12))
+        assert np.array_equal(jet.x.coeffs, x.coeffs) and np.array_equal(jet.y.coeffs, y.coeffs)
+
+
+@pytest.mark.parametrize(
+    "name, params, plain",
+    [("cycloid", {"a": 1.0}, 2), ("canonical_cusp", {"a": 1.0}, 4),
+     ("hyperbolic_cycloid", {"a": 1.0}, 2), ("circle", {"r": 1.0}, 2)],
+)
+def test_sin_and_cos_of_one_argument_share_one_recurrence(name, params, plain, monkeypatch):
+    spec = catalog_lookup(name, params)
+    calls = []
+    original = Jet._circular
+    monkeypatch.setattr(
+        Jet, "_circular", lambda self, hyp: calls.append(hyp) or original(self, hyp)
+    )
+    _plain_components(spec, Jet.variable(0.2, 6))
+    assert len(calls) == plain
+    calls.clear()
+    spec.jet(0.2, 6)
+    spec.derivatives_at(np.array([0.1, 0.2]), 3)
+    assert len(calls) == 2
 
 
 def test_parse_expression_rejects_trailing_junk():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cuspkit import jets as jets_module
 from cuspkit.jets import (
     Jet,
     PlaneJet,
@@ -160,6 +161,52 @@ def test_recurrences_round_as_they_did_on_arrays(name):
         got = method(jet).coeffs
         assert got.shape == jet.coeffs.shape
         assert np.array_equal(got, reference(jet.coeffs)), (name, jet)
+
+
+def _left_to_right_power(jet, e):
+    out = Jet.constant(1.0, jet.order, jet.base_point) if e == 0 else jet
+    for _ in range(e - 1):
+        out = out * jet
+    return out
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("e", range(8))
+def test_integer_power_is_repeated_multiplication(e, batch):
+    # Small integer coefficients keep every product exact, whatever the
+    # order of the products.
+    rng = np.random.default_rng(e)
+    if batch:
+        jet = Jet.constant(0.0, 8, np.linspace(-1.0, 1.0, 5))
+        jet.coeffs[:] = rng.integers(-3, 4, jet.coeffs.shape)
+    else:
+        jet = Jet(rng.integers(-3, 4, 9).astype(float), 0.4)
+    got = (jet**e).coeffs
+    assert got.shape == jet.coeffs.shape
+    assert np.array_equal(got, _left_to_right_power(jet, e).coeffs)
+
+
+def _power_from_the_constant_one(jet, e):
+    """Binary exponentiation from the constant-1 jet, squaring past the last bit."""
+    result, base = Jet.constant(1.0, jet.order, jet.base_point), jet
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("e", range(8))
+def test_integer_power_skips_only_products_that_change_nothing(e, monkeypatch):
+    for jet in _random_jets(np.random.default_rng(7), 100):
+        assert np.array_equal((jet**e).coeffs, _power_from_the_constant_one(jet, e).coeffs)
+    products = []
+    original = jets_module._cauchy
+    monkeypatch.setattr(jets_module, "_cauchy", lambda a, b: products.append(1) or original(a, b))
+    Jet.variable(np.array([0.1, 0.2]), 6) ** e
+    # (bit length - 1) squares and (set bits - 1) products: t^2 1, t^3 2, U^5 3.
+    assert len(products) == max(0, e.bit_length() - 1 + bin(e).count("1") - 1)
 
 
 def test_batched_jets_share_their_base_array():

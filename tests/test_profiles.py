@@ -1,9 +1,11 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from cuspkit import profiles
 from cuspkit.affine import (
     AFFINE_CUSP,
     INFLECTION,
@@ -20,6 +22,7 @@ from cuspkit.profiles import (
     SEED_NODES,
     Profiler,
     _chebyshev_interpolant,
+    _first_kind,
     invert_monotone,
 )
 
@@ -140,10 +143,110 @@ def test_exact_newton_step_evaluates_phi_once(kind, name, monkeypatch):
 
 def test_chebyshev_interpolant_resolves_a_smooth_function():
     L = _chebyshev_interpolant(np.exp, (-1.0, 2.0))
-    assert len(L.coef) - 1 in CHEB_DEGREES[:2]
+    assert L.degree in CHEB_DEGREES[:2]
     t = np.linspace(-1.0, 2.0, 1001)
     np.testing.assert_allclose(L(t), np.exp(t), rtol=1e-14)
-    np.testing.assert_allclose(L.deriv()(t), np.exp(t), rtol=1e-12)
+    np.testing.assert_allclose(L.value_and_derivative(t)[1], np.exp(t), rtol=1e-12)
+    for batch in np.array_split(t, 20):  # <= SEED_NODES points: the barycentric route
+        value, slope = L.value_and_derivative(batch)
+        np.testing.assert_allclose(value, np.exp(batch), rtol=1e-14)
+        np.testing.assert_allclose(slope, np.exp(batch), rtol=1e-12)
+
+
+# (kind, curve, tau range) of the interpolants of L below.
+FACTOR_INTERPOLANTS = {
+    "euclid_cusp_cycloid": (EUCLID_CUSP, "cycloid", (-2.0, 2.5)),
+    "euclid_cusp_canonical_cusp": (EUCLID_CUSP, "canonical_cusp", (-1.0, 1.0)),
+    "euclid_cusp_cuspidal_cubic": (EUCLID_CUSP, "cuspidal_cubic", (-1.5, 1.5)),
+    "affine_cusp_hyperbolic_cycloid": (AFFINE_CUSP, "hyperbolic_cycloid", (-0.8, 0.8)),
+    "affine_cusp_canonical_cusp": (AFFINE_CUSP, "canonical_cusp", (-1.5, 1.5)),
+    "affine_cusp_cycloid": (AFFINE_CUSP, "cycloid", (-0.7, 0.7)),
+    "inflection_skew_cycloid": (INFLECTION, "skew_cycloid", (-0.75, 1.5)),
+    "inflection_cubic_graph": (INFLECTION, "cubic_graph", (-1.0, 1.0)),
+}
+
+
+def _factor_interpolant(case):
+    kind, name, (left, right) = FACTOR_INTERPOLANTS[case]
+    profiler = Profiler(catalog_lookup(name, {"a": 1.0}), kind)
+    return profiler, profiler._invert(np.linspace(left, right, 101))[1]
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_INTERPOLANTS))
+def test_barycentric_and_clenshaw_routes_agree(case):
+    _, L = _factor_interpolant(case)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        ts = rng.uniform(*L.domain, SEED_NODES)
+        value, slope = L._barycentric(ts)
+        want_value, want_slope = L._clenshaw(ts)
+        assert np.max(np.abs(value - want_value)) <= 1e-15 * np.max(np.abs(want_value))
+        assert np.max(np.abs(slope - want_slope)) <= 1e-12 * np.max(np.abs(want_slope))
+        assert np.array_equal(L(ts), want_value)
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_INTERPOLANTS))
+def test_a_point_on_a_node_returns_its_sample(case):
+    _, L = _factor_interpolant(case)
+    n = L.degree
+    ts = np.concatenate([L.nodes[[0, 1, n // 2, n]], [0.5 * (L.nodes[2] + L.nodes[3])]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, slope = L.value_and_derivative(ts)
+    assert np.array_equal(value[:4], L.samples[[0, 1, n // 2, n]])
+    assert np.array_equal(slope[:4], L.derivative_samples[[0, 1, n // 2, n]])
+    assert np.all(np.isfinite(value)) and np.all(np.isfinite(slope))
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_INTERPOLANTS))
+def test_grid_values_do_not_depend_on_the_grid_size(case):
+    # The 101- and 1001-point grids are every 40th and every 4th point of
+    # the 4001-point grid, over the same range.
+    profiler, _ = _factor_interpolant(case)
+    _, _, (left, right) = FACTOR_INTERPOLANTS[case]
+    grid = np.linspace(left, right, 4001)
+    values = profiler.profile(grid).values
+    for step in (4, 40):
+        assert np.array_equal(profiler.profile(grid[::step]).values, values[::step]), step
+
+
+def test_first_kind_coefficient_map_inverts_the_chebyshev_basis():
+    points, basis = _first_kind(SEED_NODES)
+    for k in range(SEED_NODES):
+        want = np.zeros(SEED_NODES)
+        want[k] = 1.0
+        np.testing.assert_allclose(basis @ np.cos(k * np.arccos(points)), want, rtol=0, atol=1e-14)
+
+
+def test_inversion_starts_from_the_interpolant_samples(monkeypatch):
+    calls = []
+    original = profiles.invert_monotone
+    monkeypatch.setattr(
+        profiles, "invert_monotone", lambda *args: calls.append(args) or original(*args)
+    )
+    _, L = _factor_interpolant("euclid_cusp_cycloid")
+    [(_, _, _, _, (taus, ts))] = calls
+    assert np.array_equal(ts, L.nodes[::-1])
+    assert np.array_equal(taus, ts * L.samples[::-1] ** EUCLID_CUSP.p)
+    assert np.all(np.diff(taus) > 0)
+
+
+def test_a_sample_table_starts_newton_closer():
+    # tau = t + t^3: the linear interpolation of 17 samples is a closer start
+    # than tau / slope0, and both reach the same tolerance.
+    def value_and_slope(t):
+        calls.append(1)
+        return t + t**3, 1.0 + 3.0 * t**2
+
+    targets = np.linspace(-2.0, 2.0, SEED_NODES)
+    table_t = np.linspace(-1.5, 1.5, 17)
+    counts = []
+    for table in (None, (table_t + table_t**3, table_t)):
+        calls = []
+        t = invert_monotone(value_and_slope, targets, 1.0, table=table)
+        assert np.max(np.abs(t + t**3 - targets)) < 2e-13
+        counts.append(len(calls))
+    assert counts[1] < counts[0]
 
 
 def test_chebyshev_interpolant_rejects_a_kink():
@@ -310,8 +413,8 @@ def test_arclength_at_a_non_finite_t_raises(arclength, name, t):
     ],
 )
 def test_arclength_functions_match_the_profiler(kind, arclength, name):
-    # Point by point: a batched Gauss panel may round its sums differently.
+    # One batch against single points: each t's Gauss panel sums on its own.
     curve = catalog_lookup(name, {"a": 1.0})
-    profiler = Profiler(curve, kind)
-    for t in (-0.7, -0.3, 0.1, 0.4, 0.9):
-        assert arclength(curve, t)[0] == profiler.arclength(np.array([t]))[0]
+    ts = np.array([-0.7, -0.3, 0.1, 0.4, 0.9])
+    batch = Profiler(curve, kind).arclength(ts)
+    assert [arclength(curve, float(t))[0] for t in ts] == batch.tolist()
