@@ -27,6 +27,7 @@ derivatives are obtained exactly, without finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -473,16 +474,21 @@ def parse_curve(text: str, params: dict[str, float] | None = None) -> CurveSpec:
     unbound = (free_symbols(x_expr) | free_symbols(y_expr)) - {"t"} - set(bindings)
     if unbound:
         parser.fail_unbound(unbound)
+    _check_finite(bindings)
+    return CurveSpec(x_expr, y_expr, bindings, text.strip())
+
+
+def _check_finite(bindings: dict[str, float]) -> None:
     for name, value in bindings.items():
         if not math.isfinite(value):
             raise ValueError(f"curve parameter {name} must be finite, got {name}={value!r}")
-    return CurveSpec(x_expr, y_expr, bindings, text.strip())
 
 
 # -- named example curves -----------------------------------------------------
 
-# Definitions are stored as DSL text so the parser is on the path of every
-# catalog use.
+# Definitions are stored as DSL text, so the parser is on the path of each
+# catalog curve's first use in a process; its frozen expression trees are
+# kept by ``_catalog_trees`` and shared by every later lookup.
 _CATALOG: dict[str, tuple[str, tuple[str, ...]]] = {
     "cuspidal_cubic": ("(a*t^2, a*t^3)", ("a",)),
     "cycloid": ("(a*(t - sin(t)), a*(-1 + cos(t)))", ("a",)),
@@ -509,12 +515,15 @@ CATALOG_INFLECTIONS = ("cubic_graph", "skew_cycloid")
 def catalog_lookup(name: str, params: dict[str, float] | None = None) -> CurveSpec:
     """Fetch a named example curve with its parameters bound.
 
-    Parameters required by the curve must be present and positive.
+    Parameters required by the curve must be present, positive and finite.
+    The expression trees are parsed on the curve's first lookup in the
+    process and shared by every later one; each lookup gets its own
+    ``params`` and ``label``.
     """
     if name not in _CATALOG:
         known = ", ".join(CATALOG_NAMES)
         raise ValueError(f"unknown catalog curve '{name}' (known: {known})")
-    text, required = _CATALOG[name]
+    required = _CATALOG[name][1]
     params = dict(params or {})
     for p in required:
         if p not in params:
@@ -526,8 +535,16 @@ def catalog_lookup(name: str, params: dict[str, float] | None = None) -> CurveSp
     extra = set(params) - set(required)
     if extra:
         raise ValueError(f"catalog curve '{name}' takes no parameter(s): {', '.join(sorted(extra))}")
-    spec = parse_curve(text, params)
+    _check_finite(params)
     label = name if not params else (
         name + "(" + ", ".join(f"{k}={_format_number(v)}" for k, v in sorted(params.items())) + ")"
     )
-    return CurveSpec(spec.x_expr, spec.y_expr, spec.params, label)
+    return CurveSpec(*_catalog_trees(name), params, label)
+
+
+@functools.cache
+def _catalog_trees(name: str) -> tuple[Expression, Expression]:
+    """The (x, y) expression trees of a catalog curve, parsed once per process."""
+    text, required = _CATALOG[name]
+    spec = parse_curve(text, dict.fromkeys(required, 1.0))
+    return spec.x_expr, spec.y_expr

@@ -22,7 +22,10 @@ quadrature (``arclength_factor``) outside.  Both routes are exact up to
 truncation and quadrature error and must agree on ``OVERLAP_BAND``.
 
 ``invert_adapted`` samples L once per grid on a Chebyshev interpolant over
-the t-range from 0 to the grid's extreme targets: from its jet inside
+the t-range from 0 to the grid's extreme targets.  Those two targets are
+solved by Newton on the exact quadrature map, each started from the root of
+the germ's own tau(t) polynomial, which inside the jet's radius is within
+its truncation error of the exact one.  L is sampled from its jet inside
 ``SWITCH_RADIUS``, by quadrature outside.  The degree doubles from 16 until
 the upper half of the coefficients falls below ``CHOP_TOL`` times the
 largest one (after Aurentz & Trefethen, "Chopping a Chebyshev series").
@@ -49,7 +52,10 @@ interpolation of the samples' table (t_j L_j^p, t_j).  On grids of more
 than ``SEED_NODES`` points it first solves the ``SEED_NODES`` Chebyshev
 points of the first kind on the grid's tau range; the interpolant t(tau)
 through them only supplies the starting point of the final iteration on
-the whole grid.
+the whole grid.  t(tau) is smooth through the singular point, so its
+Chebyshev coefficients fall geometrically until they reach the noise of
+the seed solve; the trailing ones below ``SEED_CHOP`` are dropped, and the
+final iteration sums a shorter series over the grid.
 """
 
 from __future__ import annotations
@@ -73,8 +79,9 @@ OVERLAP_BAND = (0.04, 0.06)
 # Chebyshev points solved to seed the inversion of larger grids.
 SEED_NODES = 64
 
-# Largest Newton step in t.
+# Largest Newton step in t, and the most steps before an inversion fails.
 MAX_STEP = 0.5
+NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -109,11 +116,13 @@ def invert_monotone(
     When there are more than ``SEED_NODES`` targets, not all equal, the
     ``SEED_NODES`` Chebyshev points of the first kind on [min target,
     max target] are solved first, and their Chebyshev interpolant t(tau)
-    gives the starting t of every target.  Either way the result is the
-    Newton iterate on the given map that meets
-    |tau(t) - target| < 1e-13 * max(1, max |target|).  ``invert_adapted``
-    passes the cheap interpolated map tau = t L(t)^p here, with the samples
-    of L as the table.
+    gives the starting t of every target.  Its trailing coefficients whose
+    magnitudes sum to at most ``SEED_CHOP`` * max(1, max |t_j|) over the
+    solved t_j are dropped first (``_chopped``), so no start moves by more
+    than that.  Either way the result is the Newton iterate on the given
+    map that meets |tau(t) - target| < 1e-13 * max(1, max |target|).
+    ``invert_adapted`` passes the cheap interpolated map tau = t L(t)^p
+    here, with the samples of L as the table.
 
     Raises ``ValueError`` when the iteration does not converge, as when the
     grid reaches past the next singular point of the curve.
@@ -130,11 +139,26 @@ def invert_monotone(
             points, basis = _first_kind(SEED_NODES)
             taus = mid + half * points
             ts = _newton(value_and_slope, taus, start(taus), slope0, bounds)
-            seed = (basis @ ts).tolist()  # t(tau)'s Chebyshev coefficients
+            seed = _chopped(basis @ ts, SEED_CHOP * max(1.0, float(np.max(np.abs(ts)))))
             return _newton(
                 value_and_slope, targets, _clenshaw((targets - mid) / half, seed), slope0, bounds
             )
     return _newton(value_and_slope, targets, start(targets), slope0, bounds)
+
+
+# The seed t(tau) drops trailing Chebyshev coefficients whose magnitudes
+# sum to at most this times max(1, max |t_j|): a tenth of the final Newton
+# tolerance, below which they carry only the seed solve's noise.
+SEED_CHOP = 1e-14
+
+
+def _chopped(c: np.ndarray, tol: float) -> list:
+    """c without its longest trailing run whose magnitudes sum to <= tol.
+
+    At least two coefficients are kept, as ``_clenshaw`` needs.
+    """
+    dropped = np.cumsum(np.abs(c[::-1]))[::-1]  # dropped[k] = sum_{j >= k} |c_j|
+    return c[: max(2, int(np.count_nonzero(dropped > tol)))].tolist()
 
 
 _FIRST_KIND_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -172,7 +196,7 @@ def _newton(value_and_slope, targets, start, slope0, bounds=(-np.inf, np.inf)):
     zero = targets == 0.0
     tol = 1e-13 * max(1.0, np.max(np.abs(targets)))
     t_next = np.where(zero, 0.0, np.clip(start, *bounds))
-    for _ in range(60):
+    for _ in range(NEWTON_STEPS):
         t = t_next
         tau, slope = value_and_slope(t)
         err = tau - targets
@@ -199,15 +223,17 @@ CHOP_TOL = 1e-12
 
 
 def invert_adapted(
-    targets, p: float, exact_value_and_slope, factor_jet, factor_quadrature, slope0: float
+    targets, p: float, exact_value_and_slope, factor_jet, factor_quadrature, tau_jet
 ):
     """Solve tau(t) = target for tau = t L(t)^p; returns (t, L or None).
 
     ``exact_value_and_slope`` is the quadrature map with its slope;
     ``factor_jet`` (a jet of L at t = 0) and ``factor_quadrature`` (an array
-    function) give L inside and outside ``SWITCH_RADIUS``.  The two extreme
-    targets, with 0 among them, are solved on the exact map, and L is
-    interpolated on that t-range (a ``ChebyshevInterpolant``).
+    function) give L inside and outside ``SWITCH_RADIUS``; ``tau_jet`` is
+    the germ's jet of tau(t) at t = 0, whose linear coefficient is the slope
+    there.  The two extreme targets, with 0 among them, are solved on the
+    exact map from the roots of that jet's polynomial (``_t_range``), and L
+    is interpolated on that t-range (a ``ChebyshevInterpolant``).
     ``invert_monotone`` then runs on the cheap map, clipped to the range,
     from the table of the interpolant's own samples (t_j L_j^p, t_j).  The
     interpolant of L is returned with the solution so that the caller can
@@ -224,7 +250,8 @@ def invert_adapted(
         raise ValueError(
             f"tau grid values must be finite, got tau = {float(targets.flat[i])!r} at index {i}"
         )
-    t_range = _t_range(exact_value_and_slope, targets, slope0)
+    slope0 = float(tau_jet.coeffs[1])
+    t_range = _t_range(exact_value_and_slope, targets, tau_jet)
     if t_range is None:
         return invert_monotone(exact_value_and_slope, targets, slope0), None
 
@@ -246,20 +273,53 @@ def invert_adapted(
     return invert_monotone(value_and_slope, targets, slope0, t_range, table), L
 
 
-def _t_range(exact_value_and_slope, targets, slope0: float):
+def _t_range(exact_value_and_slope, targets, tau_jet):
     """The t-range from 0 to the grid's extreme targets, or None if it is {0}.
 
     Starting at 0 puts the whole path of the arclength integral, from the
-    singular point to the grid, under the interpolant.  The pad of 1e-6 of
-    the width holds the cheap map's solutions for the extreme targets, which
-    the interpolant's error (near ``CHOP_TOL``) moves off the exact ones.
+    singular point to the grid, under the interpolant.  Each extreme target
+    is solved by Newton on the exact map from the root of the germ's tau(t)
+    polynomial (``_germ_start``), and meets the same stopping rule as every
+    other inversion.  The pad of 1e-6 of the width holds the cheap map's
+    solutions for the extreme targets, which the interpolant's error (near
+    ``CHOP_TOL``) moves off the exact ones.
     """
     ends = np.array([min(np.min(targets), 0.0), max(np.max(targets), 0.0)])
     if not ends[0] < ends[1]:
         return None
-    t_lo, t_hi = _newton(exact_value_and_slope, ends, ends / slope0, slope0)
+    starts = np.array([_germ_start(tau_jet, float(end)) for end in ends])
+    t_lo, t_hi = _newton(exact_value_and_slope, ends, starts, float(tau_jet.coeffs[1]))
     pad = 1e-6 * (t_hi - t_lo)
     return float(t_lo - pad), float(t_hi + pad)
+
+
+def _germ_start(tau_jet, target: float) -> float:
+    """The root of the germ's tau(t) polynomial at target, else target / slope0.
+
+    Newton runs from target / slope0 with the steps and the stopping rule of
+    ``_newton``, on Python floats: a twentieth of the cost of ``_newton``
+    through ``Jet.__call__`` or less, which would exceed the exact
+    evaluation it saves.  Outside the jet's radius the root is no better a
+    start than target / slope0, and on the catalog curves no worse (the
+    Euclidean cuspidal cubic at |tau| = 1.5).  When the iteration does not
+    converge, or meets a slope that is not positive, it falls back to
+    target / slope0.
+    """
+    c = tau_jet.coeffs.tolist()
+    t = start = target / c[1]
+    tol = 1e-13 * max(1.0, abs(target))
+    for _ in range(NEWTON_STEPS):
+        tau = slope = 0.0
+        for ck in reversed(c):  # Horner, with the derivative
+            slope = slope * t + tau
+            tau = tau * t + ck
+        err = tau - target
+        if abs(err) < tol:
+            return t
+        if not slope > 0.0:
+            break
+        t -= min(max(err / slope, -MAX_STEP), MAX_STEP)
+    return start
 
 
 class ChebyshevInterpolant:
@@ -473,7 +533,7 @@ class Profiler:
     def _invert(self, taus):
         """t(tau), and the interpolant of L it used (None on the exact map)."""
         return invert_adapted(
-            taus, self.kind.p, self._tau_and_slope, self.jets.L, self._factor, self._slope0
+            taus, self.kind.p, self._tau_and_slope, self.jets.L, self._factor, self.jets.tau_t
         )
 
     def value_direct(self, ts: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:

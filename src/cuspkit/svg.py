@@ -12,8 +12,10 @@ import numpy as np
 class RenderSpec:
     """Canvas size in pixels, polyline stroke width, margin, axes and viewport.
 
-    Raises ``ValueError`` unless width and height are > 0 and the stroke
-    width is finite and > 0.
+    Raises ``ValueError``, naming the field, its value and the valid range,
+    unless width, height and stroke width are finite and > 0, the margin is
+    finite and >= 0, and the viewport, if given, has four finite bounds with
+    xmin < xmax and ymin < ymax.
     """
 
     width: int = 640
@@ -24,22 +26,29 @@ class RenderSpec:
     viewport: tuple[float, float, float, float] | None = None  # xmin, xmax, ymin, ymax
 
     def __post_init__(self):
-        for name in ("width", "height"):
+        for name in ("width", "height", "stroke_width"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"SVG {name} must be > 0, got {name}={value!r}")
-        if not (math.isfinite(self.stroke_width) and self.stroke_width > 0):
-            raise ValueError(
-                f"SVG stroke width must be finite and > 0, got stroke_width={self.stroke_width!r}"
-            )
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"SVG {name} must be finite and > 0, got {name}={value!r}")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError(f"SVG margin must be finite and >= 0, got margin={self.margin!r}")
+        if self.viewport is not None:
+            if len(self.viewport) != 4 or not all(map(math.isfinite, self.viewport)):
+                raise ValueError(
+                    "SVG viewport must be four finite bounds (xmin, xmax, ymin, ymax), "
+                    f"got viewport={self.viewport!r}"
+                )
+            xmin, xmax, ymin, ymax = self.viewport
+            if xmin >= xmax or ymin >= ymax:
+                raise ValueError(
+                    "viewport must satisfy xmin < xmax and ymin < ymax, "
+                    f"got viewport={self.viewport!r}"
+                )
 
 
 def _viewport(points: np.ndarray, spec: RenderSpec) -> tuple[float, float, float, float]:
     if spec.viewport is not None:
-        xmin, xmax, ymin, ymax = spec.viewport
-        if xmin >= xmax or ymin >= ymax:
-            raise ValueError("viewport must satisfy xmin < xmax and ymin < ymax")
-        return xmin, xmax, ymin, ymax
+        return spec.viewport
     xmin, ymin = points.min(axis=0)
     xmax, ymax = points.max(axis=0)
     span = max(xmax - xmin, ymax - ymin, 1e-30)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import MODEL_GERMS
 
+from cuspkit import dsl
 from cuspkit.dsl import (
     CATALOG_NAMES,
     ParseError,
@@ -161,6 +162,56 @@ def test_catalog_errors():
         catalog_lookup("cycloid", {"a": -1.0})
     with pytest.raises(ValueError, match="takes no parameter"):
         catalog_lookup("parabola", {"a": 1.0})
+
+
+def test_catalog_lookups_share_the_parsed_trees(monkeypatch):
+    dsl._catalog_trees.cache_clear()
+    parses = []
+    original = dsl.parse_curve
+    monkeypatch.setattr(dsl, "parse_curve", lambda *args: parses.append(args) or original(*args))
+    given = {"a": 1.0}
+    one = catalog_lookup("cycloid", given)
+    two = catalog_lookup("cycloid", {"a": 2.5})
+    assert len(parses) == 1
+    assert one.x_expr is two.x_expr and one.y_expr is two.y_expr
+    assert (one.params, two.params) == ({"a": 1.0}, {"a": 2.5})
+    assert (one.label, two.label) == ("cycloid(a=1)", "cycloid(a=2.5)")
+    given["a"] = 7.0  # the caller's dict is copied
+    moved = one.with_params(a=3.0)
+    assert moved.params == {"a": 3.0} and moved.x_expr is one.x_expr
+    assert (one.params, two.params) == ({"a": 1.0}, {"a": 2.5})
+    assert one.point(np.pi)[1] == pytest.approx(-2.0)
+    assert two.point(np.pi)[1] == pytest.approx(-5.0)
+
+
+CATALOG_ERRORS = [
+    ("cycloid", {"a": math.nan}, "catalog curve 'cycloid' needs a > 0, got a=nan"),
+    ("cycloid", {"a": math.inf}, "curve parameter a must be finite, got a=inf"),
+    ("cycloid", {"a": -math.inf}, "catalog curve 'cycloid' needs a > 0, got a=-inf"),
+    ("cycloid", {"a": 0.0}, "catalog curve 'cycloid' needs a > 0, got a=0.0"),
+    ("cycloid", {"a": -1.5}, "catalog curve 'cycloid' needs a > 0, got a=-1.5"),
+    ("cycloid", {}, "catalog curve 'cycloid' requires parameter 'a'"),
+    (
+        "cycloid",
+        {"a": 1.0, "c": 1.0, "b": 2.0},
+        "catalog curve 'cycloid' takes no parameter(s): b, c",
+    ),
+    ("circle", {"r": math.inf}, "curve parameter r must be finite, got r=inf"),
+    ("parabola", {"a": 1.0}, "catalog curve 'parabola' takes no parameter(s): a"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["first-use", "cached"])
+@pytest.mark.parametrize("name, params, message", CATALOG_ERRORS)
+def test_catalog_errors_are_the_same_before_and_after_the_first_parse(
+    name, params, message, warm, monkeypatch
+):
+    dsl._catalog_trees.cache_clear()
+    if warm:
+        catalog_lookup(name, dict.fromkeys(dsl._CATALOG[name][1], 1.0))
+    with pytest.raises(ValueError) as exc:
+        catalog_lookup(name, params)
+    assert str(exc.value) == message
 
 
 def test_catalog_names_exposed():

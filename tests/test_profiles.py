@@ -17,12 +17,17 @@ from cuspkit.affine import (
 )
 from cuspkit.dsl import CurveSpec, catalog_lookup
 from cuspkit.euclidean import EUCLID_CUSP, arclength_g, euclidean_profile_jets, profile_g
+from cuspkit.jets import Jet
 from cuspkit.profiles import (
     CHEB_DEGREES,
+    SEED_CHOP,
     SEED_NODES,
     Profiler,
     _chebyshev_interpolant,
+    _chopped,
     _first_kind,
+    _germ_start,
+    _t_range,
     invert_monotone,
 )
 
@@ -325,6 +330,200 @@ def test_newton_stays_on_the_interpolated_range(fn, a):
         out = fn(curve, grid)
     values = (out if fn is profile_g else out[0]).values
     assert np.all(np.isfinite(values))
+
+
+# -- the t-range and the seed on the benchmark's profile pairs -------------------------
+
+
+def _cycloid_tau35_end(a):
+    """The 3/5-power affine arclength of the cycloid at its next cusp t = 2 pi."""
+    s = 2.0 ** (4.0 / 3.0) * a ** (2.0 / 3.0) * math.sqrt(math.pi) * math.gamma(5.0 / 6.0)
+    return (s / math.gamma(4.0 / 3.0)) ** 0.6
+
+
+def _tau_limits(kind, name, a):
+    """The widest tau range of a profile pair, well inside its domain, capped at 1.5."""
+    if kind is EUCLID_CUSP and name == "cycloid":
+        left = right = 0.9 * math.sqrt(8.0 * a)  # the next cusp is at tau^2 = 8a
+    elif kind is AFFINE_CUSP and name == "cycloid":
+        left = right = 0.75 * _cycloid_tau35_end(a)
+    elif name == "skew_cycloid":
+        left, right = 0.8 * 0.985 * math.sqrt(a), 1.5  # [g', g''] = 0 at tau34 = -0.985
+    else:
+        left = right = 1.5
+    return min(left, 1.5), min(right, 1.5)
+
+
+# (kind, curve) -> the most exact-map evaluations `_t_range` may use at
+# a = 0.5, 1, 2 over the pair's widest range.  From tau / slope0 they were
+# [5, 4, 4] on both cycloids and [6, 5, 5] on the hyperbolic cycloid.
+T_RANGE_EVALUATIONS = {
+    (EUCLID_CUSP, "cycloid"): (2, 2, 1),
+    (EUCLID_CUSP, "cuspidal_cubic"): (5, 5, 4),
+    (EUCLID_CUSP, "canonical_cusp"): (1, 1, 2),
+    (EUCLID_CUSP, "hyperbolic_cycloid"): (4, 4, 3),
+    (AFFINE_CUSP, "cycloid"): (3, 2, 2),
+    (AFFINE_CUSP, "cuspidal_cubic"): (1, 1, 1),
+    (AFFINE_CUSP, "canonical_cusp"): (1, 1, 1),
+    (AFFINE_CUSP, "hyperbolic_cycloid"): (2, 2, 2),
+    (INFLECTION, "cubic_graph"): (1, 1, 1),
+    (INFLECTION, "skew_cycloid"): (4, 3, 3),
+}
+PAIRS = sorted(T_RANGE_EVALUATIONS, key=lambda pair: (pair[0].name, pair[1]))
+PAIR_IDS = [f"{kind.name}-{name}" for kind, name in PAIRS]
+
+
+def _counted(profiler):
+    """The exact map of a profiler, and the list its evaluations append to."""
+    calls = []
+
+    def value_and_slope(ts):
+        calls.append(np.size(ts))
+        return profiler._tau_and_slope(ts)
+
+    return value_and_slope, calls
+
+
+def _solved_extremes(profiler, targets):
+    """`_t_range` with its exact-map evaluations counted, and its unpadded extremes."""
+    counted, calls = _counted(profiler)
+    lo, hi = _t_range(counted, targets, profiler.jets.tau_t)
+    # The range is padded by 1e-6 of the solved width on each side.
+    width = (hi - lo) / (1.0 + 2e-6)
+    return np.array([lo + 1e-6 * width, hi - 1e-6 * width]), len(calls)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
+def test_t_range_extremes_meet_the_newton_stop_on_the_exact_map(pair):
+    kind, name = pair
+    for a, pinned in zip((0.5, 1.0, 2.0), T_RANGE_EVALUATIONS[pair]):
+        profiler = Profiler(catalog_lookup(name, {"a": a}), kind)
+        left, right = _tau_limits(kind, name, a)
+        ends = np.array([-left, right])
+        extremes, evaluations = _solved_extremes(profiler, ends)
+        tau, _ = profiler._tau_and_slope(extremes)
+        assert np.all(np.abs(tau - ends) < 1e-13 * np.maximum(1.0, np.abs(ends))), a
+        assert evaluations <= pinned, a
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
+def test_t_range_converges_from_a_germ_start_outside_the_jet_radius(a):
+    # L of the Euclidean cuspidal cubic is singular at t = +-2i/3, and the
+    # extreme targets +-1.5 solve beyond |t| = 1: the germ's root lies
+    # outside the jet's radius (its reversion t(tau) reads -280 at tau = 1.5
+    # for a = 1).  The exact Newton still converges from that root, with no
+    # more evaluations than from tau / slope0.
+    profiler = Profiler(catalog_lookup("cuspidal_cubic", {"a": a}), EUCLID_CUSP)
+    ends = np.array([-1.5, 1.5])
+    extremes, evaluations = _solved_extremes(profiler, ends)
+    tau, _ = profiler._tau_and_slope(extremes)
+    assert np.all(np.abs(tau - ends) < 1.5e-13)
+    counted, calls = _counted(profiler)
+    profiles._newton(counted, ends, ends / profiler._slope0, profiler._slope0)
+    assert evaluations <= len(calls)
+
+
+def test_germ_start_falls_back_without_a_root():
+    # tau = t - t^3 rises to 2 / (3 sqrt(3)) = 0.385 at t = 1 / sqrt(3).
+    germ = Jet([0.0, 1.0, 0.0, -1.0])
+    assert _germ_start(germ, 0.3) == pytest.approx(0.3389, abs=1e-4)
+    assert _germ_start(germ, 1.0) == 1.0  # the slope turns negative
+    assert _germ_start(germ, -1.0) == -1.0
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
+def test_the_germ_start_is_close_inside_the_jet_radius(pair):
+    # Inside the jet's radius the root of the germ's tau(t) polynomial is
+    # within the jet's truncation error of the exact one.
+    kind, name = pair
+    profiler = Profiler(catalog_lookup(name, {"a": 1.0}), kind)
+    for end in (-0.3, 0.3):
+        t = _germ_start(profiler.jets.tau_t, end)
+        tau, _ = profiler._tau_and_slope(np.array([t]))
+        assert abs(tau[0] - end) < 1e-6
+
+
+def test_chopped_drops_the_longest_tail_within_budget():
+    c = np.array([1.0, -0.5, 6e-15, -3e-15, 1e-15])
+    assert _chopped(c, 1e-14) == [1.0, -0.5]
+    assert _chopped(c, 5e-15) == [1.0, -0.5, 6e-15]
+    assert _chopped(c, 0.0) == c.tolist()
+    assert _chopped(np.array([1.0, 1e-20, 0.0]), 1e-14) == [1.0, 1e-20]  # two are kept
+
+
+def _final_newton_evaluations(monkeypatch):
+    """Record, per grid, the evaluations of the Newton run on the whole grid."""
+    runs = []
+    original = profiles._newton
+
+    def newton(value_and_slope, targets, *args):
+        calls = []
+        if targets.size > SEED_NODES:
+            runs.append(calls)
+        return original(lambda ts: calls.append(1) or value_and_slope(ts), targets, *args)
+
+    monkeypatch.setattr(profiles, "_newton", newton)
+    return runs
+
+
+def _chop_records(monkeypatch):
+    """Record (coefficients, budget, kept) of every seed chop."""
+    records = []
+    original = profiles._chopped
+
+    def chopped(c, tol):
+        kept = original(c, tol)
+        records.append((c, tol, kept))
+        return kept
+
+    monkeypatch.setattr(profiles, "_chopped", chopped)
+    return records
+
+
+# The 64-node seed does not resolve t(tau) of the Euclidean cuspidal cubic
+# over [-1.5, 1.5] (L is singular at t = +-2i/3); unchopped, it also took two.
+FINAL_NEWTON_EVALUATIONS = {(EUCLID_CUSP, "cuspidal_cubic"): 2}
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
+def test_chopped_seed_starts_the_final_newton_one_step_away(pair, monkeypatch):
+    kind, name = pair
+    profiler = Profiler(catalog_lookup(name, {"a": 1.0}), kind)
+    left, right = _tau_limits(kind, name, 1.0)
+    grid = np.linspace(-left, right, 4001)
+    runs = _final_newton_evaluations(monkeypatch)
+    records = _chop_records(monkeypatch)
+    t = profiler.t_of_tau(grid)
+    with monkeypatch.context() as unchopped:
+        unchopped.setattr(profiles, "SEED_CHOP", -1.0)  # every coefficient is kept
+        profiler.t_of_tau(grid)
+    chopped_run, full_run = (len(calls) for calls in runs)
+    assert chopped_run == full_run == FINAL_NEWTON_EVALUATIONS.get(pair, 1)
+    (c, tol, kept), (_, _, full) = records
+    assert len(full) == SEED_NODES
+    assert 2 <= len(kept) <= SEED_NODES
+    assert np.sum(np.abs(c[len(kept) :])) <= tol
+    # The budget is SEED_CHOP of max(1, max |t_j|) over the seed's nodes,
+    # which sit inside the grid's range by at most 1 - cos(pi / 128).
+    assert tol == pytest.approx(SEED_CHOP * max(1.0, float(np.max(np.abs(t)))), rel=1e-3)
+    # The dropped tail moves the seed by at most its budget (|T_k| <= 1).
+    x = np.linspace(-1.0, 1.0, 1001)
+    full = np.polynomial.chebyshev.chebval(x, c)
+    short = np.polynomial.chebyshev.chebval(x, kept)
+    assert np.max(np.abs(full - short)) <= tol + 1e-15 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
+def test_t_of_tau_does_not_depend_on_the_grid_size(pair):
+    # The 101- and 1001-point grids are every 40th and every 4th point of
+    # the 4001-point grid, over the same range, so they share the seed.
+    kind, name = pair
+    profiler = Profiler(catalog_lookup(name, {"a": 1.0}), kind)
+    left, right = _tau_limits(kind, name, 1.0)
+    grid = np.linspace(-left, right, 4001)
+    t = profiler.t_of_tau(grid)
+    for step in (4, 40):
+        assert np.array_equal(profiler.t_of_tau(grid[::step]), t[::step]), step
 
 
 # -- the domain: the cycloid's next cusp ----------------------------------------------

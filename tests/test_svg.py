@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -93,3 +96,30 @@ def test_spec_rejects_an_empty_canvas_or_stroke(options, named):
     with pytest.raises(ValueError, match=f"{named}$") as exc:
         RenderSpec(**options)
     assert "> 0" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "options, named, valid",
+    [
+        ({"width": math.inf}, "width=inf", "finite and > 0"),
+        ({"height": math.nan}, "height=nan", "finite and > 0"),
+        ({"margin": math.nan}, "margin=nan", "finite and >= 0"),
+        ({"margin": math.inf}, "margin=inf", "finite and >= 0"),
+        ({"margin": -0.5}, "margin=-0.5", "finite and >= 0"),
+        ({"viewport": (0, math.inf, 0, 1)}, "viewport=(0, inf, 0, 1)", "four finite bounds"),
+        ({"viewport": (-math.inf, 1, 0, 1)}, "viewport=(-inf, 1, 0, 1)", "four finite bounds"),
+        ({"viewport": (0, 1, math.nan, 1)}, "viewport=(0, 1, nan, 1)", "four finite bounds"),
+        ({"viewport": (0, 1, 0)}, "viewport=(0, 1, 0)", "four finite bounds"),
+    ],
+)
+def test_spec_rejects_non_finite_sizes_margins_and_viewports(options, named, valid):
+    # Each used to reach the document: inf or nan coordinates, a division
+    # by zero at margin -0.5, or every x collapsed to 0.0.
+    with pytest.raises(ValueError, match=f"{re.escape(named)}$") as exc:
+        RenderSpec(**options)
+    assert valid in str(exc.value)
+
+
+def test_zero_margin_touches_the_canvas_edges():
+    svg = render_svg([(0.0, 0.0), (2.0, 1.0)], RenderSpec(width=200, height=100, margin=0.0))
+    assert 'points="0.0,100.0 200.0,0.0"' in svg
