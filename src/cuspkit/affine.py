@@ -25,6 +25,7 @@ leading coefficient reproduces mu_A / mu_I.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -227,9 +228,13 @@ class CuspProfileJets:
 
     f_t: Jet  # f as a jet in the original parameter
     tau_t: Jet  # tau35 as a jet in the original parameter
-    f_tau: Jet  # f as a jet in tau
     mu_A: float
     L: Jet  # the arclength factor F: s_A = sgn(t)|t|^(5/3) F(t), tau35 = t F^(3/5)
+
+    @functools.cached_property
+    def f_tau(self) -> Jet:
+        """f as a jet in tau, built on first read."""
+        return self.f_t.compose(self.tau_t.inverted())
 
     def report(self) -> AffineCuspReport:
         c = self.f_tau.coeffs
@@ -242,12 +247,21 @@ class CuspProfileJets:
 class InflectionProfileJets:
     f_t: Jet
     tau_t: Jet
-    f_tau: Jet
     mu_I: float
     eps_I: int
     identity_residual_t: float
-    identity_residual_tau: float
     L: Jet  # the arclength factor G: s_A = sgn(t)|t|^(4/3) G(t), tau34 = t G^(3/4)
+
+    @functools.cached_property
+    def f_tau(self) -> Jet:
+        """f as a jet in tau, built on first read."""
+        return self.f_t.compose(self.tau_t.inverted())
+
+    @functools.cached_property
+    def identity_residual_tau(self) -> float:
+        """The universal identity 32 f'(0)^2 + 9 f''(0) = 0 in tau, as a residual."""
+        c = self.f_tau.coeffs
+        return 32.0 * float(c[1]) ** 2 + 9.0 * 2.0 * float(c[2])
 
     def report(self) -> InflectionReport:
         c = self.f_tau.coeffs
@@ -288,8 +302,7 @@ def cusp_profile_jets(germ: PlaneJet) -> CuspProfileJets:
     F = moment_quotient_jet(psi, 2.0 / 3.0)
     f_t = F * F * M / (abs_a1.pow_rational(8, 3) * 9.0)
     tau_t = inflate(F.pow_rational(3, 5), 1)
-    f_tau = f_t.compose(tau_t.inverted())
-    return CuspProfileJets(f_t, tau_t, f_tau, mu, F)
+    return CuspProfileJets(f_t, tau_t, mu, F)
 
 
 def identity_residual(germ: PlaneJet, f_jet: Jet) -> float:
@@ -341,10 +354,8 @@ def inflection_profile_jets(germ: PlaneJet) -> InflectionProfileJets:
     G = moment_quotient_jet(psi, 1.0 / 3.0)
     f_t = G * G * N / (abs_b1.pow_rational(8, 3) * 9.0)
     tau_t = inflate(G.pow_rational(3, 4), 1)
-    f_tau = f_t.compose(tau_t.inverted())
     res_t = identity_residual(germ, f_t)
-    res_tau = 32.0 * float(f_tau.coeffs[1]) ** 2 + 9.0 * 2.0 * float(f_tau.coeffs[2])
-    return InflectionProfileJets(f_t, tau_t, f_tau, value, eps, res_t, res_tau, G)
+    return InflectionProfileJets(f_t, tau_t, value, eps, res_t, G)
 
 
 # -- the profile kinds -----------------------------------------------------------

@@ -15,6 +15,7 @@ cusp on a grid of the half-arclength parameter tau = sgn(t)*sqrt(|s_g|).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -192,9 +193,13 @@ class EuclideanProfileJets:
 
     f_t: Jet  # the normalized profile as a jet in the original parameter
     tau_t: Jet  # the half-arclength parameter as a jet in t
-    f_tau: Jet  # the profile as a jet in tau
     mu_g: float
     L: Jet  # the arclength factor: s_g = sgn(t) t^2 L(t), tau = t sqrt(L)
+
+    @functools.cached_property
+    def f_tau(self) -> Jet:
+        """The profile as a jet in tau, built on first read."""
+        return self.f_t.compose(self.tau_t.inverted())
 
 
 def euclidean_profile_jets(germ: PlaneJet) -> EuclideanProfileJets:
@@ -217,8 +222,7 @@ def euclidean_profile_jets(germ: PlaneJet) -> EuclideanProfileJets:
     B = deflate(bracket(d1, germ.derivative(2)), 2)
     f_t = L.sqrt() * B / (phi * phi * phi)
     tau_t = inflate(L.sqrt(), 1)
-    f_tau = f_t.compose(tau_t.inverted())
-    return EuclideanProfileJets(f_t, tau_t, f_tau, mu, L)
+    return EuclideanProfileJets(f_t, tau_t, mu, L)
 
 
 def _direct(d: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -439,8 +439,9 @@ class Kind:
     the profile on a derivative stack ``d[k][xy]`` through ``order`` (the
     layout of ``CurveSpec.derivatives_at`` and ``SynthesisResult.stacks``)
     with arclength s; ``jets(germ)`` builds the smooth jets of a germ at
-    t = 0 (fields ``f_t``, ``tau_t``, ``f_tau`` and the factor ``L``, and
-    raises ``ValueError`` on a germ of another kind); ``origin(jets)`` is the
+    t = 0 (fields ``f_t``, ``tau_t`` and the factor ``L``, plus ``f_tau``,
+    f_t composed with the reversion of tau_t, built on its first read) and
+    raises ``ValueError`` on a germ of another kind; ``origin(jets)`` is the
     profile's value at t = 0.
     """
 

@@ -172,11 +172,13 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for a 2x2 ``b``, batched over the last axis of both.
 
     ``a`` stacks rows of length 2 on its second-to-last axis, shape
-    (..., 2, n), and b[j] is row j of b.  Row r of the result is
-    a[r, 0] b[0] + a[r, 1] b[1]: two broadcast products and a sum, where a
-    batched ``@`` would pay its overhead once per tiny matrix.
+    (..., 2, n), and b[j] is row j of b, shape (2, 2, n) or (2, 2, 1).  Row
+    r of the result is a[r, 0] b[0] + a[r, 1] b[1], as one ``einsum``
+    contraction with no full-size temporaries, where a batched ``@`` would
+    pay its overhead once per tiny matrix.  The sum starts from +0.0, so an
+    entry whose two products are both -0.0 comes out +0.0.
     """
-    return a[..., 0, None, :] * b[0] + a[..., 1, None, :] * b[1]
+    return np.einsum("...jn,jcn->...cn", a, b)
 
 
 def _compose(second: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -342,7 +344,9 @@ class SynthesisResult:
     holds gamma and its first four derivative vectors at each grid point,
     read from the frame system; ``arclength`` is the recomputed s (Euclidean
     or affine) with the near-origin part taken from the germ jets, and
-    ``profile_jets`` holds those jets (the kind's ``jets(germ)``).
+    ``profile_jets`` holds those jets (the kind's ``jets(germ)``, built once
+    per synthesis; a synthesis reads only ``tau_t`` and ``f_t``, so its
+    ``f_tau`` is not built unless read).
     ``step_error`` is the half-step Richardson estimate of the endpoint
     position error: the largest change of an endpoint position when each
     side of n steps of size h is rerun as exactly 2n steps of h/2, NaN when

@@ -15,7 +15,7 @@ from cuspkit.affine import (
     profile_A_cusp,
     profile_A_inflection,
 )
-from cuspkit.dsl import CurveSpec, catalog_lookup
+from cuspkit.dsl import CATALOG_CUSPS, CATALOG_INFLECTIONS, CurveSpec, catalog_lookup
 from cuspkit.euclidean import EUCLID_CUSP, arclength_g, euclidean_profile_jets, profile_g
 from cuspkit.jets import Jet
 from cuspkit.profiles import (
@@ -617,3 +617,25 @@ def test_arclength_functions_match_the_profiler(kind, arclength, name):
     ts = np.array([-0.7, -0.3, 0.1, 0.4, 0.9])
     batch = Profiler(curve, kind).arclength(ts)
     assert [arclength(curve, float(t))[0] for t in ts] == batch.tolist()
+
+
+# -- the jets record's f_tau, built on first read ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [(EUCLID_CUSP, name) for name in CATALOG_CUSPS]
+    + [(AFFINE_CUSP, name) for name in CATALOG_CUSPS]
+    + [(INFLECTION, name) for name in CATALOG_INFLECTIONS],
+)
+def test_f_tau_on_first_read_is_the_eager_composition(kind, name):
+    jets = kind.jets(catalog_lookup(name, {"a": 1.0}).jet(0.0, profiles.PROFILE_JET_ORDER))
+    assert "f_tau" not in vars(jets)
+    want = jets.f_t.compose(jets.tau_t.inverted())
+    got = jets.f_tau
+    assert got.base_point == want.base_point
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert jets.f_tau is got
+    if kind is INFLECTION:
+        c = want.coeffs
+        assert jets.identity_residual_tau == 32.0 * float(c[1]) ** 2 + 9.0 * 2.0 * float(c[2])

@@ -93,6 +93,34 @@ def test_rk4_matches_textbook_loop(kind, n_steps, tau_max):
     assert _rel_err(S._rk4_endpoint(C, frame0, h), want_frames[-1]) <= 1e-13
 
 
+def _loop_product(a, b):
+    """a @ b entry by entry in Python floats, b broadcast over a length-1 last axis."""
+    out = np.empty(a.shape[:-2] + (2, a.shape[-1]))
+    for lead in np.ndindex(*a.shape[:-2]):
+        for c in range(2):
+            for k in range(a.shape[-1]):
+                kb = k if b.shape[-1] > 1 else 0
+                row = [float(a[lead + (j, k)]) for j in range(2)]
+                out[lead + (c, k)] = row[0] * float(b[0, c, kb]) + row[1] * float(b[1, c, kb])
+    return out
+
+
+# The shapes of the step maps, the stage states, A Y and ``_apply``'s frame.
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((3, 2, 7), (2, 2, 7)), ((4, 2, 2, 7), (2, 2, 7)), ((4, 2, 7), (2, 2, 7)),
+     ((3, 2, 5), (2, 2, 1)), ((3, 2, 1), (2, 2, 1))],
+)
+def test_block_product_matches_an_explicit_loop(a_shape, b_shape, rng):
+    a = rng.standard_normal(a_shape)
+    b = rng.standard_normal(b_shape)
+    a.flat[::3] = -0.0  # signed zeros in both factors
+    b.flat[1::4] = 0.0
+    got = S._matmul(a, b)
+    assert got.shape == a.shape[:-2] + (2, a_shape[-1])
+    assert np.all(got == _loop_product(a, b))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_no_frame_system_feeds_gamma_back(kind):
     taus = np.linspace(-0.5, 0.5, 11)
@@ -306,19 +334,26 @@ def test_affine_cusp_inside_the_denominator_range_still_round_trips():
      ("inflection", {})],
 )
 def test_profile_jets_are_built_once_per_synthesis(kind, kw, monkeypatch):
-    calls = []
-    inverted = Jet.inverted
+    record = S.SYSTEMS[kind].kind
+    build, inverted = record.jets, Jet.inverted
+    builds, reversions = [], []
 
-    def counted(self):
-        calls.append(self.order)
+    def counted_build(germ):
+        builds.append(germ)
+        return build(germ)
+
+    def counted_inverted(self):
+        reversions.append(self.order)
         return inverted(self)
 
-    monkeypatch.setattr(Jet, "inverted", counted)
+    # Kind is frozen: its field is swapped in the instance dict.
+    monkeypatch.setitem(vars(record), "jets", counted_build)
+    monkeypatch.setattr(Jet, "inverted", counted_inverted)
     res = S.synthesize(kind, parse_expression(PROFILES[kind]), 0.5, **kw)
-    assert len(calls) == 1
     res.profile_recomputed()
     res.profile_recomputed()
-    assert len(calls) == 1
+    assert len(builds) == 1
+    assert reversions == []  # f_tau, the only reversion, is never read
 
 
 # -- the germ against an independent Picard iteration ------------------------------------
