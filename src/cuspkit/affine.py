@@ -45,12 +45,13 @@ from .jets import (
     _gauss_01,
     _gauss_panel,
     bracket,
+    cross,
     deflate,
     inflate,
     moment_quotient_jet,
     signed_power,
 )
-from .profiles import Kind, NormalizedProfile, Profiler
+from .profiles import Kind, NormalizedProfile, Profiler, ProfileJets
 
 # Universal germ values of the normalized affine curvature.
 CUSP_PROFILE_VALUE = 4.0 / 25.0
@@ -140,7 +141,7 @@ def kappa_A(curve: CurveSpec, t: float) -> float:
 def _bracket12(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
     """[gamma', gamma''] at each t of ts."""
     d = curve.derivatives_at(ts, 2)
-    return d[1][0] * d[2][1] - d[1][1] * d[2][0]
+    return cross(d[1], d[2])
 
 
 def arclength_A(curve: CurveSpec, t: float) -> tuple[float, float, float]:
@@ -223,18 +224,10 @@ def mu_I(curve: CurveSpec) -> tuple[float, int]:
 
 
 @dataclass(frozen=True)
-class CuspProfileJets:
-    """Deflated-jet representation of f = (s_A)^2 kappa_A at a cusp germ."""
+class CuspProfileJets(ProfileJets):
+    """Jets of f = (s_A)^2 kappa_A at a cusp: s_A = sgn(t)|t|^(5/3) L(t), tau35 = t L^(3/5)."""
 
-    f_t: Jet  # f as a jet in the original parameter
-    tau_t: Jet  # tau35 as a jet in the original parameter
     mu_A: float
-    L: Jet  # the arclength factor F: s_A = sgn(t)|t|^(5/3) F(t), tau35 = t F^(3/5)
-
-    @functools.cached_property
-    def f_tau(self) -> Jet:
-        """f as a jet in tau, built on first read."""
-        return self.f_t.compose(self.tau_t.inverted())
 
     def report(self) -> AffineCuspReport:
         c = self.f_tau.coeffs
@@ -244,18 +237,12 @@ class CuspProfileJets:
 
 
 @dataclass(frozen=True)
-class InflectionProfileJets:
-    f_t: Jet
-    tau_t: Jet
+class InflectionProfileJets(ProfileJets):
+    """Jets of f at an inflection: s_A = sgn(t)|t|^(4/3) L(t), tau34 = t L^(3/4)."""
+
     mu_I: float
     eps_I: int
     identity_residual_t: float
-    L: Jet  # the arclength factor G: s_A = sgn(t)|t|^(4/3) G(t), tau34 = t G^(3/4)
-
-    @functools.cached_property
-    def f_tau(self) -> Jet:
-        """f as a jet in tau, built on first read."""
-        return self.f_t.compose(self.tau_t.inverted())
 
     @functools.cached_property
     def identity_residual_tau(self) -> float:
@@ -275,34 +262,43 @@ class InflectionProfileJets:
         )
 
 
-def cusp_profile_jets(germ: PlaneJet) -> CuspProfileJets:
-    """Build the smooth jets of f and tau35 from a cusp germ at t = 0.
+def _smooth_jets(germ: PlaneJet, k: int) -> tuple[Jet, Jet, Jet]:
+    """(f_t, tau_t, L) of f = (s_A)^2 kappa_A where [g', g''] = t^k a12(t).
 
-    With [g', g''] = t^2 a1, [g', g'''] = t a2, [g'', g'''] = a3,
-    [g', g''''] = t a4 and s_A = sgn(t)|t|^(5/3) F(t), the powers of t cancel:
+    k = 2 at a 3/2-cusp and k = 1 at a generic inflection.  With
+    [g', g'''] = t^(k-1) a13, [g', g''''] = t^(k-1) a14, [g'', g'''] = a23
+    and s_A = sgn(t)|t|^(1 + k/3) L(t), L the (k/3)-weighted mean of
+    |a12|^(1/3), the powers of t cancel:
 
-        f = F^2 (3 t a1 a4 + 12 a1 a3 - 5 a2^2) / (9 |a1|^(8/3)),
-        tau35 = t F^(3/5).
-
-    Raises ``ValueError`` unless the germ is a 3/2-cusp.
+        f = L^2 (3 t a12 a14 + 12 t^(2-k) a12 a23 - 5 a13^2) / (9 |a12|^(8/3)),
+        tau = t L^(3/(3+k)).
     """
-    mu = affine_cuspidal_curvature(germ)
     d1 = germ.derivative(1)
     d2 = germ.derivative(2)
     d3 = germ.derivative(3)
     d4 = germ.derivative(4)
-    a1 = deflate(bracket(d1, d2), 2)
-    a2 = deflate(bracket(d1, d3), 1)
-    a3 = bracket(d2, d3)
-    a4 = deflate(bracket(d1, d4), 1)
-    t = Jet.variable(0.0, a1.order)
-    M = 3.0 * t * a1 * a4 + 12.0 * a1 * a3 - 5.0 * a2 * a2
-    abs_a1 = a1 if a1.value() > 0 else -a1
-    psi = abs_a1.pow_rational(1, 3)
-    F = moment_quotient_jet(psi, 2.0 / 3.0)
-    f_t = F * F * M / (abs_a1.pow_rational(8, 3) * 9.0)
-    tau_t = inflate(F.pow_rational(3, 5), 1)
-    return CuspProfileJets(f_t, tau_t, mu, F)
+    a12 = deflate(bracket(d1, d2), k)
+    a13 = bracket(d1, d3)
+    a14 = bracket(d1, d4)
+    if k > 1:
+        a13, a14 = deflate(a13, k - 1), deflate(a14, k - 1)
+    a23 = bracket(d2, d3)
+    t = Jet.variable(0.0, a12.order)
+    lead = 12.0 * t if k == 1 else 12.0  # 12 t^(2-k), with no factor t^0 at a cusp
+    M = 3.0 * t * a12 * a14 + lead * a12 * a23 - 5.0 * a13 * a13
+    abs_a12 = a12 if a12.value() > 0 else -a12
+    L = moment_quotient_jet(abs_a12.pow_rational(1, 3), k / 3)
+    f_t = L * L * M / (abs_a12.pow_rational(8, 3) * 9.0)
+    return f_t, inflate(L.pow_rational(3, 3 + k), 1), L
+
+
+def cusp_profile_jets(germ: PlaneJet) -> CuspProfileJets:
+    """The smooth jets of f and tau35 at a cusp germ (``_smooth_jets``, k = 2).
+
+    Raises ``ValueError`` unless the germ is a 3/2-cusp.
+    """
+    mu = affine_cuspidal_curvature(germ)
+    return CuspProfileJets(*_smooth_jets(germ, 2), mu)
 
 
 def identity_residual(germ: PlaneJet, f_jet: Jet) -> float:
@@ -329,33 +325,13 @@ def identity_residual(germ: PlaneJet, f_jet: Jet) -> float:
 
 
 def inflection_profile_jets(germ: PlaneJet) -> InflectionProfileJets:
-    """Smooth jets of f and tau34 from a generic inflection germ at t = 0.
-
-    Here [g', g''] = t b1 with b1(0) != 0 and s_A = sgn(t)|t|^(4/3) G(t):
-
-        f = G^2 (3 t b1 b4 + 12 t b1 b3 - 5 b2^2) / (9 |b1|^(8/3)),
-        tau34 = t G^(3/4).
+    """The smooth jets of f and tau34 at an inflection germ (``_smooth_jets``, k = 1).
 
     Raises ``ValueError`` unless the germ is a generic inflection.
     """
     value, eps = inflectional_curvature(germ)
-    d1 = germ.derivative(1)
-    d2 = germ.derivative(2)
-    d3 = germ.derivative(3)
-    d4 = germ.derivative(4)
-    b1 = deflate(bracket(d1, d2), 1)
-    b2 = bracket(d1, d3)
-    b3 = bracket(d2, d3)
-    b4 = bracket(d1, d4)
-    t = Jet.variable(0.0, b1.order)
-    N = 3.0 * t * b1 * b4 + 12.0 * t * b1 * b3 - 5.0 * b2 * b2
-    abs_b1 = b1 if b1.value() > 0 else -b1
-    psi = abs_b1.pow_rational(1, 3)
-    G = moment_quotient_jet(psi, 1.0 / 3.0)
-    f_t = G * G * N / (abs_b1.pow_rational(8, 3) * 9.0)
-    tau_t = inflate(G.pow_rational(3, 4), 1)
-    res_t = identity_residual(germ, f_t)
-    return InflectionProfileJets(f_t, tau_t, value, eps, res_t, G)
+    f_t, tau_t, L = _smooth_jets(germ, 1)
+    return InflectionProfileJets(f_t, tau_t, L, value, eps, identity_residual(germ, f_t))
 
 
 # -- the profile kinds -----------------------------------------------------------
@@ -363,40 +339,33 @@ def inflection_profile_jets(germ: PlaneJet) -> InflectionProfileJets:
 
 def _direct(d: np.ndarray, s: np.ndarray) -> np.ndarray:
     """(s_A)^2 kappa_A on a derivative stack d[k][xy]."""
-    b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
-    b13 = d[1][0] * d[3][1] - d[1][1] * d[3][0]
-    b14 = d[1][0] * d[4][1] - d[1][1] * d[4][0]
-    b23 = d[2][0] * d[3][1] - d[2][1] * d[3][0]
+    b12 = cross(d[1], d[2])
+    b13, b14, b23 = cross(d[1], d[3]), cross(d[1], d[4]), cross(d[2], d[3])
     num = 3.0 * b12 * b14 + 12.0 * b12 * b23 - 5.0 * b13**2
     return s**2 * (num / (9.0 * np.abs(b12) ** (8.0 / 3.0)))
 
 
-def _phi(k: int):
-    """psi(u) = |[gamma', gamma''](u) / u^k|^(1/3), k the bracket's zero order."""
-    return lambda curve, us: np.abs(_bracket12(curve, us) / us**k) ** (1.0 / 3.0)
+def _kind(name: str, k: int, jets, origin: float) -> Kind:
+    """The kind whose [gamma', gamma''] has a zero of order k at t = 0.
+
+    s_A = sgn(t)|t|^(1 + k/3) L(t) with L the (k/3)-weighted mean of
+    psi(u) = |[gamma', gamma''](u) / u^k|^(1/3); the profile is ``origin``
+    at t = 0.
+    """
+    return Kind(
+        name=name,
+        p=3 / (3 + k),
+        alpha=k / 3,
+        phi=lambda curve, us: np.abs(_bracket12(curve, us) / us**k) ** (1.0 / 3.0),
+        order=4,
+        direct=_direct,
+        jets=jets,
+        origin=lambda jets: origin,
+    )
 
 
-# s_A = sgn(t)|t|^(1 + k/3) L(t) with L the (k/3)-weighted mean of psi.
-AFFINE_CUSP = Kind(
-    name="affine-cusp",
-    p=0.6,
-    alpha=2.0 / 3.0,
-    phi=_phi(2),
-    order=4,
-    direct=_direct,
-    jets=cusp_profile_jets,
-    origin=lambda jets: CUSP_PROFILE_VALUE,
-)
-INFLECTION = Kind(
-    name="inflection",
-    p=0.75,
-    alpha=1.0 / 3.0,
-    phi=_phi(1),
-    order=4,
-    direct=_direct,
-    jets=inflection_profile_jets,
-    origin=lambda jets: INFLECTION_PROFILE_VALUE,
-)
+AFFINE_CUSP = _kind("affine-cusp", 2, cusp_profile_jets, CUSP_PROFILE_VALUE)
+INFLECTION = _kind("inflection", 1, inflection_profile_jets, INFLECTION_PROFILE_VALUE)
 
 
 def profile_A_cusp(curve: CurveSpec, tau_grid) -> tuple[NormalizedProfile, AffineCuspReport]:

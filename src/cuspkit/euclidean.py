@@ -15,7 +15,6 @@ cusp on a grid of the half-arclength parameter tau = sgn(t)*sqrt(|s_g|).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,16 +22,16 @@ import numpy as np
 
 from .dsl import CurveSpec
 from .jets import (
-    Jet,
     PlaneJet,
     _gauss_01,
     _gauss_panel,
     bracket,
+    cross,
     deflate,
     inflate,
     moment_quotient_jet,
 )
-from .profiles import Kind, NormalizedProfile, Profiler
+from .profiles import Kind, NormalizedProfile, Profiler, ProfileJets
 
 CLASSIFY_TOL = 1e-9
 
@@ -79,7 +78,7 @@ class EuclideanCuspReport:
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+    return float(cross(a, b))
 
 
 def classify(germ: PlaneJet, tol: float = CLASSIFY_TOL) -> SingularityClass:
@@ -188,18 +187,10 @@ def arclength_g(curve: CurveSpec, t: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class EuclideanProfileJets:
-    """Deflated-jet representation of sqrt(|s_g|)*kappa_g at a cusp germ."""
+class EuclideanProfileJets(ProfileJets):
+    """Jets of sqrt(|s_g|)*kappa_g at a cusp germ: s_g = sgn(t) t^2 L(t), tau = t sqrt(L)."""
 
-    f_t: Jet  # the normalized profile as a jet in the original parameter
-    tau_t: Jet  # the half-arclength parameter as a jet in t
     mu_g: float
-    L: Jet  # the arclength factor: s_g = sgn(t) t^2 L(t), tau = t sqrt(L)
-
-    @functools.cached_property
-    def f_tau(self) -> Jet:
-        """The profile as a jet in tau, built on first read."""
-        return self.f_t.compose(self.tau_t.inverted())
 
 
 def euclidean_profile_jets(germ: PlaneJet) -> EuclideanProfileJets:
@@ -222,12 +213,12 @@ def euclidean_profile_jets(germ: PlaneJet) -> EuclideanProfileJets:
     B = deflate(bracket(d1, germ.derivative(2)), 2)
     f_t = L.sqrt() * B / (phi * phi * phi)
     tau_t = inflate(L.sqrt(), 1)
-    return EuclideanProfileJets(f_t, tau_t, mu, L)
+    return EuclideanProfileJets(f_t, tau_t, L, mu)
 
 
 def _direct(d: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sqrt(|s_g|) kappa_g on a derivative stack d[k][xy]."""
-    b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
+    b12 = cross(d[1], d[2])
     speed = np.hypot(d[1][0], d[1][1])
     return np.sqrt(np.abs(s)) * b12 / speed**3
 

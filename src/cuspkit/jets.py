@@ -11,8 +11,8 @@ All operations are exact to the retained order, which makes jets the single
 carrier of derivative data for every curvature formula in this package.  A
 :class:`PlaneJet` pairs two jets into the germ of a plane curve.
 
-The module also provides the two singular-analysis primitives the geometry
-layers rely on:
+The module also provides the three singular-analysis primitives the
+geometry layers rely on:
 
 * ``signed_power`` -- fractional powers with a sign convention that keeps
   odd roots odd and even roots nonnegative (so ``x**(1/2) == sqrt(|x|)``),
@@ -560,6 +560,11 @@ def bracket(a: PlaneJet, b: PlaneJet) -> Jet:
     return a.x * b.y - a.y * b.x
 
 
+def cross(a, b):
+    """The plane determinant a_x b_y - a_y b_x of arrays with (x, y) on the first axis."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
 # -- smooth quotients of singular integrals ----------------------------------
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -613,9 +618,10 @@ def moment_quotient(phi, alpha: float, t: float) -> float:
 
     Returns f(t) with ``f(t) * sgn(t) * |t|**(1+alpha) == integral_0^t
     |u|**alpha * phi(u) du``, evaluated through the everywhere-regular form
-    ``integral_0^1 u**alpha * phi(t*u) du``.  At t = 0 the value is exactly
-    ``phi(0)/(1+alpha)``.  ``phi`` may be a Jet based at 0 or any callable
-    defined on the segment between 0 and t.
+    ``integral_0^1 u**alpha * phi(t*u) du``.  At t = 0 that is
+    ``phi(0)/(1+alpha)``; the 64-node Gauss sum returned for a callable
+    meets it up to rounding, not exactly.  ``phi`` may be a Jet based at 0
+    or any callable defined on the segment between 0 and t.
     """
     if alpha <= 0:
         raise ValueError(f"moment_quotient needs alpha > 0, got {alpha}")

@@ -60,12 +60,13 @@ final iteration sums a shorter series over the grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .jets import _gauss_01, _gauss_panel, _rational_substitution
+from .jets import Jet, _gauss_01, _gauss_panel, _rational_substitution
 
 # Order of the germ whose jets give the smooth route.
 PROFILE_JET_ORDER = 12
@@ -431,6 +432,24 @@ def _chebyshev_interpolant(f, domain) -> ChebyshevInterpolant:
 
 
 @dataclass(frozen=True)
+class ProfileJets:
+    """The smooth jets of a germ at t = 0, in the germ's parameter t.
+
+    ``f_t`` is the profile, ``tau_t`` the adapted parameter tau = t L^p and
+    ``L`` the arclength factor; each kind's record adds its invariants.
+    """
+
+    f_t: Jet
+    tau_t: Jet
+    L: Jet
+
+    @functools.cached_property
+    def f_tau(self) -> Jet:
+        """The profile as a jet in tau, f_t after the reversion of tau_t, built on first read."""
+        return self.f_t.compose(self.tau_t.inverted())
+
+
+@dataclass(frozen=True)
 class Kind:
     """What the profiler needs to know about one kind of singular point.
 
@@ -438,11 +457,9 @@ class Kind:
     |ds/dt| = |t|^alpha phi(t); ``direct(d, s)`` is the defining formula of
     the profile on a derivative stack ``d[k][xy]`` through ``order`` (the
     layout of ``CurveSpec.derivatives_at`` and ``SynthesisResult.stacks``)
-    with arclength s; ``jets(germ)`` builds the smooth jets of a germ at
-    t = 0 (fields ``f_t``, ``tau_t`` and the factor ``L``, plus ``f_tau``,
-    f_t composed with the reversion of tau_t, built on its first read) and
-    raises ``ValueError`` on a germ of another kind; ``origin(jets)`` is the
-    profile's value at t = 0.
+    with arclength s; ``jets(germ)`` builds the kind's ``ProfileJets``
+    record of a germ at t = 0 and raises ``ValueError`` on a germ of
+    another kind; ``origin(jets)`` is the profile's value at t = 0.
     """
 
     name: str  # NormalizedProfile.kind

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Union
 
 import numpy as np
@@ -61,7 +60,7 @@ import numpy as np
 from . import affine as _affine
 from . import euclidean as _euclid
 from .dsl import BinOp, Func, Neg, Num, Power, Sym, evaluate
-from .jets import Jet, PlaneJet, _gauss_01, deflate, rational_pow
+from .jets import Jet, PlaneJet, _gauss_01, cross, deflate, rational_pow
 from .profiles import SWITCH_RADIUS, Kind
 
 _EXPR_NODES = (Num, Sym, Neg, BinOp, Func, Power)
@@ -120,47 +119,34 @@ class ProfileFunction:
         return jet.coeffs[0].copy(), jet.coeffs[1].copy()
 
 
-class ReparametrizedProfile:
+def _reparametrized(base: ProfileFunction, c: float) -> ProfileFunction:
     """f composed with the parameter change t = tau / (1 + c tau).
 
     The forward map tau(t) = t / (1 - c t) = t + c t^2 + ... carries
     d(tau)/dt = 1 and d^2(tau)/dt^2 = 2c at the origin, which is all the
     second-order germ constraint sees; unlike the inverse of the plain
-    quadratic t + c t^2 it stays defined on |tau| < 1/|c|.
+    quadratic t + c t^2 it stays defined on |tau| < 1/|c|.  A tau on the
+    far side of the pole -1/c, or on it, raises ``ValueError``.
     """
 
-    def __init__(self, base: ProfileFunction, c: float):
-        self.base = base
-        self.c = float(c)
-        self.label = f"{base.label} after tau = t + {c:g} t^2 + O(t^3)"
-
-    def _t_of_tau(self, tau):
-        if self.c == 0.0:
-            return tau
-        denom = 1.0 + self.c * tau
-        if np.any(np.asarray(denom) <= 0.0):
+    def fn(tau):
+        denom = 1.0 + c * tau
+        if np.any(np.asarray(denom.coeffs[0] if isinstance(denom, Jet) else denom) <= 0.0):
             raise ValueError(
-                f"reparametrized profile is defined only for tau > {-1.0 / self.c:g}"
+                f"the reparametrized profile with c = {c:.6g} is defined only for {_valid_side(c)}"
             )
-        return tau / denom
+        return base._fn(tau / denom)
 
-    def __call__(self, tau):
-        return self.base(self._t_of_tau(tau))
+    return ProfileFunction(fn, f"{base.label} after tau = t + {c:g} t^2 + O(t^3)")
 
-    def jet(self, base_tau: float, order: int) -> Jet:
-        t0 = float(self._t_of_tau(base_tau))
-        tau_jet = Jet.variable(float(base_tau), order)
-        inner = tau_jet / (1.0 + self.c * tau_jet)
-        return self.base.jet(t0, order).compose(inner)
 
-    def value_and_slope(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = self._t_of_tau(taus)
-        v, s = self.base.value_and_slope(t)
-        return v, s / (1.0 + self.c * taus) ** 2
+def _valid_side(c: float) -> str:
+    """Where 1 + c tau > 0, for c != 0."""
+    return f"tau {'<' if c < 0.0 else '>'} {-1.0 / c:.6g}"
 
 
 def as_profile(fn, label: str = "") -> ProfileFunction:
-    if isinstance(fn, (ProfileFunction, ReparametrizedProfile)):
+    if isinstance(fn, ProfileFunction):
         return fn
     return ProfileFunction(fn, label)
 
@@ -414,11 +400,6 @@ def _both_sides(side):
     return merged, err
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] for arrays with (x, y) on the first axis."""
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def _corrected_arclength(taus: np.ndarray, s_raw: np.ndarray, tau_t_jet: Jet, p: float) -> np.ndarray:
     """Replace the near-origin part of the integrated arclength by germ data.
 
@@ -468,7 +449,8 @@ class FrameSystem:
     ``speed(gamma', xi, xi')`` is the arclength integrand at states with
     those rows, each with (x, y) on its first axis.  ``stack_rows[k]`` names
     the row that holds the k-th derivative of gamma: ("Y", i) or ("AY", i).
-    ``accepts`` is the test the germ's ``SingularityClass`` must pass.
+    The germ must be of ``kind``: ``kind.jets`` raises ``ValueError`` on
+    any other.
     """
 
     kind: Kind
@@ -477,8 +459,6 @@ class FrameSystem:
     eta0: float
     speed: Callable
     stack_rows: tuple
-    accepts: Callable
-    germ_name: str  # for the message when ``accepts`` fails
 
     @property
     def frame0(self) -> np.ndarray:
@@ -582,28 +562,22 @@ EUCLID_CUSP_SYSTEM = FrameSystem(
     eta0=1.0,
     speed=lambda gamma_d, xi, xi_d: np.hypot(gamma_d[0], gamma_d[1]),
     stack_rows=(("Y", 0), ("AY", 0), ("AY", 3)),
-    accepts=attrgetter("is_cusp"),
-    germ_name="a cusp",
 )
 AFFINE_CUSP_SYSTEM = FrameSystem(
     kind=_affine.AFFINE_CUSP,
     coefficients=_affine_cusp_coefficients,
     inputs=_profile_inputs,
     eta0=AFFINE_CUSP_ETA0,
-    speed=lambda gamma_d, xi, xi_d: np.abs(_cross(gamma_d, xi)) ** (1.0 / 3.0),
+    speed=lambda gamma_d, xi, xi_d: np.abs(cross(gamma_d, xi)) ** (1.0 / 3.0),
     stack_rows=(("Y", 0), ("AY", 0), ("Y", 1), ("Y", 2), ("AY", 2)),
-    accepts=attrgetter("is_cusp"),
-    germ_name="a cusp",
 )
 INFLECTION_SYSTEM = FrameSystem(
     kind=_affine.INFLECTION,
     coefficients=_inflection_coefficients,
     inputs=_inflection_inputs,
     eta0=INFLECTION_ETA0,
-    speed=lambda gamma_d, xi, xi_d: np.abs(_cross(xi, xi_d)) ** (1.0 / 3.0),
+    speed=lambda gamma_d, xi, xi_d: np.abs(cross(xi, xi_d)) ** (1.0 / 3.0),
     stack_rows=(("Y", 0), ("Y", 1), ("AY", 1), ("Y", 2), ("AY", 2)),
-    accepts=attrgetter("is_inflection"),
-    germ_name="a generic inflection",
 )
 SYSTEMS = {s.kind.name: s for s in (EUCLID_CUSP_SYSTEM, AFFINE_CUSP_SYSTEM, INFLECTION_SYSTEM)}
 
@@ -623,8 +597,7 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method=
     values, germ_inputs = system.inputs(profile)
     tau = Jet.variable(0.0, GERM_ORDER)
     germ = _taylor_germ(system.coefficients(tau, *germ_inputs), system.frame0, GERM_ORDER)
-    if not system.accepts(_euclid.classify(germ)):
-        raise ValueError(f"synthesized germ failed to classify as {system.germ_name}")
+    jets = system.kind.jets(germ)  # raises ValueError on a germ of another kind
 
     n = _step_count(tau_max, step)
     if method == "quadrature":
@@ -654,7 +627,6 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method=
 
     (taus, s_raw, derivatives), err = _both_sides(side)
     positions = derivatives[0].T.copy()
-    jets = system.kind.jets(germ)
     stacks = np.zeros((5, 2, len(taus)))
     stacks[: len(derivatives)] = derivatives
     return SynthesisResult(
@@ -806,7 +778,7 @@ def restore_inflection_constraint(profile) -> tuple[object, float]:
             "cannot be repaired by reparametrization"
         )
     c = residual / (18.0 * fd)
-    return ReparametrizedProfile(profile, c), c
+    return _reparametrized(profile, c), c
 
 
 def synthesize_inflection(
@@ -818,10 +790,18 @@ def synthesize_inflection(
     32 f'(0)^2 + 9 f''(0) = 0 it is first reparametrized by tau = t + c t^2
     (which needs f'(0) != 0); the profile actually realized is then the
     reparametrized one, available as ``result.input_profile``.  tau is the
-    3/4-arclength parameter of the result.
+    3/4-arclength parameter of the result.  The reparametrization
+    t = tau / (1 + c tau) has its pole at tau = -1/c, so a tau_max with
+    |c| tau_max >= 1 raises ``ValueError`` before any integration.
     """
     _check_range(tau_max, step)
-    profile, _ = restore_inflection_constraint(f)
+    profile, c = restore_inflection_constraint(f)
+    if abs(c) * tau_max >= 1.0:
+        raise ValueError(
+            f"inflection synthesis reparametrizes f by t = tau / (1 + c tau) with "
+            f"c = {c:.6g}, defined only for {_valid_side(c)}; tau_max = "
+            f"{tau_max!r} reaches past it, so it needs tau_max < {1.0 / abs(c):.6g}"
+        )
     return _synthesize(INFLECTION_SYSTEM, profile, tau_max, step, richardson)
 
 

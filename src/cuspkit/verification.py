@@ -16,7 +16,7 @@ import numpy as np
 
 from . import affine, euclidean, synthesis
 from .dsl import CATALOG_CUSPS, catalog_lookup, parse_curve, parse_expression
-from .jets import PlaneJet, moment_quotient
+from .jets import PlaneJet, cross, moment_quotient
 from .profiles import PROFILE_JET_ORDER, Profiler
 
 DEFAULT_SEED = 0
@@ -214,9 +214,7 @@ def check_synthesis_brackets() -> CheckResult:
         res = synthesis.synthesize_affine_cusp(h, 0.5, richardson=False)
         d = res.stacks
         t = res.taus
-        b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
-        b13 = d[1][0] * d[3][1] - d[1][1] * d[3][0]
-        b23 = d[2][0] * d[3][1] - d[2][1] * d[3][0]
+        b12, b13, b23 = cross(d[1], d[2]), cross(d[1], d[3]), cross(d[2], d[3])
         worst = max(worst, float(np.max(np.abs(b12 - 125.0 * t**2 / 27.0))))
         worst = max(worst, float(np.max(np.abs(b13 - 250.0 * t / 27.0))))
         worst = max(
@@ -227,8 +225,7 @@ def check_synthesis_brackets() -> CheckResult:
         res = synthesis.synthesize_inflection(fn, 0.5, richardson=False)
         d = res.stacks
         t = res.taus
-        b12 = d[1][0] * d[2][1] - d[1][1] * d[2][0]
-        b13 = d[1][0] * d[3][1] - d[1][1] * d[3][0]
+        b12, b13 = cross(d[1], d[2]), cross(d[1], d[3])
         worst = max(worst, float(np.max(np.abs(b12 - 64.0 * t / 27.0))))
         worst = max(worst, float(np.max(np.abs(b13 - 64.0 / 27.0))))
     return _result(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -5,10 +6,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cuspkit import cli
+from cuspkit import affine, cli
 from cuspkit import synthesis as S
 from cuspkit.dsl import parse_expression
 from cuspkit.jets import Jet, PlaneJet, _gauss_01, deflate
+from cuspkit.profiles import ProfileJets
 from cuspkit.synthesis import synthesize_euclidean_cusp
 
 
@@ -259,6 +261,31 @@ def test_invalid_range_raises_before_germ_work(kind, bad, which):
     assert calls == []
 
 
+@pytest.mark.parametrize("slope, valid", [(1.0, "tau > -0.5625"), (-1.0, "tau < 0.5625")])
+def test_reparametrization_pole_raises_before_germ_work(slope, valid, monkeypatch):
+    # f = -5/16 + slope tau has c = 32 / (18 slope) = +-16/9: its reparametrization
+    # t = tau / (1 + c tau) has a pole at tau = -1/c = -+0.5625.
+    calls = []
+
+    def fn(tau):
+        calls.append(tau)
+        return -5.0 / 16.0 + slope * tau
+
+    assert S.synthesize_inflection(fn, 0.55, richardson=False).taus[-1] == 0.55
+    calls.clear()
+    monkeypatch.setattr(S, "_synthesize", lambda *args: pytest.fail("germ work started"))
+    with pytest.raises(ValueError) as info:
+        S.synthesize_inflection(fn, 0.6)
+    message = str(info.value)
+    for part in (f"c = {32.0 / (18.0 * slope):.6g}", valid, "tau_max = 0.6", "tau_max < 0.5625"):
+        assert part in message
+    assert [tau.order for tau in calls] == [4]  # the constraint check's jet alone
+    profile, _ = S.restore_inflection_constraint(fn)
+    for tau in (-0.6 * slope, np.array([0.0, -0.6 * slope]), Jet.variable(-0.6 * slope, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"defined only for {valid}")):
+            profile(tau)
+
+
 # -- the synthesize subcommand -------------------------------------------------------
 
 
@@ -354,6 +381,23 @@ def test_profile_jets_are_built_once_per_synthesis(kind, kw, monkeypatch):
     res.profile_recomputed()
     assert len(builds) == 1
     assert reversions == []  # f_tau, the only reversion, is never read
+
+
+def test_germ_of_another_kind_raises_from_the_kind_before_integration(monkeypatch):
+    system = dataclasses.replace(S.INFLECTION_SYSTEM, kind=affine.AFFINE_CUSP)
+    monkeypatch.setattr(S, "_rk4", lambda *args: pytest.fail("integration started"))
+    profile = S.as_profile(parse_expression(PROFILES["inflection"]))
+    with pytest.raises(ValueError, match="needs a 3/2-cusp germ, got PositiveInflection") as info:
+        S._synthesize(system, profile, 0.5, 1e-3, True)
+    assert any(entry.name == "cusp_profile_jets" for entry in info.traceback)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_builds_a_profile_jets_record(kind):
+    res = S.synthesize(kind, parse_expression(PROFILES[kind]), 0.1, richardson=False)
+    assert isinstance(res.profile_jets, ProfileJets)
+    names = [field.name for field in dataclasses.fields(res.profile_jets)]
+    assert names[:3] == ["f_t", "tau_t", "L"]
 
 
 # -- the germ against an independent Picard iteration ------------------------------------
