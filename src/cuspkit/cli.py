@@ -63,12 +63,18 @@ def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"bad --grid {spec!r}; expected start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    for name, value in (("start", start), ("stop", stop)):
-        if not math.isfinite(value):
-            raise ValueError(f"bad --grid {spec!r}; {name} must be finite, got {value!r}")
+    values = []
+    for name, text, convert in zip(("start", "stop", "count"), parts, (float, float, int)):
+        try:
+            values.append(convert(text))
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise ValueError(f"bad --grid {spec!r}; {name} must be {kind}, got {text!r}") from None
+        if not math.isfinite(values[-1]):
+            raise ValueError(f"bad --grid {spec!r}; {name} must be finite, got {values[-1]!r}")
+    start, stop, count = values
     if count < 1:
-        raise ValueError("grid count must be >= 1")
+        raise ValueError(f"bad --grid {spec!r}; count must be >= 1, got {count}")
     return np.linspace(start, stop, count)
 
 
@@ -176,6 +182,11 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    if args.kind != "euclid-cusp" and args.method != "frame":
+        raise ValueError(
+            f"--method {args.method} is for euclid-cusp only; {args.kind} synthesis has "
+            "only the frame route"
+        )
     if args.kind == "affine-cusp":
         if args.h is None:
             raise ValueError("affine-cusp synthesis needs --h (the tau^2-coefficient function)")

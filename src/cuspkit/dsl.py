@@ -342,8 +342,11 @@ class _Parser:
     def parse_atom(self):
         tok = self.current
         if tok.kind == "num":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise _error_at(self.text, tok.offset, f"number {tok.text} overflows a float")
             self.i += 1
-            return Num(float(tok.text))
+            return Num(value)
         if tok.kind == "ident":
             self.i += 1
             if tok.text in FUNCTIONS:

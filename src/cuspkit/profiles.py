@@ -18,10 +18,10 @@ profile's value at t = 0.  Each geometry module declares its own kinds
 (``euclidean.EUCLID_CUSP``, ``affine.AFFINE_CUSP`` and ``affine.INFLECTION``),
 and one ``Profiler(curve, kind)`` evaluates any of them: the jet of the
 smooth factorization inside ``SWITCH_RADIUS``, the direct formula with s by
-quadrature (``arclength_factor``) outside.  Both routes are exact up to
+quadrature (``Profiler._factor``) outside.  Both routes are exact up to
 truncation and quadrature error and must agree on ``OVERLAP_BAND``.
 
-``invert_adapted`` samples L once per grid on a Chebyshev interpolant over
+``Profiler._invert`` samples L once per grid on a Chebyshev interpolant over
 the t-range from 0 to the grid's extreme targets.  Those two targets are
 solved by Newton on the exact quadrature map, each started from the root of
 the germ's own tau(t) polynomial, which inside the jet's radius is within
@@ -35,8 +35,8 @@ derivatives.  A factor that stays unresolved at degree 512 has lost
 analyticity between the singular point and the grid, as at the next
 singular point of the curve, and raises ``ValueError``.  Newton's method
 then runs on the cheap map t L^p, whose slope is L^p + p t L^(p-1) L', and
-the direct route reads s from the same interpolant.  Only a grid of zeros
-uses the exact quadrature map, whose slope is p phi L^(p-1).
+the direct route reads s from the same interpolant.  A grid of zeros needs
+neither: its t is 0.
 
 The interpolant (``ChebyshevInterpolant``) keeps its samples at the
 Chebyshev points of the second kind and the values of L' there beside its
@@ -122,7 +122,7 @@ def invert_monotone(
     solved t_j are dropped first (``_chopped``), so no start moves by more
     than that.  Either way the result is the Newton iterate on the given
     map that meets |tau(t) - target| < 1e-13 * max(1, max |target|).
-    ``invert_adapted`` passes the cheap interpolated map tau = t L(t)^p
+    ``Profiler._invert`` passes the cheap interpolated map tau = t L(t)^p
     here, with the samples of L as the table.
 
     Raises ``ValueError`` when the iteration does not converge, as when the
@@ -221,57 +221,6 @@ def _newton(value_and_slope, targets, start, slope0, bounds=(-np.inf, np.inf)):
 # of its Chebyshev coefficients relative to the largest one.
 CHEB_DEGREES = (16, 32, 64, 128, 256, 512)
 CHOP_TOL = 1e-12
-
-
-def invert_adapted(
-    targets, p: float, exact_value_and_slope, factor_jet, factor_quadrature, tau_jet
-):
-    """Solve tau(t) = target for tau = t L(t)^p; returns (t, L or None).
-
-    ``exact_value_and_slope`` is the quadrature map with its slope;
-    ``factor_jet`` (a jet of L at t = 0) and ``factor_quadrature`` (an array
-    function) give L inside and outside ``SWITCH_RADIUS``; ``tau_jet`` is
-    the germ's jet of tau(t) at t = 0, whose linear coefficient is the slope
-    there.  The two extreme targets, with 0 among them, are solved on the
-    exact map from the roots of that jet's polynomial (``_t_range``), and L
-    is interpolated on that t-range (a ``ChebyshevInterpolant``).
-    ``invert_monotone`` then runs on the cheap map, clipped to the range,
-    from the table of the interpolant's own samples (t_j L_j^p, t_j).  The
-    interpolant of L is returned with the solution so that the caller can
-    evaluate s on the same grid; it is None when every target is 0 and the
-    exact map was used.  A grid that is not a non-empty 1-D array, or a
-    non-finite target, raises ``ValueError``.
-    """
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim != 1 or targets.size == 0:
-        raise ValueError(f"tau grid must be a non-empty 1-D array, got shape {targets.shape}")
-    bad = ~np.isfinite(targets)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"tau grid values must be finite, got tau = {float(targets.flat[i])!r} at index {i}"
-        )
-    slope0 = float(tau_jet.coeffs[1])
-    t_range = _t_range(exact_value_and_slope, targets, tau_jet)
-    if t_range is None:
-        return invert_monotone(exact_value_and_slope, targets, slope0), None
-
-    def factor(ts):
-        out = np.empty(len(ts))
-        near = np.abs(ts) < SWITCH_RADIUS
-        out[near] = factor_jet(ts[near])
-        out[~near] = factor_quadrature(ts[~near])
-        return out
-
-    L = _chebyshev_interpolant(factor, t_range)
-
-    def value_and_slope(ts):
-        Lt, dL = L.value_and_derivative(ts)
-        Lp = Lt**p
-        return ts * Lp, Lp + p * ts * Lp / Lt * dL
-
-    table = (L.nodes[::-1] * L.samples[::-1] ** p, L.nodes[::-1])
-    return invert_monotone(value_and_slope, targets, slope0, t_range, table), L
 
 
 def _t_range(exact_value_and_slope, targets, tau_jet):
@@ -472,34 +421,13 @@ class Kind:
     origin: Callable
 
 
-def arclength_factor(phi, alpha: float, ts, L0: float, with_phi: bool = False):
-    """L(t) = integral_0^1 u^alpha phi(t u) du, one Gauss panel per t.
-
-    The substitution u = v^q of ``jets._rational_substitution`` makes the
-    weight polynomial.  ``phi`` maps an array of u to the integrand's smooth
-    factor there; at t = 0 the value is ``L0``.  With ``with_phi``, returns
-    (L, phi(ts)), phi at ts coming from the same call as the panel's nodes.
-    """
-    q, e = _rational_substitution(alpha)
-    v, w = _gauss_01()
-    ts = np.atleast_1d(ts)
-    out = np.full(len(ts), L0)
-    nonzero = ts != 0.0
-    if with_phi:
-        out[nonzero], phi_ts = _gauss_panel(phi, ts[nonzero], v**q, q * w * v**e, also_at=ts)
-        return out, phi_ts
-    if np.any(nonzero):
-        out[nonzero] = _gauss_panel(phi, ts[nonzero], v**q, q * w * v**e)
-    return out
-
-
 class Profiler:
     """Evaluator of a kind's normalized profile through the singular point t = 0.
 
     Inside ``SWITCH_RADIUS`` it evaluates the jet f_t of the smooth
     factorization; outside, the kind's direct formula with s from
     quadrature.  Grids are inverted, and their s evaluated, on a Chebyshev
-    interpolant of L (see ``invert_adapted``).  The fields of the kind's jets
+    interpolant of L (see ``_invert``).  The fields of the kind's jets
     record (``mu_g``, ``mu_A``, ``f_tau``, ...) read through the profiler.
     """
 
@@ -516,13 +444,25 @@ class Profiler:
         return getattr(self.jets, name)
 
     def _factor(self, ts: np.ndarray, with_phi: bool = False):
-        return arclength_factor(
-            lambda us: self.kind.phi(self.curve, us),
-            self.kind.alpha,
-            ts,
-            self.jets.L.value(),
-            with_phi,
-        )
+        """L(t) = integral_0^1 u^alpha phi(t u) du, one Gauss panel per t.
+
+        The substitution u = v^q of ``jets._rational_substitution`` makes
+        the weight polynomial; at t = 0 the value is the jet's L(0).  With
+        ``with_phi``, returns (L, phi(ts)), phi at ts coming from the same
+        call as the panel's nodes.
+        """
+        q, e = _rational_substitution(self.kind.alpha)
+        v, w = _gauss_01()
+        ts = np.atleast_1d(ts)
+        out = np.full(len(ts), self.jets.L.value())
+        nonzero = ts != 0.0
+        phi = functools.partial(self.kind.phi, self.curve)
+        if with_phi:
+            out[nonzero], phi_ts = _gauss_panel(phi, ts[nonzero], v**q, q * w * v**e, also_at=ts)
+            return out, phi_ts
+        if np.any(nonzero):
+            out[nonzero] = _gauss_panel(phi, ts[nonzero], v**q, q * w * v**e)
+        return out
 
     def arclength(self, ts: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
         """s at ts, from the factor values L at ts if given."""
@@ -549,10 +489,49 @@ class Profiler:
         return self._invert(taus)[0]
 
     def _invert(self, taus):
-        """t(tau), and the interpolant of L it used (None on the exact map)."""
-        return invert_adapted(
-            taus, self.kind.p, self._tau_and_slope, self.jets.L, self._factor, self.jets.tau_t
-        )
+        """t(tau) for tau = t L(t)^p, and the interpolant of L it used.
+
+        The two extreme targets, with 0 among them, are solved on the exact
+        map ``_tau_and_slope`` from the roots of the germ's tau(t)
+        polynomial (``_t_range``), and L is interpolated on that t-range (a
+        ``ChebyshevInterpolant``): from its jet inside ``SWITCH_RADIUS``, by
+        quadrature outside.  ``invert_monotone`` then runs on the cheap map,
+        clipped to the range, from the table of the interpolant's own
+        samples (t_j L_j^p, t_j).  The interpolant is returned so that the
+        caller can evaluate s on the same grid.  A grid of zeros returns
+        t = 0 and None.  A grid that is not a non-empty 1-D array, or a
+        non-finite target, raises ``ValueError``.
+        """
+        targets = np.asarray(taus, dtype=float)
+        if targets.ndim != 1 or targets.size == 0:
+            raise ValueError(f"tau grid must be a non-empty 1-D array, got shape {targets.shape}")
+        bad = ~np.isfinite(targets)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"tau grid values must be finite, got tau = {float(targets.flat[i])!r} at index {i}"
+            )
+        t_range = _t_range(self._tau_and_slope, targets, self.jets.tau_t)
+        if t_range is None:
+            return np.zeros(len(targets)), None
+
+        def factor(ts):
+            out = np.empty(len(ts))
+            near = np.abs(ts) < SWITCH_RADIUS
+            out[near] = self.jets.L(ts[near])
+            out[~near] = self._factor(ts[~near])
+            return out
+
+        L = _chebyshev_interpolant(factor, t_range)
+        p = self.kind.p
+
+        def value_and_slope(ts):
+            Lt, dL = L.value_and_derivative(ts)
+            Lp = Lt**p
+            return ts * Lp, Lp + p * ts * Lp / Lt * dL
+
+        table = (L.nodes[::-1] * L.samples[::-1] ** p, L.nodes[::-1])
+        return invert_monotone(value_and_slope, targets, self._slope0, t_range, table), L
 
     def value_direct(self, ts: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
         """The defining formula, with s from the factor values L at ts if given."""

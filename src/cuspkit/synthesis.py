@@ -328,8 +328,10 @@ class SynthesisResult:
 
     ``samples`` holds (tau, x, y) rows on the integration grid.  ``stacks``
     holds gamma and its first four derivative vectors at each grid point,
-    read from the frame system; ``arclength`` is the recomputed s (Euclidean
-    or affine) with the near-origin part taken from the germ jets, and
+    read from the frame system.  ``arclength`` is the recomputed s
+    (Euclidean or affine): on each side, |s| = |tau_t(tau)|^(1/p) from the
+    germ jets up to the first point at or past ``SWITCH_RADIUS``, and that
+    value plus the integrated increments beyond it (``_spliced_arclength``).
     ``profile_jets`` holds those jets (the kind's ``jets(germ)``, built once
     per synthesis; a synthesis reads only ``tau_t`` and ``f_t``, so its
     ``f_tau`` is not built unless read).
@@ -400,36 +402,23 @@ def _both_sides(side):
     return merged, err
 
 
-def _corrected_arclength(taus: np.ndarray, s_raw: np.ndarray, tau_t_jet: Jet, p: float) -> np.ndarray:
-    """Replace the near-origin part of the integrated arclength by germ data.
+def _spliced_arclength(taus: np.ndarray, s: np.ndarray, tau_t: Jet, p: float) -> np.ndarray:
+    """One side's arclength, from 0 outward, with its near-origin part from the germ.
 
     The arclength integrand has a fractional-power kink at 0, which costs
-    the integrator accuracy on the first few steps; the germ jets give the
-    exact value at the switch boundary.  ``tau_t_jet`` is the jet of the
-    adapted parameter, and |s| = |tau|^(1/p).
+    the integrator accuracy on the first few steps.  Up to the first point
+    b at or past ``SWITCH_RADIUS`` (every point if there is none),
+    |s| = |tau_t(tau)|^(1/p) from the jet ``tau_t`` of the adapted
+    parameter; beyond b, s is the germ's s at b plus the integrated
+    increments.  That s at b is taken on the scalar tau_t(tau_b), in
+    Python's power, which can round apart from numpy's array power.
     """
-    out = s_raw.copy()
-    for sign in (1.0, -1.0):
-        side = np.sign(taus) == sign
-        if not np.any(side):
-            continue
-        boundary_candidates = np.abs(taus[side]) >= SWITCH_RADIUS
-        if not np.any(boundary_candidates):
-            # Whole side inside the germ region: use the jet everywhere.
-            tau_n = tau_t_jet(taus[side])
-            out[side] = np.sign(tau_n) * np.abs(tau_n) ** (1.0 / p)
-            continue
-        idx = np.where(side)[0]
-        abs_side = np.abs(taus[idx])
-        b = idx[np.argmin(np.where(abs_side >= SWITCH_RADIUS, abs_side, np.inf))]
-        tau_b = tau_t_jet(taus[b])
-        s_b = np.sign(tau_b) * abs(tau_b) ** (1.0 / p)
-        inner = side & (np.abs(taus) <= np.abs(taus[b]))
-        outer = side & ~inner
-        tau_n = tau_t_jet(taus[inner])
-        out[inner] = np.sign(tau_n) * np.abs(tau_n) ** (1.0 / p)
-        out[outer] = s_b + (s_raw[outer] - s_raw[b])
-    return out
+    past = np.flatnonzero(np.abs(taus) >= SWITCH_RADIUS)
+    b = int(past[0]) if past.size else len(taus) - 1
+    tau_n = tau_t(taus[: b + 1])
+    tau_b = tau_t(taus[b])
+    s_b = np.sign(tau_b) * abs(tau_b) ** (1.0 / p)
+    return np.concatenate([np.sign(tau_n) * np.abs(tau_n) ** (1.0 / p), s_b + (s[b + 1 :] - s[b])])
 
 
 # -- the frame systems -------------------------------------------------------------
@@ -625,7 +614,11 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method=
             end = _rk4_endpoint(C, system.frame0, 0.5 * h)[0] if richardson else None
             return (taus_fine[::sub], s, stacks), end
 
-    (taus, s_raw, derivatives), err = _both_sides(side)
+    def spliced(sign):
+        (taus, s, derivatives), end = side(sign)
+        return (taus, _spliced_arclength(taus, s, jets.tau_t, system.kind.p), derivatives), end
+
+    (taus, s, derivatives), err = _both_sides(spliced)
     positions = derivatives[0].T.copy()
     stacks = np.zeros((5, 2, len(taus)))
     stacks[: len(derivatives)] = derivatives
@@ -637,7 +630,7 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method=
         input_profile=profile,
         step=step,
         stacks=stacks,
-        arclength=_corrected_arclength(taus, s_raw, jets.tau_t, system.kind.p),
+        arclength=s,
         step_error=err,
         method=method,
         profile_jets=jets,

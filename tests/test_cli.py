@@ -112,6 +112,49 @@ def test_profile_rejects_non_finite_grid(capsys, grid, name):
     assert repr(grid) in err
 
 
+@pytest.mark.parametrize(
+    "grid, field",
+    [
+        ("0:1:1.5", "count must be an integer, got '1.5'"),
+        ("a:1:3", "start must be a number, got 'a'"),
+        ("0:b:3", "stop must be a number, got 'b'"),
+        ("0:1:0", "count must be >= 1, got 0"),
+    ],
+)
+def test_profile_names_the_bad_grid_field(capsys, grid, field):
+    argv = ["profile", "--curve", "cycloid", "--param", "a=1", "--kind", "euclid-cusp"]
+    code, out, err = _run(capsys, argv + ["--grid", grid])
+    assert (code, out) == (1, "")
+    assert err == f"error [profile]: bad --grid {grid!r}; {field}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--curve", "(t^2, 1e999*t^3)"],
+        ["classify", "--curve", "(t^2, 1e999*t^3)"],
+        ["synthesize", "--kind", "euclid-cusp", "--f", "1e999", "--tau-max", "0.5"],
+    ],
+)
+def test_non_finite_number_literal_exits_before_any_output(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "curve syntax error" in err
+    assert "number 1e999 overflows a float" in err
+
+
+@pytest.mark.parametrize(
+    "kind, option, value", [("affine-cusp", "--h", "1"), ("inflection", "--f", "-5/16")]
+)
+def test_synthesize_refuses_the_quadrature_route_for_affine_kinds(capsys, kind, option, value):
+    argv = ["synthesize", "--kind", kind, option, value, "--tau-max", "0.5"]
+    code, out, err = _run(capsys, argv + ["--method", "quadrature"])
+    assert (code, out) == (1, "")
+    assert f"--method quadrature is for euclid-cusp only; {kind} synthesis" in err
+    code, out, _ = _run(capsys, argv + ["--method", "frame"])
+    assert code == 0 and out.startswith("tau,x,y\n")
+
+
 # -- negative option values ----------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from conftest import MODEL_GERMS
 from cuspkit import dsl
 from cuspkit.dsl import (
     CATALOG_NAMES,
+    Num,
     ParseError,
     catalog_lookup,
     evaluate,
@@ -336,6 +337,24 @@ def test_non_finite_param_is_rejected(value):
     with pytest.raises(ValueError, match=f"c={value!r}") as err:
         parse_curve("(t^2, t^3 + c*t^5)", {"c": value})
     assert not isinstance(err.value, ParseError)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_expression, "1e999", "line 1, column 1: number 1e999 overflows a float"),
+        (parse_expression, "-2.5E400*t", "line 1, column 2: number 2.5E400 overflows a float"),
+        (parse_curve, "(t^2,\n  1e999*t^3)", "line 2, column 3: number 1e999 overflows a float"),
+    ],
+)
+def test_non_finite_number_literal_is_a_parse_error(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_largest_finite_number_literal_parses():
+    assert parse_expression("1.7976931348623157e308") == Num(1.7976931348623157e308)
 
 
 @pytest.mark.parametrize("literal", ["1e999", "-1e999"])

@@ -15,9 +15,9 @@ from cuspkit.affine import (
     profile_A_cusp,
     profile_A_inflection,
 )
-from cuspkit.dsl import CATALOG_CUSPS, CATALOG_INFLECTIONS, CurveSpec, catalog_lookup
+from cuspkit.dsl import CATALOG_CUSPS, CATALOG_INFLECTIONS, CurveSpec, catalog_lookup, parse_curve
 from cuspkit.euclidean import EUCLID_CUSP, arclength_g, euclidean_profile_jets, profile_g
-from cuspkit.jets import Jet
+from cuspkit.jets import Jet, PlaneJet
 from cuspkit.profiles import (
     CHEB_DEGREES,
     SEED_CHOP,
@@ -585,6 +585,17 @@ def test_grid_that_is_not_a_non_empty_vector_raises(name, grid):
         fn(curve, grid)
 
 
+@pytest.mark.parametrize(
+    "kind, name", [(EUCLID_CUSP, "cycloid"), (AFFINE_CUSP, "cycloid"), (INFLECTION, "skew_cycloid")]
+)
+def test_grid_of_zeros_is_solved_without_evaluating_the_curve(kind, name, monkeypatch):
+    profiler = Profiler(catalog_lookup(name, {"a": 1.0}), kind)
+    monkeypatch.setattr(CurveSpec, "derivatives_at", lambda *args: pytest.fail("curve evaluated"))
+    ts, factor = profiler._invert(np.array([0.0, -0.0, 0.0]))
+    assert ts.tolist() == [0.0, 0.0, 0.0] and factor is None
+    assert profiler.profile([0.0, 0.0]).values.tolist() == [profiler.f0, profiler.f0]
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "arclength, name",
@@ -639,3 +650,44 @@ def test_f_tau_on_first_read_is_the_eager_composition(kind, name):
     if kind is INFLECTION:
         c = want.coeffs
         assert jets.identity_residual_tau == 32.0 * float(c[1]) ** 2 + 9.0 * 2.0 * float(c[2])
+
+
+# -- sign rules of f_tau under orientation reversal and reflection --------------
+
+# Germs with odd and even terms in both components, whose f_tau has odd and
+# even coefficients, so that each sign rule below is tested on both.
+ASYMMETRIC_CUSP = "(t^2 + 0.3*t^3, t^3 + 0.7*t^4 - 0.2*t^5)"
+ASYMMETRIC_INFLECTION = "(t + 0.4*t^2, t^3 + 0.5*t^4 + 0.3*t^5)"
+SIGN_RULE_CASES = (
+    [(EUCLID_CUSP, name) for name in CATALOG_CUSPS + (ASYMMETRIC_CUSP,)]
+    + [(AFFINE_CUSP, name) for name in CATALOG_CUSPS + (ASYMMETRIC_CUSP,)]
+    + [(INFLECTION, name) for name in CATALOG_INFLECTIONS + (ASYMMETRIC_INFLECTION,)]
+)
+
+
+def _f_tau_of(kind, germ):
+    return kind.jets(germ).f_tau.coeffs
+
+
+@pytest.mark.parametrize(
+    "kind, name", SIGN_RULE_CASES, ids=[f"{k.name}-{n}" for k, n in SIGN_RULE_CASES]
+)
+def test_f_tau_sign_rules(kind, name):
+    # Reversal t -> -t: the Euclidean f becomes -f(-tau), c_k -> (-1)^(k+1) c_k,
+    # and the affine f becomes f(-tau), c_k -> (-1)^k c_k.  Reflection
+    # y -> -y: the Euclidean c_k change sign, the affine ones stay.
+    asymmetric = name in (ASYMMETRIC_CUSP, ASYMMETRIC_INFLECTION)
+    curve = parse_curve(name) if asymmetric else catalog_lookup(name, {"a": 1.0})
+    germ = curve.jet(0.0, profiles.PROFILE_JET_ORDER)
+    alternating = (-1.0) ** np.arange(profiles.PROFILE_JET_ORDER + 1)
+    reversed_germ = PlaneJet.from_coeffs(germ.x.coeffs * alternating, germ.y.coeffs * alternating)
+    reflected_germ = PlaneJet.from_coeffs(germ.x.coeffs, -germ.y.coeffs)
+    c = _f_tau_of(kind, germ)
+    signs = (-1.0) ** np.arange(len(c))
+    euclidean = kind is EUCLID_CUSP
+    bound = 1e-14 * np.maximum(1.0, np.abs(c))
+    reversed_c = _f_tau_of(kind, reversed_germ)
+    assert np.all(np.abs(reversed_c - (-signs if euclidean else signs) * c) <= bound)
+    assert np.all(np.abs(_f_tau_of(kind, reflected_germ) - (-c if euclidean else c)) <= bound)
+    if asymmetric:  # f has odd terms, so reversal is not the identity on it
+        assert np.max(np.abs(c[1::2])) > 0.1
