@@ -42,8 +42,7 @@ from .euclidean import (
 from .jets import (
     Jet,
     PlaneJet,
-    _gauss_01,
-    _gauss_panel,
+    _weighted_mean,
     bracket,
     cross,
     deflate,
@@ -159,8 +158,8 @@ def arclength_A(curve: CurveSpec, t: float) -> tuple[float, float, float]:
         kind = AFFINE_CUSP if cls.is_cusp else INFLECTION
         s = float(Profiler(curve, kind).arclength(ts)[0])
     elif cls.label is SingularityType.REGULAR:
-        panel = _gauss_panel(lambda u: np.abs(_bracket12(curve, u)) ** (1.0 / 3.0), ts, *_gauss_01())
-        s = float(t * panel[0])
+        mean = _weighted_mean(lambda u: np.abs(_bracket12(curve, u)) ** (1.0 / 3.0), 0.0, ts)
+        s = float(t * mean[0])
     else:
         raise ValueError(f"affine arclength undefined for a {cls} origin")
     tau35 = signed_power(s, 3, 5)

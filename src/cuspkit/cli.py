@@ -182,11 +182,6 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    if args.kind != "euclid-cusp" and args.method != "frame":
-        raise ValueError(
-            f"--method {args.method} is for euclid-cusp only; {args.kind} synthesis has "
-            "only the frame route"
-        )
     if args.kind == "affine-cusp":
         if args.h is None:
             raise ValueError("affine-cusp synthesis needs --h (the tau^2-coefficient function)")
@@ -197,10 +192,9 @@ def _cmd_synthesize(args) -> int:
         fn = parse_expression(args.f)
     spec = _render_spec(args)
     # Only tau, x, y are written, so the Richardson rerun behind step_error is skipped.
-    kwargs = {"step": args.step, "richardson": False}
-    if args.kind == "euclid-cusp":
-        kwargs["method"] = args.method
-    result = synthesis.synthesize(args.kind, fn, args.tau_max, **kwargs)
+    result = synthesis.synthesize(
+        args.kind, fn, args.tau_max, step=args.step, method=args.method, richardson=False
+    )
     rows = zip(result.taus, result.positions[:, 0], result.positions[:, 1])
     _write_text(args.out, _csv_text(["tau", "x", "y"], rows))
     if args.svg:

@@ -395,12 +395,26 @@ class CurveSpec:
         )
 
     def jet(self, t0: float, order: int = DEFAULT_ORDER) -> PlaneJet:
-        """Exact Taylor jet of the curve at t0 (automatic differentiation)."""
+        """Exact Taylor jet of the curve at t0 (automatic differentiation).
+
+        Raises ``ValueError`` on a coefficient that is not finite, as when
+        finite literals overflow once multiplied.
+        """
         if order > MAX_JET_ORDER:
             raise ValueError(f"jet order {order} exceeds the supported maximum {MAX_JET_ORDER}")
         if not math.isfinite(t0):
             raise ValueError(f"jet base point t0 must be finite, got t0={t0!r}")
-        return PlaneJet(*self._components(Jet.variable(float(t0), order)))
+        with np.errstate(all="ignore"):
+            x, y = self._components(Jet.variable(float(t0), order))
+        for name, component in (("x", x), ("y", y)):
+            bad = np.flatnonzero(~np.isfinite(component.coeffs))
+            if bad.size:
+                k = int(bad[0])
+                raise ValueError(
+                    f"curve {self.label or self} has a non-finite jet at t0={t0!r}: "
+                    f"coefficient {k} of its {name} component is {component.coeffs[k]}"
+                )
+        return PlaneJet(x, y)
 
     def derivatives_at(self, ts, max_order: int) -> np.ndarray:
         """Array of derivative vectors: shape (max_order+1, 2, len(ts)).

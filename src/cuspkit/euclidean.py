@@ -23,8 +23,7 @@ import numpy as np
 from .dsl import CurveSpec
 from .jets import (
     PlaneJet,
-    _gauss_01,
-    _gauss_panel,
+    _weighted_mean,
     bracket,
     cross,
     deflate,
@@ -179,7 +178,7 @@ def arclength_g(curve: CurveSpec, t: float) -> tuple[float, float]:
     if cls.is_cusp:
         s = float(Profiler(curve, EUCLID_CUSP).arclength(np.array([t]))[0])
         return s, math.copysign(math.sqrt(abs(s)), s)
-    s = t * _gauss_panel(lambda u: _speeds(curve, u), np.array([t]), *_gauss_01())
+    s = t * _weighted_mean(lambda u: _speeds(curve, u), 0.0, np.array([t]))
     return float(s[0]), float(s[0])
 
 

@@ -20,7 +20,9 @@ geometry layers rely on:
 * ``moment_quotient`` -- the smooth value of
   ``(integral_0^t |u|^a phi(u) du) / (sgn(t) |t|^(1+a))``, computed through
   the regular representation ``integral_0^1 u^a phi(t u) du`` so that t = 0
-  is an ordinary point.
+  is an ordinary point.  Its Gauss rule, ``_weighted_mean``, is the only
+  one for weighted means in the package: the profiler's L(t) and the
+  regular-point arclengths (a = 0) sum through it too.
 
 Everything here is an immutable value; all functions are pure.
 """
@@ -577,40 +579,36 @@ def _gauss_01(n: int = 64) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS_CACHE[n]
 
 
-def _gauss_panel(integrand, ts: np.ndarray, nodes: np.ndarray, weights: np.ndarray, also_at=None):
-    """For each t of ``ts``, the sum over j of weights[j] * integrand(t * nodes[j]).
+def _weighted_mean(phi, alpha: float, ts, also_at=None):
+    """For each t of ``ts``, the 64-node Gauss value of integral_0^1 u^alpha phi(t u) du.
 
-    ``integrand`` maps the flat array of every t * nodes[j] to its values in
-    one call, so a whole grid of quadratures is one vectorized evaluation.
-    Given points ``also_at``, the same call evaluates the integrand there
-    too, and (panel, integrand(also_at)) is returned.
+    The substitution u = v^q, with the smallest q making alpha*q an integer,
+    makes the weight polynomial; when no q <= 16 does, the smallest q with
+    alpha*q >= 1 still removes the endpoint singularity.  At alpha = 0 the
+    nodes and weights are the plain Gauss rule's.  ``phi`` maps the flat
+    array of every t * v_j^q to its values in one call, so a whole grid of
+    quadratures is one vectorized evaluation.  Given points ``also_at``,
+    the same call evaluates phi there too, and (means, phi(also_at)) is
+    returned.
 
     Each t's sum is numpy's pairwise sum over its own row of products, so
     its rounding depends neither on the other t's of the batch nor on
     ``also_at``.  (A BLAS matrix-vector product rounds a 1-row and an n-row
     batch differently.)
     """
-    ts = np.atleast_1d(ts)
-    args = np.outer(ts, nodes).ravel()
-    if also_at is None:
-        values = integrand(args)
-    else:
-        values = integrand(np.concatenate([args, also_at]))
-    panel = (values[: args.size].reshape(len(ts), len(nodes)) * weights).sum(axis=1)
-    return panel if also_at is None else (panel, values[args.size :])
-
-
-def _rational_substitution(alpha: float) -> tuple[int, float]:
-    """Smallest q making alpha*q an integer (weight becomes polynomial).
-
-    Falls back to the smallest q with alpha*q >= 1, which still removes the
-    endpoint singularity even when alpha is irrational.
-    """
     for q in range(1, 17):
         if abs(alpha * q - round(alpha * q)) < 1e-9:
-            return q, float(round(alpha * q) + q - 1)
-    q = max(1, math.ceil(1.0 / alpha))
-    return q, alpha * q + q - 1.0
+            e = float(round(alpha * q) + q - 1)
+            break
+    else:
+        q = max(1, math.ceil(1.0 / alpha))
+        e = alpha * q + q - 1.0
+    v, w = _gauss_01()
+    ts = np.atleast_1d(ts)
+    args = np.outer(ts, v**q).ravel()
+    values = phi(args if also_at is None else np.concatenate([args, also_at]))
+    means = (values[: args.size].reshape(len(ts), len(v)) * (q * w * v**e)).sum(axis=1)
+    return means if also_at is None else (means, values[args.size :])
 
 
 def moment_quotient(phi, alpha: float, t: float) -> float:
@@ -620,23 +618,16 @@ def moment_quotient(phi, alpha: float, t: float) -> float:
     |u|**alpha * phi(u) du``, evaluated through the everywhere-regular form
     ``integral_0^1 u**alpha * phi(t*u) du``.  At t = 0 that is
     ``phi(0)/(1+alpha)``; the 64-node Gauss sum returned for a callable
-    meets it up to rounding, not exactly.  ``phi`` may be a Jet based at 0
-    or any callable defined on the segment between 0 and t.
+    meets it up to rounding, not exactly.  ``phi`` may be a Jet based at 0,
+    or a callable defined on the segment between 0 and t; a callable is
+    called once, on the array of every quadrature node, and must return an
+    array of the same shape.
     """
     if alpha <= 0:
         raise ValueError(f"moment_quotient needs alpha > 0, got {alpha}")
     if isinstance(phi, Jet):
         return moment_quotient_jet(phi, alpha)(t)
-    q, e = _rational_substitution(alpha)
-    v, w = _gauss_01()
-    args = t * v**q
-    try:
-        vals = np.asarray(phi(args), dtype=float)
-        if vals.shape != args.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([phi(u) for u in args], dtype=float)
-    return float(np.sum(w * q * v**e * vals))
+    return float(_weighted_mean(phi, alpha, t)[0])
 
 
 def moment_quotient_jet(phi: Jet, alpha: float) -> Jet:

@@ -66,7 +66,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Jet, _gauss_01, _gauss_panel, _rational_substitution
+from .jets import Jet, _weighted_mean
 
 # Order of the germ whose jets give the smooth route.
 PROFILE_JET_ORDER = 12
@@ -427,8 +427,8 @@ class Profiler:
     Inside ``SWITCH_RADIUS`` it evaluates the jet f_t of the smooth
     factorization; outside, the kind's direct formula with s from
     quadrature.  Grids are inverted, and their s evaluated, on a Chebyshev
-    interpolant of L (see ``_invert``).  The fields of the kind's jets
-    record (``mu_g``, ``mu_A``, ``f_tau``, ...) read through the profiler.
+    interpolant of L (see ``_invert``).  The kind's jets record of the
+    germ (``mu_g``, ``mu_A``, ``f_tau``, ...) is ``self.jets``.
     """
 
     def __init__(self, curve, kind: Kind):
@@ -438,30 +438,23 @@ class Profiler:
         self.f0 = kind.origin(self.jets)
         self._slope0 = float(self.jets.tau_t.coeffs[1])
 
-    def __getattr__(self, name):
-        if name == "jets":  # not built yet
-            raise AttributeError(name)
-        return getattr(self.jets, name)
-
     def _factor(self, ts: np.ndarray, with_phi: bool = False):
-        """L(t) = integral_0^1 u^alpha phi(t u) du, one Gauss panel per t.
+        """L(t) = integral_0^1 u^alpha phi(t u) du, by ``jets._weighted_mean``.
 
-        The substitution u = v^q of ``jets._rational_substitution`` makes
-        the weight polynomial; at t = 0 the value is the jet's L(0).  With
-        ``with_phi``, returns (L, phi(ts)), phi at ts coming from the same
-        call as the panel's nodes.
+        That is the rule ``moment_quotient`` sums by, so verify check 13
+        pins it.  At t = 0 the value is the jet's L(0).  With ``with_phi``,
+        returns (L, phi(ts)), phi at ts coming from the same call as the
+        rule's nodes.
         """
-        q, e = _rational_substitution(self.kind.alpha)
-        v, w = _gauss_01()
         ts = np.atleast_1d(ts)
         out = np.full(len(ts), self.jets.L.value())
         nonzero = ts != 0.0
         phi = functools.partial(self.kind.phi, self.curve)
         if with_phi:
-            out[nonzero], phi_ts = _gauss_panel(phi, ts[nonzero], v**q, q * w * v**e, also_at=ts)
+            out[nonzero], phi_ts = _weighted_mean(phi, self.kind.alpha, ts[nonzero], also_at=ts)
             return out, phi_ts
         if np.any(nonzero):
-            out[nonzero] = _gauss_panel(phi, ts[nonzero], v**q, q * w * v**e)
+            out[nonzero] = _weighted_mean(phi, self.kind.alpha, ts[nonzero])
         return out
 
     def arclength(self, ts: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:

@@ -83,17 +83,14 @@ class ProfileFunction:
     :mod:`cuspkit.jets` (so that jet evaluation works unchanged).
     """
 
-    def __init__(self, fn: Union[Callable, float, int], label: str = ""):
+    def __init__(self, fn: Union[Callable, float, int]):
         if isinstance(fn, (int, float)):
             value = float(fn)
             self._fn = lambda tau: value
-            self.label = label or repr(value)
         elif isinstance(fn, _EXPR_NODES):
             self._fn = lambda tau: evaluate(fn, tau, {})
-            self.label = label or "expression"
         elif callable(fn):
             self._fn = fn
-            self.label = label or getattr(fn, "__name__", "profile")
         else:
             raise TypeError(f"cannot interpret {fn!r} as a profile function")
 
@@ -137,7 +134,7 @@ def _reparametrized(base: ProfileFunction, c: float) -> ProfileFunction:
             )
         return base._fn(tau / denom)
 
-    return ProfileFunction(fn, f"{base.label} after tau = t + {c:g} t^2 + O(t^3)")
+    return ProfileFunction(fn)
 
 
 def _valid_side(c: float) -> str:
@@ -145,10 +142,10 @@ def _valid_side(c: float) -> str:
     return f"tau {'<' if c < 0.0 else '>'} {-1.0 / c:.6g}"
 
 
-def as_profile(fn, label: str = "") -> ProfileFunction:
+def as_profile(fn) -> ProfileFunction:
     if isinstance(fn, ProfileFunction):
         return fn
-    return ProfileFunction(fn, label)
+    return ProfileFunction(fn)
 
 
 # -- the frame system: RK4 by affine step maps, Taylor germ at 0 ------------------
@@ -409,16 +406,14 @@ def _spliced_arclength(taus: np.ndarray, s: np.ndarray, tau_t: Jet, p: float) ->
     the integrator accuracy on the first few steps.  Up to the first point
     b at or past ``SWITCH_RADIUS`` (every point if there is none),
     |s| = |tau_t(tau)|^(1/p) from the jet ``tau_t`` of the adapted
-    parameter; beyond b, s is the germ's s at b plus the integrated
-    increments.  That s at b is taken on the scalar tau_t(tau_b), in
-    Python's power, which can round apart from numpy's array power.
+    parameter; beyond b, s is the stored s at b plus the integrated
+    increments.
     """
     past = np.flatnonzero(np.abs(taus) >= SWITCH_RADIUS)
     b = int(past[0]) if past.size else len(taus) - 1
     tau_n = tau_t(taus[: b + 1])
-    tau_b = tau_t(taus[b])
-    s_b = np.sign(tau_b) * abs(tau_b) ** (1.0 / p)
-    return np.concatenate([np.sign(tau_n) * np.abs(tau_n) ** (1.0 / p), s_b + (s[b + 1 :] - s[b])])
+    near = np.sign(tau_n) * np.abs(tau_n) ** (1.0 / p)
+    return np.concatenate([near, near[-1] + (s[b + 1 :] - s[b])])
 
 
 # -- the frame systems -------------------------------------------------------------
@@ -802,16 +797,20 @@ def synthesize_inflection(
 # -- round trips ------------------------------------------------------------------
 
 
-def synthesize(kind: str, fn, tau_max: float, step: float = DEFAULT_STEP, **kw) -> SynthesisResult:
+def synthesize(
+    kind: str, fn, tau_max: float, step: float = DEFAULT_STEP, method: str = "frame", **kw
+) -> SynthesisResult:
+    """The kind's synthesis of fn; ``method`` "quadrature" is for euclid-cusp only."""
     if kind == "euclid-cusp":
-        return synthesize_euclidean_cusp(fn, tau_max, step=step, **kw)
-    if kind == "affine-cusp":
-        return synthesize_affine_cusp(fn, tau_max, step=step, **kw)
-    if kind == "inflection":
-        return synthesize_inflection(fn, tau_max, step=step, **kw)
-    raise ValueError(
-        f"unknown synthesis kind {kind!r}; use 'euclid-cusp', 'affine-cusp', or 'inflection'"
-    )
+        return synthesize_euclidean_cusp(fn, tau_max, method=method, step=step, **kw)
+    routes = {"affine-cusp": synthesize_affine_cusp, "inflection": synthesize_inflection}
+    if kind not in routes:
+        raise ValueError(
+            f"unknown synthesis kind {kind!r}; use 'euclid-cusp', 'affine-cusp', or 'inflection'"
+        )
+    if method != "frame":
+        raise ValueError(f"{kind} synthesis has only the 'frame' route, not method {method!r}")
+    return routes[kind](fn, tau_max, step=step, **kw)
 
 
 def roundtrip(fn, kind: str, tau_max: float, step: float = DEFAULT_STEP) -> float:

@@ -143,6 +143,13 @@ def test_non_finite_number_literal_exits_before_any_output(capsys, argv):
     assert "number 1e999 overflows a float" in err
 
 
+@pytest.mark.parametrize("command", ["invariants", "classify"])
+def test_non_finite_curve_jet_exits_before_any_output(capsys, command):
+    code, out, err = _run(capsys, [command, "--curve", "(t^2, 1e308*10*t^3)"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error [{command}]: curve (t^2, 1e308*10*t^3) has a non-finite jet")
+
+
 @pytest.mark.parametrize(
     "kind, option, value", [("affine-cusp", "--h", "1"), ("inflection", "--f", "-5/16")]
 )
@@ -150,7 +157,7 @@ def test_synthesize_refuses_the_quadrature_route_for_affine_kinds(capsys, kind, 
     argv = ["synthesize", "--kind", kind, option, value, "--tau-max", "0.5"]
     code, out, err = _run(capsys, argv + ["--method", "quadrature"])
     assert (code, out) == (1, "")
-    assert f"--method quadrature is for euclid-cusp only; {kind} synthesis" in err
+    assert f"{kind} synthesis has only the 'frame' route, not method 'quadrature'" in err
     code, out, _ = _run(capsys, argv + ["--method", "frame"])
     assert code == 0 and out.startswith("tau,x,y\n")
 

@@ -357,6 +357,36 @@ def test_largest_finite_number_literal_parses():
     assert parse_expression("1.7976931348623157e308") == Num(1.7976931348623157e308)
 
 
+@pytest.mark.parametrize(
+    "text, t0, message",
+    [
+        (
+            "(t^2, 1e308*10*t^3)",
+            0.0,
+            "curve (t^2, 1e308*10*t^3) has a non-finite jet at t0=0.0: "
+            "coefficient 0 of its y component is nan",
+        ),
+        (
+            "(t + 1e308*10, t^2)",
+            0.5,
+            "curve (t + 1e308*10, t^2) has a non-finite jet at t0=0.5: "
+            "coefficient 0 of its x component is inf",
+        ),
+        (
+            "(t^2, 1e308*t^3 + 1e308*t^3)",
+            0.0,
+            "curve (t^2, 1e308*t^3 + 1e308*t^3) has a non-finite jet at t0=0.0: "
+            "coefficient 3 of its y component is inf",
+        ),
+    ],
+)
+def test_non_finite_curve_jet_is_rejected_without_warnings(text, t0, message, recwarn):
+    with pytest.raises(ValueError) as err:
+        parse_curve(text).jet(t0, 4)
+    assert str(err.value) == message
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
 def test_non_finite_with_clause_is_rejected(literal):
     with pytest.raises(ValueError, match="curve parameter c must be finite"):

@@ -200,7 +200,7 @@ def test_profile_limit_by_richardson_extrapolation(name):
     g1, g2, g3 = even(0.1), even(0.05), even(0.025)
     r1, r2 = (4 * g2 - g1) / 3, (4 * g3 - g2) / 3
     extrapolated = (16 * r2 - r1) / 15
-    assert extrapolated == pytest.approx(p.mu_g / (2 * math.sqrt(2)), abs=1e-6)
+    assert extrapolated == pytest.approx(p.jets.mu_g / (2 * math.sqrt(2)), abs=1e-6)
 
 
 # -- invariance properties ---------------------------------------------------------

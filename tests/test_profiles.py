@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import warnings
@@ -17,7 +18,7 @@ from cuspkit.affine import (
 )
 from cuspkit.dsl import CATALOG_CUSPS, CATALOG_INFLECTIONS, CurveSpec, catalog_lookup, parse_curve
 from cuspkit.euclidean import EUCLID_CUSP, arclength_g, euclidean_profile_jets, profile_g
-from cuspkit.jets import Jet, PlaneJet
+from cuspkit.jets import Jet, PlaneJet, moment_quotient
 from cuspkit.profiles import (
     CHEB_DEGREES,
     SEED_CHOP,
@@ -623,11 +624,24 @@ def test_arclength_at_a_non_finite_t_raises(arclength, name, t):
     ],
 )
 def test_arclength_functions_match_the_profiler(kind, arclength, name):
-    # One batch against single points: each t's Gauss panel sums on its own.
+    # One batch against single points: each t's Gauss sum is taken on its own.
     curve = catalog_lookup(name, {"a": 1.0})
     ts = np.array([-0.7, -0.3, 0.1, 0.4, 0.9])
     batch = Profiler(curve, kind).arclength(ts)
     assert [arclength(curve, float(t))[0] for t in ts] == batch.tolist()
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [(EUCLID_CUSP, "cycloid"), (AFFINE_CUSP, "hyperbolic_cycloid"), (INFLECTION, "skew_cycloid")],
+)
+def test_moment_quotient_is_the_profilers_quadrature(kind, name):
+    # Verify check 13 pins moment_quotient, so it must be the sum profiles run.
+    curve = catalog_lookup(name, {"a": 1.0})
+    phi = functools.partial(kind.phi, curve)
+    profiler = Profiler(curve, kind)
+    for t in (-0.6, -0.05, -1e-3, 2e-3, 0.049, 0.3, 0.8):
+        assert moment_quotient(phi, kind.alpha, t) == profiler._factor(np.array([t]))[0]
 
 
 # -- the jets record's f_tau, built on first read ----------------------------------

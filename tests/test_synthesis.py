@@ -352,6 +352,43 @@ def test_affine_cusp_inside_the_denominator_range_still_round_trips():
     assert S.roundtrip(-1.9, "affine-cusp", 0.5) <= 1e-9
 
 
+# -- the spliced arclength ----------------------------------------------------------
+
+CONSTANT_PROFILES = {"euclid-cusp": "1", "affine-cusp": "0.5", "inflection": "-5/16"}
+
+
+@pytest.mark.parametrize("kind, kw", ROUTES)
+def test_spliced_arclength_continues_from_the_value_it_stores(kind, kw, monkeypatch):
+    splice, sides = S._spliced_arclength, []
+
+    def recorded(taus, s, tau_t, p):
+        sides.append((taus, s, splice(taus, s, tau_t, p)))
+        return sides[-1][2]
+
+    monkeypatch.setattr(S, "_spliced_arclength", recorded)
+    for text in (CONSTANT_PROFILES[kind], PROFILES[kind]):
+        for tau_max in (0.3, 0.5, 1.0):
+            for step in (1e-3, 7e-3):
+                S.synthesize(kind, parse_expression(text), tau_max, step=step, richardson=False,
+                             **kw)
+    assert len(sides) == 24
+    for taus, s, out in sides:
+        b = int(np.flatnonzero(np.abs(taus) >= S.SWITCH_RADIUS)[0])
+        assert np.array_equal(out[b + 1 :], out[b] + (s[b + 1 :] - s[b]))
+
+
+# -- the synthesize entry point -------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["affine-cusp", "inflection"])
+def test_synthesize_takes_the_method_of_every_kind(kind):
+    fn = parse_expression(CONSTANT_PROFILES[kind])
+    with pytest.raises(ValueError, match=f"^{kind} synthesis has only the 'frame' route, not "):
+        S.synthesize(kind, fn, 0.3, method="quadrature")
+    res = S.synthesize(kind, fn, 0.3, method="frame", richardson=False)
+    assert res.method == "frame" and res.taus[-1] == 0.3
+
+
 # -- the germ's profile jets -----------------------------------------------------------
 
 
