@@ -113,21 +113,16 @@ class NormalFormResult:
 
 
 def affine_curvature_from_jet(germ: PlaneJet) -> float:
-    """kappa_A at the germ's base point; needs a germ of order >= 4."""
+    """kappa_A at the germ's base point: the kind's direct formula with s = 1 (order >= 4)."""
     if germ.order < 4:
         raise ValueError("affine curvature needs derivatives up to order 4")
-    d1 = germ.derivative_vector(1)
-    d2 = germ.derivative_vector(2)
-    d3 = germ.derivative_vector(3)
-    d4 = germ.derivative_vector(4)
-    b12 = _cross(d1, d2)
-    if b12 == 0.0:
+    d = np.array([germ.derivative_vector(k) for k in range(5)])
+    if cross(d[1], d[2]) == 0.0:
         raise ValueError(
             "affine curvature is undefined where [gamma', gamma''] = 0; "
             "use the normalized profile"
         )
-    num = 3.0 * b12 * _cross(d1, d4) + 12.0 * b12 * _cross(d2, d3) - 5.0 * _cross(d1, d3) ** 2
-    return num / (9.0 * signed_power(b12, 8, 3))
+    return float(_direct(d, 1.0))
 
 
 def kappa_A(curve: CurveSpec, t: float) -> float:
@@ -184,13 +179,12 @@ def affine_cuspidal_curvature(germ: PlaneJet) -> float:
     d3 = germ.derivative_vector(3)
     d4 = germ.derivative_vector(4)
     d5 = germ.derivative_vector(5)
-    b23 = _cross(d2, d3)
     num = (
-        24.0 * b23 * _cross(d2, d5)
-        + 60.0 * b23 * _cross(d3, d4)
+        24.0 * cls.b23 * _cross(d2, d5)
+        + 60.0 * cls.b23 * _cross(d3, d4)
         - 35.0 * _cross(d2, d4) ** 2
     )
-    return num / signed_power(b23, 12, 5)
+    return num / signed_power(cls.b23, 12, 5)
 
 
 def mu_A(curve: CurveSpec) -> float:

@@ -35,9 +35,9 @@ import numpy as np
 
 from . import affine, euclidean, svg, synthesis, verification
 from .dsl import CATALOG_NAMES, CurveSpec, ParseError, catalog_lookup, parse_curve, parse_expression
-from .profiles import PROFILE_JET_ORDER
+from .profiles import PROFILE_JET_ORDER, Profiler
 
-PROFILE_KINDS = ("euclid-cusp", "affine-cusp", "inflection")
+_KINDS = {k.name: k for k in (euclidean.EUCLID_CUSP, affine.AFFINE_CUSP, affine.INFLECTION)}
 
 
 def _parse_params(pairs) -> dict[str, float]:
@@ -126,39 +126,16 @@ def _invariant_report(curve: CurveSpec) -> dict:
     }
     if cls.is_cusp:
         rep_g = euclidean.euclidean_report(germ)
-        rep_a = affine.AFFINE_CUSP.jets(full).report()
-        nf = affine.normal_form(germ, "cusp")
-        report.update(
-            mu_g=rep_g.mu_g,
-            f0_g=rep_g.f0,
-            mu_A=rep_a.mu_A,
-            f0=rep_a.f0,
-            fdot0=rep_a.fdot0,
-            h0=rep_a.h0,
-            c=nf.c,
-        )
+        report.update(vars(affine.AFFINE_CUSP.jets(full).report()))
+        report.update(mu_g=rep_g.mu_g, f0_g=rep_g.f0, c=affine.normal_form(germ, "cusp").c)
     elif cls.is_inflection:
-        rep_i = affine.INFLECTION.jets(full).report()
-        nf = affine.normal_form(germ, "inflection")
-        report.update(
-            mu_I=rep_i.mu_I,
-            eps_I=rep_i.eps_I,
-            f0=rep_i.f0,
-            g0=rep_i.g0,
-            identity_residual_t=rep_i.identity_residual_t,
-            identity_residual_tau=rep_i.identity_residual_tau,
-            c=nf.c,
-        )
+        report.update(vars(affine.INFLECTION.jets(full).report()))
+        report["c"] = affine.normal_form(germ, "inflection").c
     elif cls.label is euclidean.SingularityType.REGULAR:
         report["kappa_g"] = euclidean.curvature_from_jet(germ)
         report["kappa_A"] = affine.affine_curvature_from_jet(germ)
     else:
-        report["diagnostics"] = {
-            "speed": cls.speed,
-            "b12": cls.b12,
-            "b13": cls.b13,
-            "b23": cls.b23,
-        }
+        report["diagnostics"] = {k: v for k, v in vars(cls).items() if k != "label"}
     return report
 
 
@@ -171,12 +148,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_profile(args) -> int:
     curve = _resolve_curve(args.curve, _parse_params(args.param))
     grid = _parse_grid(args.grid)
-    if args.kind == "euclid-cusp":
-        prof = euclidean.profile_g(curve, grid)
-    elif args.kind == "affine-cusp":
-        prof, _ = affine.profile_A_cusp(curve, grid)
-    else:
-        prof, _ = affine.profile_A_inflection(curve, grid)
+    prof = Profiler(curve, _KINDS[args.kind]).profile(grid)
     _write_text(args.out, _csv_text(["tau", "f"], zip(prof.grid, prof.values)))
     return 0
 
@@ -283,13 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="normalized curvature profile as CSV")
     _add_curve_args(p)
-    p.add_argument("--kind", required=True, choices=PROFILE_KINDS)
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--grid", required=True, help="tau grid start:stop:count (inclusive)")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser("synthesize", help="curve from prescribed normalized curvature")
-    p.add_argument("--kind", required=True, choices=PROFILE_KINDS)
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--f", help="profile expression in t (euclid-cusp, inflection)")
     p.add_argument("--h", help="tau^2-coefficient expression in t (affine-cusp)")
     p.add_argument("--tau-max", type=float, required=True)

@@ -116,7 +116,8 @@ def evaluate(expr: Expression, t, params: dict[str, float], pairs: dict | None =
     does not involve t).  ``pairs``, a dict shared by the calls on one ``t``,
     keeps (sin, cos) and (sinh, cosh) of each argument, so that both members
     of a pair come from one evaluation of the argument and, on jets, one
-    recurrence.  The values are the same with or without it.
+    recurrence.  The values are the same with or without it.  A function or
+    power whose float value overflows raises ``ValueError`` naming the term.
     """
     if isinstance(expr, Num):
         return expr.value
@@ -139,35 +140,24 @@ def evaluate(expr: Expression, t, params: dict[str, float], pairs: dict | None =
         if expr.op == "*":
             return a * b
         return a / b
-    if isinstance(expr, Func):
-        if pairs is None or expr.name not in _PAIRED:
-            return FUNCTIONS[expr.name](evaluate(expr.arg, t, params, pairs))
-        hyperbolic, member = _PAIRED[expr.name]
-        key = (expr.arg, hyperbolic)
-        if key not in pairs:
-            arg = evaluate(expr.arg, t, params, pairs)
-            if isinstance(arg, Jet):
-                pairs[key] = arg._circular(hyperbolic)
-            else:
-                pairs[key] = (sinh(arg), cosh(arg)) if hyperbolic else (sin(arg), cos(arg))
-        return pairs[key][member]
-    if isinstance(expr, Power):
-        return rational_pow(evaluate(expr.base, t, params, pairs), expr.num, expr.den)
+    try:
+        if isinstance(expr, Func):
+            if pairs is None or expr.name not in _PAIRED:
+                return FUNCTIONS[expr.name](evaluate(expr.arg, t, params, pairs))
+            hyperbolic, member = _PAIRED[expr.name]
+            key = (expr.arg, hyperbolic)
+            if key not in pairs:
+                arg = evaluate(expr.arg, t, params, pairs)
+                if isinstance(arg, Jet):
+                    pairs[key] = arg._circular(hyperbolic)
+                else:
+                    pairs[key] = (sinh(arg), cosh(arg)) if hyperbolic else (sin(arg), cos(arg))
+            return pairs[key][member]
+        if isinstance(expr, Power):
+            return rational_pow(evaluate(expr.base, t, params, pairs), expr.num, expr.den)
+    except OverflowError:  # a float function or power past 1.8e308, as in exp(710)
+        raise ValueError(f"{to_text(expr)} overflows a float") from None
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-def free_symbols(expr: Expression) -> set[str]:
-    if isinstance(expr, Sym):
-        return {expr.name}
-    if isinstance(expr, Neg):
-        return free_symbols(expr.arg)
-    if isinstance(expr, BinOp):
-        return free_symbols(expr.left) | free_symbols(expr.right)
-    if isinstance(expr, Func):
-        return free_symbols(expr.arg)
-    if isinstance(expr, Power):
-        return free_symbols(expr.base)
-    return set()
 
 
 def _format_number(v: float) -> str:
@@ -265,6 +255,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.names: set[str] = set()  # of every Sym parsed so far
 
     def fail_unbound(self, names: set[str]):
         """Report the names at the first occurrence of any of them."""
@@ -354,6 +345,7 @@ class _Parser:
                 arg = self.parse_expr()
                 self.expect(")", f"')' closing {tok.text}(...)")
                 return Func(tok.text, arg)
+            self.names.add(tok.text)
             return Sym(tok.text)
         if self.accept("("):
             node = self.parse_expr()
@@ -445,7 +437,7 @@ def parse_expression(text: str) -> Expression:
     expr = parser.parse_expr()
     if parser.current.kind != "end":
         parser._fail("end of input")
-    unbound = free_symbols(expr) - {"t"}
+    unbound = parser.names - {"t"}
     if unbound:
         parser.fail_unbound(unbound)
     return expr
@@ -488,7 +480,7 @@ def parse_curve(text: str, params: dict[str, float] | None = None) -> CurveSpec:
     if parser.current.kind != "end":
         parser._fail("end of input")
 
-    unbound = (free_symbols(x_expr) | free_symbols(y_expr)) - {"t"} - set(bindings)
+    unbound = parser.names - {"t"} - set(bindings)
     if unbound:
         parser.fail_unbound(unbound)
     _check_finite(bindings)

@@ -119,15 +119,13 @@ def classify(germ: PlaneJet, tol: float = CLASSIFY_TOL) -> SingularityClass:
 
 
 def curvature_from_jet(germ: PlaneJet) -> float:
-    """kappa_g at the germ's base point: [gamma', gamma''] / |gamma'|^3."""
-    d1 = germ.derivative_vector(1)
-    d2 = germ.derivative_vector(2)
-    speed = float(np.hypot(*d1))
-    if speed == 0.0:
+    """kappa_g at the germ's base point: the kind's direct formula with s = 1."""
+    d = np.array([germ.derivative_vector(k) for k in range(3)])
+    if np.hypot(*d[1]) == 0.0:
         raise ValueError(
             "curvature is undefined at a singular point; use the normalized profile"
         )
-    return _cross(d1, d2) / speed**3
+    return float(_direct(d, 1.0))
 
 
 def kappa_g(curve: CurveSpec, t: float) -> float:

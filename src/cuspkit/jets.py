@@ -30,7 +30,7 @@ Everything here is an immutable value; all functions are pure.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
 from math import gcd
 from typing import Callable, Sequence, Union
 
@@ -569,14 +569,11 @@ def cross(a, b):
 
 # -- smooth quotients of singular integrals ----------------------------------
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@cache
 def _gauss_01(n: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GAUSS_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GAUSS_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GAUSS_CACHE[n]
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _weighted_mean(phi, alpha: float, ts, also_at=None):

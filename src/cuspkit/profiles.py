@@ -162,9 +162,7 @@ def _chopped(c: np.ndarray, tol: float) -> list:
     return c[: max(2, int(np.count_nonzero(dropped > tol)))].tolist()
 
 
-_FIRST_KIND_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _first_kind(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n Chebyshev points of the first kind, and their coefficient map.
 
@@ -172,12 +170,10 @@ def _first_kind(n: int) -> tuple[np.ndarray, np.ndarray]:
     c = B @ y the Chebyshev coefficients of the interpolant of samples y at
     them.  Built on first use, like the nodes of ``jets._gauss_01``.
     """
-    if n not in _FIRST_KIND_CACHE:
-        angles = np.pi * (np.arange(n) + 0.5) / n
-        basis = np.cos(np.outer(np.arange(n), angles)) * (2.0 / n)
-        basis[0] *= 0.5
-        _FIRST_KIND_CACHE[n] = (np.cos(angles), basis)
-    return _FIRST_KIND_CACHE[n]
+    angles = np.pi * (np.arange(n) + 0.5) / n
+    basis = np.cos(np.outer(np.arange(n), angles)) * (2.0 / n)
+    basis[0] *= 0.5
+    return np.cos(angles), basis
 
 
 def _clenshaw(x, c: list):

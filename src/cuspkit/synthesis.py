@@ -51,6 +51,7 @@ J. Numer. Anal. 28, 1991).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -702,9 +703,7 @@ def _quadrature_theta(f_main: np.ndarray, h: float) -> tuple[np.ndarray, np.ndar
     return theta_start, theta_start[:-1, None] + 2.0 * h * (f_main @ _gauss_integration_matrix(8).T)
 
 
-_INTEGRATION_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _gauss_integration_matrix(n: int) -> np.ndarray:
     """M[i, j] = integral_0^{x_i} l_j(u) du over the n Gauss nodes x of [0, 1].
 
@@ -715,15 +714,13 @@ def _gauss_integration_matrix(n: int) -> np.ndarray:
     rule on [0, x_i] integrates it exactly; no Vandermonde matrix is
     inverted.  Built on first use, like the nodes of ``jets._gauss_01``.
     """
-    if n not in _INTEGRATION_CACHE:
-        x, w = _gauss_01(n)
-        others = ~np.eye(n, dtype=bool)
-        # factors[i, m, j, k] = (x_i x_m - x_k) / (x_j - x_k), and 1 for k = j.
-        nested = np.outer(x, x)[:, :, None, None]
-        factors = np.where(others, (nested - x) / np.where(others, x[:, None] - x, 1.0), 1.0)
-        basis = np.prod(factors, axis=-1)  # basis[i, m, j] = l_j(x_i x_m)
-        _INTEGRATION_CACHE[n] = x[:, None] * np.einsum("m,imj->ij", w, basis)
-    return _INTEGRATION_CACHE[n]
+    x, w = _gauss_01(n)
+    others = ~np.eye(n, dtype=bool)
+    # factors[i, m, j, k] = (x_i x_m - x_k) / (x_j - x_k), and 1 for k = j.
+    nested = np.outer(x, x)[:, :, None, None]
+    factors = np.where(others, (nested - x) / np.where(others, x[:, None] - x, 1.0), 1.0)
+    basis = np.prod(factors, axis=-1)  # basis[i, m, j] = l_j(x_i x_m)
+    return x[:, None] * np.einsum("m,imj->ij", w, basis)
 
 
 # -- affine cusp and generic inflection -------------------------------------------

@@ -151,6 +151,22 @@ def test_non_finite_curve_jet_exits_before_any_output(capsys, command):
 
 
 @pytest.mark.parametrize(
+    "argv, term",
+    [
+        (["invariants", "--curve", "(t^2, t^3 + exp(710))"], "exp(710)"),
+        (["invariants", "--curve", "(t^2, t^3 + 10^400)"], "10^400"),
+        (["invariants", "--curve", "(t^2, t^3 + cosh(800))"], "cosh(800)"),
+        (["classify", "--curve", "(t^2, t^3 * exp(t + 710))"], "exp(t + 710)"),
+        (["synthesize", "--kind", "euclid-cusp", "--f", "exp(710)", "--tau-max", "0.1"], "exp(710)"),
+    ],
+)
+def test_overflowing_term_exits_before_any_output(capsys, argv, term):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error [{argv[0]}]: {term} overflows a float\n"
+
+
+@pytest.mark.parametrize(
     "kind, option, value", [("affine-cusp", "--h", "1"), ("inflection", "--f", "-5/16")]
 )
 def test_synthesize_refuses_the_quadrature_route_for_affine_kinds(capsys, kind, option, value):
@@ -271,3 +287,14 @@ def test_report_of_a_regular_point_matches_the_curvature_functions():
     assert report["class"] == "Regular"
     assert report["kappa_g"] == euclidean.kappa_g(spec, 0.0) == 0.5
     assert report["kappa_A"] == affine.kappa_A(spec, 0.0)
+
+
+@pytest.mark.parametrize("text", ["(t^2, t^4)", "(2*t + t^3, t^4)"])
+def test_report_of_a_degenerate_point_carries_the_classifying_brackets(text):
+    spec = parse_curve(text)
+    report = cli._invariant_report(spec)
+    cls = euclidean.classify(spec.jet(0.0, 10))
+    assert report["class"] == "Degenerate"
+    assert set(report) == {"label", "params", "class", "diagnostics"}
+    want = {"speed": cls.speed, "b12": cls.b12, "b13": cls.b13, "b23": cls.b23}
+    assert report["diagnostics"] == want

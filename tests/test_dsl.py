@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,13 @@ def test_errors_past_the_first_line_name_their_line_and_column(text, message):
         (parse_curve, "(t,\n  t + c*t\n  + b + c)", "line 2, column 7: unbound parameter(s): b, c"),
         (parse_curve, "(t,\n  t^2\n  + b) with a=1", "line 3, column 5: unbound parameter(s): b"),
         (parse_expression, "1 +\n  t*\n  k", "line 3, column 3: unbound parameter(s): k"),
+        # Names under a function, a power and a negation, and in both components.
+        (parse_curve, "(t, sin(k*t))", "line 1, column 9: unbound parameter(s): k"),
+        (parse_curve, "(t, t + (q)^2)", "line 1, column 10: unbound parameter(s): q"),
+        (parse_curve, "(t, -w)", "line 1, column 6: unbound parameter(s): w"),
+        (parse_curve, "(cos(t) - u, t\n  + v^3)", "line 1, column 11: unbound parameter(s): u, v"),
+        (parse_curve, "(exp(-b*t), t) with a=1", "line 1, column 7: unbound parameter(s): b"),
+        (parse_expression, "sinh(-(m)^2 * t)", "line 1, column 8: unbound parameter(s): m"),
     ],
 )
 def test_unbound_parameter_error_points_at_its_first_occurrence(parse, text, message):
@@ -385,6 +393,27 @@ def test_non_finite_curve_jet_is_rejected_without_warnings(text, t0, message, re
         parse_curve(text).jet(t0, 4)
     assert str(err.value) == message
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "term, text",
+    [
+        ("exp(710)", "(t^2, t^3 + exp(710))"),
+        ("10^400", "(t^2, t^3 + 10^400)"),
+        ("cosh(800)", "(t^2, t^3 + cosh(800))"),
+        ("sinh(800)", "(sin(t), sinh(800) * t)"),
+    ],
+)
+def test_overflowing_term_is_a_value_error_naming_it(term, text):
+    """Curve jets, derivative stacks and plain float evaluation all name the term."""
+    curve = parse_curve(text)
+    message = re.escape(f"{term} overflows a float")
+    with pytest.raises(ValueError, match=message):
+        curve.jet(0.0, 5)
+    with pytest.raises(ValueError, match=message):
+        curve.derivatives_at(np.array([0.0, 0.1]), 2)
+    with pytest.raises(ValueError, match=message):
+        evaluate(curve.y_expr, 0.0, curve.params)
 
 
 @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
