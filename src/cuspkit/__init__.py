@@ -4,7 +4,8 @@ The package computes Euclidean and equi-affine curvature data through curve
 singularities where the raw curvatures diverge: singularity classification,
 cuspidal and inflectional curvature invariants, smoothly normalized
 curvature profiles, normal forms, and the reconstruction of curves from a
-prescribed normalized profile.
+prescribed normalized profile, by one entry ``synthesize(kind, ...)`` for
+every kind.
 """
 
 from .affine import (
@@ -58,9 +59,6 @@ from .synthesis import (
     SynthesisResult,
     roundtrip,
     synthesize,
-    synthesize_affine_cusp,
-    synthesize_euclidean_cusp,
-    synthesize_inflection,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +107,4 @@ __all__ = [
     "roundtrip",
     "signed_power",
     "synthesize",
-    "synthesize_affine_cusp",
-    "synthesize_euclidean_cusp",
-    "synthesize_inflection",
 ]

@@ -33,7 +33,6 @@ import numpy as np
 
 from .dsl import CurveSpec
 from .euclidean import (
-    CLASSIFY_TOL,
     SingularityClass,
     SingularityType,
     _cross,

@@ -396,22 +396,13 @@ class CurveSpec:
             raise ValueError(f"jet order {order} exceeds the supported maximum {MAX_JET_ORDER}")
         if not math.isfinite(t0):
             raise ValueError(f"jet base point t0 must be finite, got t0={t0!r}")
-        with np.errstate(all="ignore"):
-            x, y = self._components(Jet.variable(float(t0), order))
-        for name, component in (("x", x), ("y", y)):
-            bad = np.flatnonzero(~np.isfinite(component.coeffs))
-            if bad.size:
-                k = int(bad[0])
-                raise ValueError(
-                    f"curve {self.label or self} has a non-finite jet at t0={t0!r}: "
-                    f"coefficient {k} of its {name} component is {component.coeffs[k]}"
-                )
-        return PlaneJet(x, y)
+        return PlaneJet(*self._components(Jet.variable(float(t0), order)))
 
     def derivatives_at(self, ts, max_order: int) -> np.ndarray:
         """Array of derivative vectors: shape (max_order+1, 2, len(ts)).
 
-        Entry [k, :, i] is gamma^(k) at ts[i].
+        Entry [k, :, i] is gamma^(k) at ts[i].  Raises ``ValueError`` on a
+        derivative that is not finite, as ``jet`` does.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         x, y = self._components(Jet.variable(ts, max_order))
@@ -420,14 +411,28 @@ class CurveSpec:
         return out
 
     def _components(self, t: Jet) -> tuple[Jet, Jet]:
-        """Both components on the jet t; one free of t is padded to a constant jet."""
+        """Both components on the jet t; one free of t is padded to a constant jet.
+
+        Raises ``ValueError`` naming the first base point of t whose jet has
+        a coefficient that is not finite, the component and the coefficient.
+        """
         pairs: dict = {}
-        x = evaluate(self.x_expr, t, self.params, pairs)
-        y = evaluate(self.y_expr, t, self.params, pairs)
+        with np.errstate(all="ignore"):
+            x = evaluate(self.x_expr, t, self.params, pairs)
+            y = evaluate(self.y_expr, t, self.params, pairs)
         if not isinstance(x, Jet):
             x = Jet.constant(float(x), t.order, t.base_point)
         if not isinstance(y, Jet):
             y = Jet.constant(float(y), t.order, t.base_point)
+        if not (np.isfinite(x.coeffs).all() and np.isfinite(y.coeffs).all()):
+            # coeffs[c, k, i]: coefficient k of component c (x, y) at base point i.
+            coeffs = np.stack([x.coeffs, y.coeffs]).reshape(2, t.order + 1, np.size(t.base_point))
+            i, c, k = np.argwhere(~np.isfinite(coeffs.transpose(2, 0, 1)))[0]
+            raise ValueError(
+                f"curve {self.label or self} has a non-finite jet at "
+                f"t0={float(np.atleast_1d(t.base_point)[i])!r}: "
+                f"coefficient {k} of its {'xy'[c]} component is {coeffs[c, k, i]}"
+            )
         return x, y
 
 

@@ -80,7 +80,7 @@ def _cross(a: np.ndarray, b: np.ndarray) -> float:
     return float(cross(a, b))
 
 
-def classify(germ: PlaneJet, tol: float = CLASSIFY_TOL) -> SingularityClass:
+def classify(germ: PlaneJet) -> SingularityClass:
     """Classify the germ's base point by its velocity and low-order brackets.
 
     Comparisons are relative: brackets against the largest diagnostic
@@ -98,16 +98,16 @@ def classify(germ: PlaneJet, tol: float = CLASSIFY_TOL) -> SingularityClass:
     vscale = max(speed, float(np.hypot(*d2)), float(np.hypot(*d3)))
     bscale = max(abs(b12), abs(b13), abs(b23))
 
-    if vscale == 0.0 or speed <= tol * vscale:
-        if bscale > 0.0 and abs(b23) > tol * bscale:
+    if vscale == 0.0 or speed <= CLASSIFY_TOL * vscale:
+        if bscale > 0.0 and abs(b23) > CLASSIFY_TOL * bscale:
             label = (
                 SingularityType.POSITIVE_CUSP if b23 > 0 else SingularityType.NEGATIVE_CUSP
             )
         else:
             label = SingularityType.DEGENERATE
-    elif bscale > 0.0 and abs(b12) > tol * bscale:
+    elif bscale > 0.0 and abs(b12) > CLASSIFY_TOL * bscale:
         label = SingularityType.REGULAR
-    elif bscale > 0.0 and abs(b13) > tol * bscale:
+    elif bscale > 0.0 and abs(b13) > CLASSIFY_TOL * bscale:
         label = (
             SingularityType.POSITIVE_INFLECTION
             if b13 > 0

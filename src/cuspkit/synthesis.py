@@ -25,6 +25,9 @@ Three inverse problems are solved, one per singularity type:
   has tau as its 3/4-arclength parameter ([gamma', gamma''] = 64 tau / 27,
   [gamma', gamma'''] = 64/27).
 
+One entry, ``synthesize(kind, ...)``, serves all three; each kind's input
+rules and routes live in its :class:`FrameSystem` record.
+
 All integrations use classical fixed-step RK4 (default step 1e-3) with a
 half-step comparison as a built-in error estimate.  The three frame
 systems are linear, Y' = A(tau) Y, and act alike on the x and y columns.
@@ -178,13 +181,6 @@ def _compose(second: np.ndarray, first: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply(maps: np.ndarray, frame0: np.ndarray) -> np.ndarray:
-    """The frames (gamma0 + g Z0, Q Z0) of step maps [g; Q], shape (3, 2, n)."""
-    out = _matmul(maps, frame0[1:, :, None])
-    out[0] += frame0[0, :, None]
-    return out
-
-
 def _step_maps(C: np.ndarray, h: float):
     """The RK4 steps of the frame system on a half-step grid, as step maps.
 
@@ -235,7 +231,7 @@ def _rk4(
     while d < n_steps:
         maps[..., d:] = _compose(maps[..., d:], maps[..., :-d])
         d *= 2
-    frames = np.concatenate([frame0[..., None], _apply(maps, frame0)], axis=-1)
+    frames = np.concatenate([frame0[..., None], _compose(maps, frame0[..., None])], axis=-1)
 
     z = frames[1:, :, :-1]
     slopes = _matmul(np.stack([k[:2] for k in stages]), z)  # [stage, (gamma', xi'), x|y, step]
@@ -262,7 +258,7 @@ def _rk4_endpoint(C: np.ndarray, frame0: np.ndarray, h: float) -> np.ndarray:
         odd = maps.shape[-1] % 2
         pairs = _compose(maps[..., odd + 1 :: 2], maps[..., odd::2])
         maps = np.concatenate([maps[..., :1], pairs], axis=-1) if odd else pairs
-    return _apply(maps, frame0)[..., 0]
+    return _compose(maps, frame0[..., None])[..., 0]
 
 
 def _step_count(tau_max: float, step: float) -> int:
@@ -353,10 +349,6 @@ class SynthesisResult:
     method: str = "frame"
     profile_jets: object = None
 
-    @property
-    def samples(self) -> np.ndarray:
-        return np.column_stack([self.taus, self.positions])
-
     def tau_normalized(self) -> np.ndarray:
         """The adapted parameter recomputed from the synthesized data."""
         return np.sign(self.taus) * np.abs(self.arclength) ** SYSTEMS[self.kind].kind.p
@@ -435,7 +427,9 @@ class FrameSystem:
     those rows, each with (x, y) on its first axis.  ``stack_rows[k]`` names
     the row that holds the k-th derivative of gamma: ("Y", i) or ("AY", i).
     The germ must be of ``kind``: ``kind.jets`` raises ``ValueError`` on
-    any other.
+    any other.  ``prepare(fn, tau_max)`` holds the kind's admissibility
+    rules: it returns the profile to integrate, or raises ``ValueError``
+    before any germ work.  ``routes`` names the methods the kind has.
     """
 
     kind: Kind
@@ -444,6 +438,8 @@ class FrameSystem:
     eta0: float
     speed: Callable
     stack_rows: tuple
+    prepare: Callable
+    routes: tuple = ("frame",)
 
     @property
     def frame0(self) -> np.ndarray:
@@ -491,13 +487,7 @@ def _inflection_gh_jets(profile, order: int) -> tuple[Jet, Jet]:
     """g and h of a profile that ``restore_inflection_constraint`` returned."""
     f_jet = profile.jet(0.0, order)
     g_jet = deflate(f_jet - _affine.INFLECTION_PROFILE_VALUE, 1, tol=1e-9)
-    constraint = 9.0 * float(g_jet.derivative().value()) + 16.0 * float(g_jet.value()) ** 2
     scale = max(1.0, abs(float(g_jet.value())) ** 2)
-    if abs(constraint) > 1e-8 * scale:
-        raise ValueError(
-            "profile violates the inflection germ constraint "
-            f"32 f'(0)^2 + 9 f''(0) = 0 (residual {2*constraint:.3e})"
-        )
     h_jet = deflate(9.0 * g_jet.derivative() + 16.0 * g_jet * g_jet, 1, tol=max(1e-9, 1e-7 * scale))
     return g_jet, h_jet
 
@@ -540,6 +530,55 @@ def _inflection_coefficients(tau, g, h):
     }
 
 
+def _euclid_cusp_prepare(fn, tau_max):
+    """f itself, which must have f(0) != 0: curves with f(0) = 0 are not cusps."""
+    profile = as_profile(fn)
+    if float(profile(0.0)) == 0.0:
+        raise ValueError("Euclidean cusp synthesis needs f(0) != 0")
+    return profile
+
+
+def restore_inflection_constraint(profile) -> tuple[object, float]:
+    """Reparametrize f so the universal inflection constraint holds at 0.
+
+    Returns (possibly wrapped profile, c).  Inputs already satisfying
+    32 f'(0)^2 + 9 f''(0) = 0 are returned unchanged with c = 0; otherwise
+    f'(0) must be nonzero and tau = t + c t^2 with
+    c = (32 f'(0)^2 + 9 f''(0)) / (18 f'(0)) restores the constraint.
+    """
+    profile = as_profile(profile)
+    f_jet = profile.jet(0.0, 4)
+    if abs(f_jet.value() - _affine.INFLECTION_PROFILE_VALUE) > 1e-9:
+        raise ValueError(
+            f"inflection synthesis needs f(0) = -5/16, got f(0) = {f_jet.value()}"
+        )
+    fd = float(f_jet.coeffs[1])
+    fdd = 2.0 * float(f_jet.coeffs[2])
+    residual = 32.0 * fd**2 + 9.0 * fdd
+    scale = max(1.0, fd**2, abs(fdd))
+    if abs(residual) <= 1e-9 * scale:
+        return profile, 0.0
+    if abs(fd) <= 1e-9:
+        raise ValueError(
+            "profile is outside the admissible class: f'(0) = 0 but f''(0) != 0 "
+            "cannot be repaired by reparametrization"
+        )
+    c = residual / (18.0 * fd)
+    return _reparametrized(profile, c), c
+
+
+def _inflection_prepare(fn, tau_max):
+    """f with the inflection constraint restored, if its pole lies past tau_max."""
+    profile, c = restore_inflection_constraint(fn)
+    if abs(c) * tau_max >= 1.0:
+        raise ValueError(
+            f"inflection synthesis reparametrizes f by t = tau / (1 + c tau) with "
+            f"c = {c:.6g}, defined only for {_valid_side(c)}; tau_max = "
+            f"{tau_max!r} reaches past it, so it needs tau_max < {1.0 / abs(c):.6g}"
+        )
+    return profile
+
+
 EUCLID_CUSP_SYSTEM = FrameSystem(
     kind=_euclid.EUCLID_CUSP,
     coefficients=_euclid_cusp_coefficients,
@@ -547,6 +586,8 @@ EUCLID_CUSP_SYSTEM = FrameSystem(
     eta0=1.0,
     speed=lambda gamma_d, xi, xi_d: np.hypot(gamma_d[0], gamma_d[1]),
     stack_rows=(("Y", 0), ("AY", 0), ("AY", 3)),
+    prepare=_euclid_cusp_prepare,
+    routes=("frame", "quadrature"),
 )
 AFFINE_CUSP_SYSTEM = FrameSystem(
     kind=_affine.AFFINE_CUSP,
@@ -555,6 +596,7 @@ AFFINE_CUSP_SYSTEM = FrameSystem(
     eta0=AFFINE_CUSP_ETA0,
     speed=lambda gamma_d, xi, xi_d: np.abs(cross(gamma_d, xi)) ** (1.0 / 3.0),
     stack_rows=(("Y", 0), ("AY", 0), ("Y", 1), ("Y", 2), ("AY", 2)),
+    prepare=lambda fn, tau_max: as_profile(fn),
 )
 INFLECTION_SYSTEM = FrameSystem(
     kind=_affine.INFLECTION,
@@ -563,6 +605,7 @@ INFLECTION_SYSTEM = FrameSystem(
     eta0=INFLECTION_ETA0,
     speed=lambda gamma_d, xi, xi_d: np.abs(cross(xi, xi_d)) ** (1.0 / 3.0),
     stack_rows=(("Y", 0), ("Y", 1), ("AY", 1), ("Y", 2), ("AY", 2)),
+    prepare=_inflection_prepare,
 )
 SYSTEMS = {s.kind.name: s for s in (EUCLID_CUSP_SYSTEM, AFFINE_CUSP_SYSTEM, INFLECTION_SYSTEM)}
 
@@ -633,29 +676,7 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method=
     )
 
 
-# -- the public routes ------------------------------------------------------------
-
-
-def synthesize_euclidean_cusp(
-    f,
-    tau_max: float,
-    method: str = "frame",
-    step: float = DEFAULT_STEP,
-    richardson: bool = True,
-) -> SynthesisResult:
-    """Build a 3/2-cusp whose normalized Euclidean profile is f.
-
-    ``f`` must have f(0) != 0 (curves with f(0) = 0 are not cusps).  The
-    returned parameter is the half-arclength parameter: |gamma'| = 2|tau|.
-    """
-    _check_range(tau_max, step)
-    profile = as_profile(f)
-    f0 = float(profile(0.0))
-    if f0 == 0.0:
-        raise ValueError("Euclidean cusp synthesis needs f(0) != 0")
-    if method not in ("frame", "quadrature"):
-        raise ValueError(f"unknown method {method!r}; use 'frame' or 'quadrature'")
-    return _synthesize(EUCLID_CUSP_SYSTEM, profile, tau_max, step, richardson, method)
+# -- the Euclidean quadrature route -------------------------------------------------
 
 
 def _euclid_quadrature(profile, tau_end: float, n: int):
@@ -723,91 +744,46 @@ def _gauss_integration_matrix(n: int) -> np.ndarray:
     return x[:, None] * np.einsum("m,imj->ij", w, basis)
 
 
-# -- affine cusp and generic inflection -------------------------------------------
-
-
-def synthesize_affine_cusp(
-    h, tau_max: float, step: float = DEFAULT_STEP, richardson: bool = True
-) -> SynthesisResult:
-    """Build a 3/2-cusp whose normalized affine profile is 4/25 + tau^2 h(tau).
-
-    tau is the 3/5-arclength parameter of the result.
-    """
-    _check_range(tau_max, step)
-    return _synthesize(AFFINE_CUSP_SYSTEM, as_profile(h), tau_max, step, richardson)
-
-
-def restore_inflection_constraint(profile) -> tuple[object, float]:
-    """Reparametrize f so the universal inflection constraint holds at 0.
-
-    Returns (possibly wrapped profile, c).  Inputs already satisfying
-    32 f'(0)^2 + 9 f''(0) = 0 are returned unchanged with c = 0; otherwise
-    f'(0) must be nonzero and tau = t + c t^2 with
-    c = (32 f'(0)^2 + 9 f''(0)) / (18 f'(0)) restores the constraint.
-    """
-    profile = as_profile(profile)
-    f_jet = profile.jet(0.0, 4)
-    if abs(f_jet.value() - _affine.INFLECTION_PROFILE_VALUE) > 1e-9:
-        raise ValueError(
-            f"inflection synthesis needs f(0) = -5/16, got f(0) = {f_jet.value()}"
-        )
-    fd = float(f_jet.coeffs[1])
-    fdd = 2.0 * float(f_jet.coeffs[2])
-    residual = 32.0 * fd**2 + 9.0 * fdd
-    scale = max(1.0, fd**2, abs(fdd))
-    if abs(residual) <= 1e-9 * scale:
-        return profile, 0.0
-    if abs(fd) <= 1e-9:
-        raise ValueError(
-            "profile is outside the admissible class: f'(0) = 0 but f''(0) != 0 "
-            "cannot be repaired by reparametrization"
-        )
-    c = residual / (18.0 * fd)
-    return _reparametrized(profile, c), c
-
-
-def synthesize_inflection(
-    f, tau_max: float, step: float = DEFAULT_STEP, richardson: bool = True
-) -> SynthesisResult:
-    """Build a generic inflection whose normalized affine profile is f.
-
-    Requires f(0) = -5/16.  If f violates the universal constraint
-    32 f'(0)^2 + 9 f''(0) = 0 it is first reparametrized by tau = t + c t^2
-    (which needs f'(0) != 0); the profile actually realized is then the
-    reparametrized one, available as ``result.input_profile``.  tau is the
-    3/4-arclength parameter of the result.  The reparametrization
-    t = tau / (1 + c tau) has its pole at tau = -1/c, so a tau_max with
-    |c| tau_max >= 1 raises ``ValueError`` before any integration.
-    """
-    _check_range(tau_max, step)
-    profile, c = restore_inflection_constraint(f)
-    if abs(c) * tau_max >= 1.0:
-        raise ValueError(
-            f"inflection synthesis reparametrizes f by t = tau / (1 + c tau) with "
-            f"c = {c:.6g}, defined only for {_valid_side(c)}; tau_max = "
-            f"{tau_max!r} reaches past it, so it needs tau_max < {1.0 / abs(c):.6g}"
-        )
-    return _synthesize(INFLECTION_SYSTEM, profile, tau_max, step, richardson)
-
-
-
-# -- round trips ------------------------------------------------------------------
+# -- the entry and round trips ----------------------------------------------------
 
 
 def synthesize(
-    kind: str, fn, tau_max: float, step: float = DEFAULT_STEP, method: str = "frame", **kw
+    kind: str,
+    fn,
+    tau_max: float,
+    step: float = DEFAULT_STEP,
+    method: str = "frame",
+    richardson: bool = True,
 ) -> SynthesisResult:
-    """The kind's synthesis of fn; ``method`` "quadrature" is for euclid-cusp only."""
-    if kind == "euclid-cusp":
-        return synthesize_euclidean_cusp(fn, tau_max, method=method, step=step, **kw)
-    routes = {"affine-cusp": synthesize_affine_cusp, "inflection": synthesize_inflection}
-    if kind not in routes:
+    """The curve germ of ``kind`` whose normalized profile is fn, for |tau| <= tau_max.
+
+    euclid-cusp: fn is sqrt(|s_g|) kappa_g, with f(0) != 0 (f(0) = 0 gives
+    no cusp); tau is the half-arclength parameter, |gamma'| = 2|tau|; and
+    ``method`` is "frame" or "quadrature".  affine-cusp: fn is h, the
+    profile being 4/25 + tau^2 h(tau); tau is the 3/5-arclength parameter.
+    inflection: fn is (s_A)^2 kappa_A, with f(0) = -5/16; tau is the
+    3/4-arclength parameter.  An f that violates 32 f'(0)^2 + 9 f''(0) = 0
+    is first reparametrized by t = tau / (1 + c tau), which needs
+    f'(0) != 0 and |c| tau_max < 1, and the profile realized is then
+    ``result.input_profile``.  These rules are the kind's
+    ``FrameSystem.prepare`` and ``routes``; an input that breaks one raises
+    ``ValueError`` before any germ work.  ``richardson`` adds the half-step
+    rerun behind ``step_error``.
+    """
+    system = SYSTEMS.get(kind)
+    if system is None:
+        names = [repr(name) for name in SYSTEMS]
         raise ValueError(
-            f"unknown synthesis kind {kind!r}; use 'euclid-cusp', 'affine-cusp', or 'inflection'"
+            f"unknown synthesis kind {kind!r}; use {', '.join(names[:-1])}, or {names[-1]}"
         )
-    if method != "frame":
-        raise ValueError(f"{kind} synthesis has only the 'frame' route, not method {method!r}")
-    return routes[kind](fn, tau_max, step=step, **kw)
+    _check_range(tau_max, step)
+    profile = system.prepare(fn, tau_max)
+    if method not in system.routes:
+        use = " or ".join(repr(route) for route in system.routes)
+        if len(system.routes) == 1:
+            raise ValueError(f"{kind} synthesis has only the {use} route, not method {method!r}")
+        raise ValueError(f"unknown method {method!r}; use {use}")
+    return _synthesize(system, profile, tau_max, step, richardson, method)
 
 
 def roundtrip(fn, kind: str, tau_max: float, step: float = DEFAULT_STEP) -> float:

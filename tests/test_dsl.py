@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cuspkit.dsl import (
     parse_curve,
     parse_expression,
 )
+from cuspkit.euclidean import profile_g
 from cuspkit.jets import Jet
 
 ALL_CATALOG = [
@@ -266,8 +268,10 @@ def test_truncated_full_jet_is_the_lower_order_jet(curve):
 
 
 def test_jet_order_cap():
+    curve = parse_curve("(t, t)")
+    assert curve.jet(0.0, dsl.MAX_JET_ORDER).order == dsl.MAX_JET_ORDER
     with pytest.raises(ValueError, match="exceeds"):
-        parse_curve("(t, t)").jet(0.0, 13)
+        curve.jet(0.0, dsl.MAX_JET_ORDER + 1)
 
 
 @pytest.mark.parametrize("order", [0, 6])
@@ -393,6 +397,29 @@ def test_non_finite_curve_jet_is_rejected_without_warnings(text, t0, message, re
         parse_curve(text).jet(t0, 4)
     assert str(err.value) == message
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_non_finite_derivative_stack_is_a_value_error_naming_the_point():
+    """A batch names its first non-finite base point, as a scalar jet names t0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as err:
+            parse_curve("(t^2, t^3 * exp(t + 710))").derivatives_at(np.array([0.0, 0.1]), 2)
+        assert str(err.value) == (
+            "curve (t^2, t^3 * exp(t + 710)) has a non-finite jet at t0=0.0: "
+            "coefficient 0 of its y component is nan"
+        )
+        with pytest.raises(ValueError) as err:
+            parse_curve("(t + 0*exp(300*t), t^2)").derivatives_at(np.array([0.0, 2.4, 3.0]), 1)
+        assert str(err.value).endswith("at t0=2.4: coefficient 0 of its x component is nan")
+
+
+def test_overflowing_profile_grid_names_the_curve_not_the_inversion():
+    text = "(t^2, t^3 + t^4*exp(300*t))"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(f"curve {text} has a non-finite jet at t0=")):
+            profile_g(parse_curve(text), np.linspace(-0.5, 40, 101))
 
 
 @pytest.mark.parametrize(

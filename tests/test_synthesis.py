@@ -11,13 +11,12 @@ from cuspkit import synthesis as S
 from cuspkit.dsl import parse_expression
 from cuspkit.jets import Jet, PlaneJet, _gauss_01, deflate
 from cuspkit.profiles import ProfileJets
-from cuspkit.synthesis import synthesize_euclidean_cusp
 
 
 @pytest.mark.parametrize("method", ["frame", "quadrature"])
 @pytest.mark.parametrize("f", [1.0, lambda t: 1.0 + 0.3 * t - 0.2 * t**2])
 def test_euclidean_roundtrip_both_signs(method, f):
-    res = synthesize_euclidean_cusp(f, 0.5, method=method)
+    res = S.synthesize("euclid-cusp", f, 0.5, method=method)
     assert np.all(np.sign(res.arclength) == np.sign(res.taus))
     tau_n = res.tau_normalized()
     target = np.asarray(res.input_profile(tau_n))
@@ -107,7 +106,7 @@ def _loop_product(a, b):
     return out
 
 
-# The shapes of the step maps, the stage states, A Y and ``_apply``'s frame.
+# The shapes of the step maps, the stage states, A Y and a step map on the initial frame.
 @pytest.mark.parametrize(
     "a_shape, b_shape",
     [((3, 2, 7), (2, 2, 7)), ((4, 2, 2, 7), (2, 2, 7)), ((4, 2, 7), (2, 2, 7)),
@@ -271,11 +270,11 @@ def test_reparametrization_pole_raises_before_germ_work(slope, valid, monkeypatc
         calls.append(tau)
         return -5.0 / 16.0 + slope * tau
 
-    assert S.synthesize_inflection(fn, 0.55, richardson=False).taus[-1] == 0.55
+    assert S.synthesize("inflection", fn, 0.55, richardson=False).taus[-1] == 0.55
     calls.clear()
     monkeypatch.setattr(S, "_synthesize", lambda *args: pytest.fail("germ work started"))
     with pytest.raises(ValueError) as info:
-        S.synthesize_inflection(fn, 0.6)
+        S.synthesize("inflection", fn, 0.6)
     message = str(info.value)
     for part in (f"c = {32.0 / (18.0 * slope):.6g}", valid, "tau_max = 0.6", "tau_max < 0.5625"):
         assert part in message
@@ -284,6 +283,23 @@ def test_reparametrization_pole_raises_before_germ_work(slope, valid, monkeypatc
     for tau in (-0.6 * slope, np.array([0.0, -0.6 * slope]), Jet.variable(-0.6 * slope, 2)):
         with pytest.raises(ValueError, match=re.escape(f"defined only for {valid}")):
             profile(tau)
+
+
+@pytest.mark.parametrize(
+    "kind, text, kw, message",
+    [
+        ("euclid-cusp", "0", {}, "Euclidean cusp synthesis needs f(0) != 0"),
+        ("euclid-cusp", "t", {}, "Euclidean cusp synthesis needs f(0) != 0"),
+        ("inflection", "-1/4", {}, "inflection synthesis needs f(0) = -5/16, got f(0) = -0.25"),
+        ("inflection", "-5/16 + t^2", {}, "f'(0) = 0 but f''(0) != 0 cannot be repaired"),
+        ("cusp", "1", {}, "use 'euclid-cusp', 'affine-cusp', or 'inflection'"),
+        ("euclid-cusp", "1", {"method": "rk4"}, "unknown method 'rk4'; use 'frame' or 'quadrature'"),
+    ],
+)
+def test_inadmissible_input_raises_before_germ_work(kind, text, kw, message, monkeypatch):
+    monkeypatch.setattr(S, "_taylor_germ", lambda *args: pytest.fail("germ work started"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        S.synthesize(kind, parse_expression(text), 0.5, **kw)
 
 
 # -- the synthesize subcommand -------------------------------------------------------
@@ -341,7 +357,7 @@ def test_affine_cusp_denominator_sign_change_raises(h, sign):
     # h = -1.9 on both sides, h = -3t for tau > 0 only, h = 3t for tau < 0 only.
     fn = parse_expression(h) if isinstance(h, str) else h
     with pytest.raises(ValueError, match=re.escape("18 + 25 tau^2 h(tau) > 0")) as info:
-        S.synthesize_affine_cusp(fn, 0.7)
+        S.synthesize("affine-cusp", fn, 0.7)
     found = re.search(r"it is (\S+) at tau = (\S+)$", str(info.value))
     D, tau = float(found.group(1)), float(found.group(2))
     assert D <= 0.0
