@@ -5,7 +5,7 @@ singularities where the raw curvatures diverge: singularity classification,
 cuspidal and inflectional curvature invariants, smoothly normalized
 curvature profiles, normal forms, and the reconstruction of curves from a
 prescribed normalized profile, by one entry ``synthesize(kind, ...)`` for
-every kind.
+every kind, and one entry ``invariants(curve)`` for the invariant report.
 """
 
 from .affine import (
@@ -17,6 +17,7 @@ from .affine import (
     arclength_A,
     identity_residual,
     inflectional_curvature,
+    invariants,
     kappa_A,
     mu_A,
     mu_I,
@@ -90,6 +91,7 @@ __all__ = [
     "identity_residual",
     "inflate",
     "inflectional_curvature",
+    "invariants",
     "kappa_A",
     "kappa_g",
     "moment_quotient",

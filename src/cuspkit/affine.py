@@ -35,8 +35,12 @@ from .dsl import CurveSpec
 from .euclidean import (
     SingularityClass,
     SingularityType,
+    _at_base_point,
     _cross,
+    _euclidean_report,
+    _require,
     classify,
+    curvature_from_jet,
 )
 from .jets import (
     Jet,
@@ -49,7 +53,7 @@ from .jets import (
     moment_quotient_jet,
     signed_power,
 )
-from .profiles import Kind, NormalizedProfile, Profiler, ProfileJets
+from .profiles import PROFILE_JET_ORDER, Kind, NormalizedProfile, Profiler, ProfileJets
 
 # Universal germ values of the normalized affine curvature.
 CUSP_PROFILE_VALUE = 4.0 / 25.0
@@ -116,12 +120,13 @@ def affine_curvature_from_jet(germ: PlaneJet) -> float:
     if germ.order < 4:
         raise ValueError("affine curvature needs derivatives up to order 4")
     d = np.array([germ.derivative_vector(k) for k in range(5)])
-    if cross(d[1], d[2]) == 0.0:
+    b12 = float(cross(d[1], d[2]))
+    if b12 == 0.0:
         raise ValueError(
             "affine curvature is undefined where [gamma', gamma''] = 0; "
             "use the normalized profile"
         )
-    return float(_direct(d, 1.0))
+    return _at_base_point(_direct, d, "[gamma', gamma'']", b12)
 
 
 def kappa_A(curve: CurveSpec, t: float) -> float:
@@ -169,9 +174,10 @@ def affine_cuspidal_curvature(germ: PlaneJet) -> float:
 
     Invariant under equi-affine maps and independent of orientation.
     """
-    cls = classify(germ)
-    if not cls.is_cusp:
-        raise ValueError(f"affine cuspidal curvature needs a 3/2-cusp germ, got {cls}")
+    return _mu_A(germ, _require(germ, "affine cuspidal curvature", cusp=True))
+
+
+def _mu_A(germ: PlaneJet, cls: SingularityClass) -> float:
     if germ.order < 5:
         raise ValueError("affine cuspidal curvature needs a germ of order >= 5")
     d2 = germ.derivative_vector(2)
@@ -196,9 +202,10 @@ def inflectional_curvature(germ: PlaneJet) -> tuple[float, int]:
     eps_I is the sign of [gamma', gamma'''] (the sign of the inflection);
     mu_I flips sign under orientation reversal.
     """
-    cls = classify(germ)
-    if not cls.is_inflection:
-        raise ValueError(f"inflectional curvature needs a generic inflection germ, got {cls}")
+    return _mu_I(germ, _require(germ, "inflectional curvature", cusp=False))
+
+
+def _mu_I(germ: PlaneJet, cls: SingularityClass) -> tuple[float, int]:
     if germ.order < 4:
         raise ValueError("inflectional curvature needs a germ of order >= 4")
     d1 = germ.derivative_vector(1)
@@ -289,8 +296,11 @@ def cusp_profile_jets(germ: PlaneJet) -> CuspProfileJets:
 
     Raises ``ValueError`` unless the germ is a 3/2-cusp.
     """
-    mu = affine_cuspidal_curvature(germ)
-    return CuspProfileJets(*_smooth_jets(germ, 2), mu)
+    return _cusp_jets(germ, _require(germ, "affine cuspidal curvature", cusp=True))
+
+
+def _cusp_jets(germ: PlaneJet, cls: SingularityClass) -> CuspProfileJets:
+    return CuspProfileJets(*_smooth_jets(germ, 2), _mu_A(germ, cls))
 
 
 def identity_residual(germ: PlaneJet, f_jet: Jet) -> float:
@@ -303,9 +313,10 @@ def identity_residual(germ: PlaneJet, f_jet: Jet) -> float:
 
     vanishes; the returned residual measures the failure of a candidate f-jet.
     """
-    cls = classify(germ)
-    if not cls.is_inflection:
-        raise ValueError(f"identity residual needs a generic inflection germ, got {cls}")
+    return _identity_residual(germ, _require(germ, "identity residual", cusp=False), f_jet)
+
+
+def _identity_residual(germ: PlaneJet, cls: SingularityClass, f_jet: Jet) -> float:
     if f_jet.order < 2:
         raise ValueError("identity residual needs the f-jet to order >= 2")
     d1 = germ.derivative_vector(1)
@@ -321,9 +332,13 @@ def inflection_profile_jets(germ: PlaneJet) -> InflectionProfileJets:
 
     Raises ``ValueError`` unless the germ is a generic inflection.
     """
-    value, eps = inflectional_curvature(germ)
+    return _inflection_jets(germ, _require(germ, "inflectional curvature", cusp=False))
+
+
+def _inflection_jets(germ: PlaneJet, cls: SingularityClass) -> InflectionProfileJets:
+    value, eps = _mu_I(germ, cls)
     f_t, tau_t, L = _smooth_jets(germ, 1)
-    return InflectionProfileJets(f_t, tau_t, L, value, eps, identity_residual(germ, f_t))
+    return InflectionProfileJets(f_t, tau_t, L, value, eps, _identity_residual(germ, cls, f_t))
 
 
 # -- the profile kinds -----------------------------------------------------------
@@ -374,15 +389,37 @@ def profile_A_inflection(
     return p.profile(tau_grid), p.jets.report()
 
 
+# -- the invariant report ---------------------------------------------------------
+
+
+def invariants(curve: CurveSpec) -> dict:
+    """The invariant report of a curve at t = 0, from one classification of its germ.
+
+    c is read from mu_A or mu_I (``normal_form`` is the independent route to
+    it); a regular point reports kappa_g and kappa_A, any other its brackets.
+    """
+    germ = curve.jet(0.0, PROFILE_JET_ORDER)
+    cls = classify(germ)
+    report: dict = {
+        "label": curve.label or str(curve),
+        "params": dict(sorted(curve.params.items())),
+        "class": str(cls),
+    }
+    if cls.is_cusp:
+        jets, rep_g = _cusp_jets(germ, cls), _euclidean_report(germ, cls)
+        report.update(vars(jets.report()), mu_g=rep_g.mu_g, f0_g=rep_g.f0)
+        report["c"] = jets.mu_A / CUSP_NF_DENOM
+    elif cls.is_inflection:
+        jets = _inflection_jets(germ, cls)
+        report.update(vars(jets.report()), c=INFL_NF_FACTOR * jets.mu_I)
+    elif cls.label is SingularityType.REGULAR:
+        report.update(kappa_g=curvature_from_jet(germ), kappa_A=affine_curvature_from_jet(germ))
+    else:
+        report["diagnostics"] = {k: v for k, v in vars(cls).items() if k != "label"}
+    return report
+
+
 # -- normal forms ----------------------------------------------------------------
-
-
-def _translated_to_origin(germ: PlaneJet) -> PlaneJet:
-    x = germ.x.coeffs.copy()
-    y = germ.y.coeffs.copy()
-    x[0] = 0.0
-    y[0] = 0.0
-    return PlaneJet.from_coeffs(x, y)
 
 
 def _parameter_scaled(germ: PlaneJet, lam: float) -> PlaneJet:
@@ -391,9 +428,14 @@ def _parameter_scaled(germ: PlaneJet, lam: float) -> PlaneJet:
     return PlaneJet.from_coeffs(germ.x.coeffs * powers, germ.y.coeffs * powers)
 
 
-def _apply_inverse(germ: PlaneJet, col1: np.ndarray, col2: np.ndarray) -> PlaneJet:
-    m = np.array([[col1[0], col2[0]], [col1[1], col2[1]]])
-    return germ.transform(np.linalg.inv(m))
+def _framed(germ: PlaneJet, i: int, power: float) -> PlaneJet:
+    """The germ moved to the origin, with t scaled by b^power, b = [g^(i), g'''](0),
+    and written in the frame (g^(i)(0), g'''(0)) of the scaled germ."""
+    x, y = germ.x.coeffs.copy(), germ.y.coeffs.copy()
+    x[0] = y[0] = 0.0
+    lam = _cross(germ.derivative_vector(i), germ.derivative_vector(3)) ** power
+    g = _parameter_scaled(PlaneJet.from_coeffs(x, y), lam)
+    return g.transform(np.linalg.inv(np.array([g.derivative_vector(i), g.derivative_vector(3)]).T))
 
 
 def normal_form(germ: PlaneJet, kind: str) -> NormalFormResult:
@@ -415,18 +457,11 @@ def normal_form(germ: PlaneJet, kind: str) -> NormalFormResult:
 def _normal_form_cusp(germ: PlaneJet) -> NormalFormResult:
     if germ.order < 8:
         raise ValueError("cusp normal form needs a germ of order >= 8")
-    cls = classify(germ)
-    flipped = False
-    if cls.label is SingularityType.NEGATIVE_CUSP:
+    cls = _require(germ, "cusp normal form", cusp=True)
+    flipped = cls.label is SingularityType.NEGATIVE_CUSP
+    if flipped:
         germ = germ.reversed_orientation()
-        flipped = True
-    elif cls.label is not SingularityType.POSITIVE_CUSP:
-        raise ValueError(f"cusp normal form needs a 3/2-cusp germ, got {cls}")
-
-    g = _translated_to_origin(germ)
-    d23 = _cross(g.derivative_vector(2), g.derivative_vector(3))
-    g = _parameter_scaled(g, d23 ** (-0.2))
-    g = _apply_inverse(g, g.derivative_vector(2), g.derivative_vector(3))
+    g = _framed(germ, 2, -0.2)
 
     # Reparametrize so the first component becomes s^2/2 exactly.
     a0 = deflate(2.0 * g.x, 2).sqrt()
@@ -456,18 +491,11 @@ def _normal_form_cusp(germ: PlaneJet) -> NormalFormResult:
 def _normal_form_inflection(germ: PlaneJet) -> NormalFormResult:
     if germ.order < 5:
         raise ValueError("inflection normal form needs a germ of order >= 5")
-    cls = classify(germ)
-    flipped = False
-    if cls.label is SingularityType.NEGATIVE_INFLECTION:
+    cls = _require(germ, "inflection normal form", cusp=False)
+    flipped = cls.label is SingularityType.NEGATIVE_INFLECTION
+    if flipped:
         germ = germ.transform(np.array([[1.0, 0.0], [0.0, -1.0]]))
-        flipped = True
-    elif cls.label is not SingularityType.POSITIVE_INFLECTION:
-        raise ValueError(f"inflection normal form needs a generic inflection germ, got {cls}")
-
-    g = _translated_to_origin(germ)
-    d13 = _cross(g.derivative_vector(1), g.derivative_vector(3))
-    g = _parameter_scaled(g, d13 ** (-0.25))
-    g = _apply_inverse(g, g.derivative_vector(1), g.derivative_vector(3))
+    g = _framed(germ, 1, -0.25)
 
     # The first component itself is the new parameter: x(s) = s exactly.
     g = g.compose(g.x.inverted())

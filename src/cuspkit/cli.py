@@ -11,10 +11,10 @@ Subcommands::
     verify      run the built-in verification suite
 
 Curves are given either as a catalog name (with ``--param name=value``) or
-as a DSL definition like ``"(t^2, t^3)"``.  Relative output paths are
-resolved against ``$CUSPKIT_OUTPUT_DIR`` when it is set.  Numbers are
-serialized with shortest round-trip precision, so repeated runs are
-byte-identical.
+as a DSL definition like ``"(t^2, t^3)"``.  ``invariants`` prints the report
+of ``cuspkit.invariants(curve)``.  Relative output paths are resolved
+against ``$CUSPKIT_OUTPUT_DIR`` when it is set.  Numbers are serialized with
+shortest round-trip precision, so repeated runs are byte-identical.
 
 ``main()`` reuses one argument parser per process: ``build_parser`` is
 cached, and every call parses into a fresh namespace, so repeated in-process
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import affine, euclidean, svg, synthesis, verification
 from .dsl import CATALOG_NAMES, CurveSpec, ParseError, catalog_lookup, parse_curve, parse_expression
-from .profiles import PROFILE_JET_ORDER, Profiler
+from .profiles import Profiler
 
 _KINDS = {k.name: k for k in (euclidean.EUCLID_CUSP, affine.AFFINE_CUSP, affine.INFLECTION)}
 
@@ -114,34 +114,9 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _invariant_report(curve: CurveSpec) -> dict:
-    """The report of one germ: the profile jets read it to full order, the rest to order 10."""
-    full = curve.jet(0.0, PROFILE_JET_ORDER)
-    germ = full.truncated(10)
-    cls = euclidean.classify(germ)
-    report: dict = {
-        "label": curve.label or str(curve),
-        "params": dict(sorted(curve.params.items())),
-        "class": str(cls),
-    }
-    if cls.is_cusp:
-        rep_g = euclidean.euclidean_report(germ)
-        report.update(vars(affine.AFFINE_CUSP.jets(full).report()))
-        report.update(mu_g=rep_g.mu_g, f0_g=rep_g.f0, c=affine.normal_form(germ, "cusp").c)
-    elif cls.is_inflection:
-        report.update(vars(affine.INFLECTION.jets(full).report()))
-        report["c"] = affine.normal_form(germ, "inflection").c
-    elif cls.label is euclidean.SingularityType.REGULAR:
-        report["kappa_g"] = euclidean.curvature_from_jet(germ)
-        report["kappa_A"] = affine.affine_curvature_from_jet(germ)
-    else:
-        report["diagnostics"] = {k: v for k, v in vars(cls).items() if k != "label"}
-    return report
-
-
 def _cmd_invariants(args) -> int:
     curve = _resolve_curve(args.curve, _parse_params(args.param))
-    _write_text(args.out, _json_text(_invariant_report(curve)))
+    _write_text(args.out, _json_text(affine.invariants(curve)))
     return 0
 
 

@@ -118,14 +118,33 @@ def classify(germ: PlaneJet) -> SingularityClass:
     return SingularityClass(label, speed, b12, b13, b23)
 
 
+def _require(germ: PlaneJet, what: str, cusp: bool) -> SingularityClass:
+    """The germ's class, or a ``ValueError`` naming ``what`` unless it is a cusp (inflection)."""
+    cls = classify(germ)
+    if not (cls.is_cusp if cusp else cls.is_inflection):
+        need = "a 3/2-cusp" if cusp else "a generic inflection"
+        raise ValueError(f"{what} needs {need} germ, got {cls}")
+    return cls
+
+
+def _at_base_point(direct, d: np.ndarray, name: str, value: float) -> float:
+    """A direct formula with s = 1; overflow, a zero divisor or NaN raises naming the value."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return float(direct(d, 1.0))
+    except FloatingPointError as exc:
+        raise ValueError(f"{exc} in the curvature formula at {name} = {value:.6g}") from None
+
+
 def curvature_from_jet(germ: PlaneJet) -> float:
     """kappa_g at the germ's base point: the kind's direct formula with s = 1."""
     d = np.array([germ.derivative_vector(k) for k in range(3)])
-    if np.hypot(*d[1]) == 0.0:
+    speed = float(np.hypot(*d[1]))
+    if speed == 0.0:
         raise ValueError(
             "curvature is undefined at a singular point; use the normalized profile"
         )
-    return float(_direct(d, 1.0))
+    return _at_base_point(_direct, d, "|gamma'|", speed)
 
 
 def kappa_g(curve: CurveSpec, t: float) -> float:
@@ -138,11 +157,7 @@ def cuspidal_curvature(germ: PlaneJet) -> float:
 
     The sign of the result equals the sign of the cusp.
     """
-    cls = classify(germ)
-    if not cls.is_cusp:
-        raise ValueError(f"cuspidal curvature needs a 3/2-cusp germ, got {cls}")
-    d2 = germ.derivative_vector(2)
-    return cls.b23 / float(np.hypot(*d2)) ** 2.5
+    return euclidean_report(germ).mu_g
 
 
 def mu_g(curve: CurveSpec) -> float:
@@ -150,8 +165,11 @@ def mu_g(curve: CurveSpec) -> float:
 
 
 def euclidean_report(germ: PlaneJet) -> EuclideanCuspReport:
-    cls = classify(germ)
-    value = cuspidal_curvature(germ)
+    return _euclidean_report(germ, _require(germ, "cuspidal curvature", cusp=True))
+
+
+def _euclidean_report(germ: PlaneJet, cls: SingularityClass) -> EuclideanCuspReport:
+    value = cls.b23 / float(np.hypot(*germ.derivative_vector(2))) ** 2.5
     return EuclideanCuspReport(value, cls, value / (2.0 * math.sqrt(2.0)))
 
 

@@ -71,6 +71,7 @@ _EXPR_NODES = (Num, Sym, Neg, BinOp, Func, Power)
 
 DEFAULT_STEP = 1e-3
 GERM_ORDER = 12
+MAX_STEPS = 10**6  # tau_max / step; 10**5 steps with the Richardson rerun peak at ~0.15 GB
 
 AFFINE_CUSP_ETA0 = 250.0 / 27.0  # [gamma'', gamma'''](0) of the normalized cusp system
 INFLECTION_ETA0 = 64.0 / 27.0  # [gamma', gamma'''](0) of the inflection system
@@ -267,10 +268,12 @@ def _step_count(tau_max: float, step: float) -> int:
 
 
 def _check_range(tau_max: float, step: float) -> None:
-    """Reject a synthesis range unless tau_max and step are finite and > 0."""
+    """Reject a range unless tau_max and step are finite and > 0 and tau_max / step <= MAX_STEPS."""
     for name, value in (("tau_max", tau_max), ("step", step)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"synthesis needs a finite {name} > 0, got {name}={value!r}")
+    if not tau_max / step <= MAX_STEPS:
+        raise ValueError(f"synthesis needs tau_max / step <= {MAX_STEPS}, got {tau_max / step:.6g}")
 
 
 def _taylor_germ(entries: dict, frame0: np.ndarray, order: int) -> PlaneJet:
@@ -320,10 +323,9 @@ def _frame_blocks(entries: dict, n: int) -> np.ndarray:
 class SynthesisResult:
     """A synthesized curve germ with its sampled trace and recomputation data.
 
-    ``samples`` holds (tau, x, y) rows on the integration grid.  ``stacks``
-    holds gamma and its first four derivative vectors at each grid point,
-    read from the frame system.  ``arclength`` is the recomputed s
-    (Euclidean or affine): on each side, |s| = |tau_t(tau)|^(1/p) from the
+    ``stacks`` holds gamma and its first four derivative vectors at each
+    grid point, read from the frame system.  ``arclength`` is the recomputed
+    s (Euclidean or affine): on each side, |s| = |tau_t(tau)|^(1/p) from the
     germ jets up to the first point at or past ``SWITCH_RADIUS``, and that
     value plus the integrated increments beyond it (``_spliced_arclength``).
     ``profile_jets`` holds those jets (the kind's ``jets(germ)``, built once
@@ -554,7 +556,15 @@ def restore_inflection_constraint(profile) -> tuple[object, float]:
         )
     fd = float(f_jet.coeffs[1])
     fdd = 2.0 * float(f_jet.coeffs[2])
-    residual = 32.0 * fd**2 + 9.0 * fdd
+    try:
+        residual = 32.0 * fd**2 + 9.0 * fdd
+    except OverflowError:  # fd**2 is past the float range
+        residual = math.inf
+    if not math.isfinite(residual):
+        raise ValueError(
+            f"inflection synthesis needs a finite 32 f'(0)^2 + 9 f''(0), "
+            f"got f'(0) = {fd!r} and f''(0) = {fdd!r}"
+        )
     scale = max(1.0, fd**2, abs(fdd))
     if abs(residual) <= 1e-9 * scale:
         return profile, 0.0

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from conftest import MODEL_GERMS
@@ -258,7 +259,7 @@ def test_bad_svg_options_exit_before_any_output(capsys, tmp_path, command, optio
     assert named in err
 
 
-# -- the invariants report on one germ -------------------------------------------
+# -- the invariants report on one germ: cuspkit.invariants, which the CLI prints --
 
 
 REPORT_NAMES = CATALOG_CUSPS + CATALOG_INFLECTIONS
@@ -271,7 +272,7 @@ REPORT_NAMES = CATALOG_CUSPS + CATALOG_INFLECTIONS
     ids=list(REPORT_NAMES) + [f"model{i}" for i in range(len(MODEL_GERMS))],
 )
 def test_report_reads_the_profilers_jets(spec):
-    report = cli._invariant_report(spec)
+    report = cuspkit.invariants(spec)
     if report["class"].endswith("Cusp"):
         want = Profiler(spec, affine.AFFINE_CUSP).jets.report()
         fields = ("mu_A", "f0", "fdot0", "h0")
@@ -283,7 +284,7 @@ def test_report_reads_the_profilers_jets(spec):
 
 def test_report_of_a_regular_point_matches_the_curvature_functions():
     spec = catalog_lookup("circle", {"r": 2.0})
-    report = cli._invariant_report(spec)
+    report = cuspkit.invariants(spec)
     assert report["class"] == "Regular"
     assert report["kappa_g"] == euclidean.kappa_g(spec, 0.0) == 0.5
     assert report["kappa_A"] == affine.kappa_A(spec, 0.0)
@@ -292,9 +293,47 @@ def test_report_of_a_regular_point_matches_the_curvature_functions():
 @pytest.mark.parametrize("text", ["(t^2, t^4)", "(2*t + t^3, t^4)"])
 def test_report_of_a_degenerate_point_carries_the_classifying_brackets(text):
     spec = parse_curve(text)
-    report = cli._invariant_report(spec)
+    report = cuspkit.invariants(spec)
     cls = euclidean.classify(spec.jet(0.0, 10))
     assert report["class"] == "Degenerate"
     assert set(report) == {"label", "params", "class", "diagnostics"}
     want = {"speed": cls.speed, "b12": cls.b12, "b13": cls.b13, "b23": cls.b23}
     assert report["diagnostics"] == want
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("cycloid", {"a": 1.0}), ("skew_cycloid", {"a": 1.0}), ("circle", {"r": 1.0}), ("line", {})],
+)
+def test_one_report_classifies_once_and_never_reduces_to_the_normal_form(
+    monkeypatch, name, params
+):
+    calls = []
+    classify = euclidean.classify
+
+    def counted(germ):
+        calls.append(germ)
+        return classify(germ)
+
+    def refused(*args):
+        raise AssertionError("the report reads c from mu_A or mu_I, not the normal form")
+
+    # Every binding of classify in the package, as from-imports copy it.
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("cuspkit") and vars(module).get("classify") is classify:
+            monkeypatch.setattr(module, "classify", counted)
+    for fn in ("normal_form", "_normal_form_cusp", "_normal_form_inflection"):
+        monkeypatch.setattr(affine, fn, refused)
+    report = cuspkit.invariants(catalog_lookup(name, params))
+    assert len(calls) == 1
+    assert ("c" in report) == (name in ("cycloid", "skew_cycloid"))
+
+
+def test_regular_point_whose_curvature_overflows_exits_naming_the_speed(capsys):
+    # kappa_g = [g', g''] / |g'|^3 with |g'| = 1e300 / 3: |g'|^3 overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _run(capsys, ["invariants", "--curve", "(t^2, t^3 + ((1e300*t))^1/3)"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error [invariants]: overflow encountered")
+    assert err.endswith("in the curvature formula at |gamma'| = 3.33333e+299\n")

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from cuspkit.euclidean import (
     arclength_g,
     classify,
     cuspidal_curvature,
+    curvature_from_jet,
     euclidean_report,
     kappa_g,
     mu_g,
@@ -87,6 +90,16 @@ def test_kappa_g_line_is_zero():
 def test_kappa_g_rejects_singular_point():
     with pytest.raises(ValueError, match="singular point"):
         kappa_g(parse_curve("(t^2, t^3)"), 0.0)
+
+
+def test_kappa_g_that_overflows_names_the_speed():
+    # |gamma'| = 1e300 / 3, so |gamma'|^3 overflows; the true kappa_g is about -1.8e-599.
+    germ = parse_curve("(t^2, t^3 + ((1e300*t))^1/3)").jet(0.0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape("|gamma'| = 3.33333e+299")):
+            curvature_from_jet(germ)
+        assert kappa_g(parse_curve("(1e100*t, t^2)"), 0.0) == 2e-200
 
 
 def test_arclength_cuspidal_cubic():

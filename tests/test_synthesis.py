@@ -260,6 +260,35 @@ def test_invalid_range_raises_before_germ_work(kind, bad, which):
     assert calls == []
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "tau_max, step, count",
+    [(1e308, 0.3, "inf"), (1e10, S.DEFAULT_STEP, "1e+13")],
+)
+def test_step_count_above_the_cap_raises_before_germ_work(kind, tau_max, step, count):
+    calls = []
+    value = {"euclid-cusp": 1.0, "affine-cusp": 0.5, "inflection": -5.0 / 16.0}[kind]
+
+    def fn(tau):
+        calls.append(tau)
+        return value
+
+    with pytest.raises(ValueError) as info:
+        S.synthesize(kind, fn, tau_max, step=step)
+    assert str(info.value) == f"synthesis needs tau_max / step <= {S.MAX_STEPS}, got {count}"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [("-5/16 + t*(1e300)", "f'(0) = 1e+300 and f''(0) = 0.0"),
+     ("-5/16 + t^2*(1e308)", "f'(0) = 0.0 and f''(0) = inf")],
+)
+def test_inflection_constraint_that_overflows_names_the_derivatives(text, named):
+    with pytest.raises(ValueError, match=re.escape(f"finite 32 f'(0)^2 + 9 f''(0), got {named}")):
+        S.synthesize("inflection", parse_expression(text), 0.5)
+
+
 @pytest.mark.parametrize("slope, valid", [(1.0, "tau > -0.5625"), (-1.0, "tau < 0.5625")])
 def test_reparametrization_pole_raises_before_germ_work(slope, valid, monkeypatch):
     # f = -5/16 + slope tau has c = 32 / (18 slope) = +-16/9: its reparametrization
