@@ -9,8 +9,6 @@ every kind, and one entry ``invariants(curve)`` for the invariant report.
 """
 
 from .affine import (
-    AffineCuspReport,
-    InflectionReport,
     NormalFormResult,
     affine_cuspidal_curvature,
     affine_curvature_from_jet,
@@ -33,13 +31,11 @@ from .dsl import (
     parse_expression,
 )
 from .euclidean import (
-    EuclideanCuspReport,
     SingularityClass,
     SingularityType,
     arclength_g,
     classify,
     cuspidal_curvature,
-    euclidean_report,
     kappa_g,
     mu_g,
     profile_g,
@@ -65,10 +61,7 @@ from .synthesis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineCuspReport",
     "CurveSpec",
-    "EuclideanCuspReport",
-    "InflectionReport",
     "Jet",
     "NormalFormResult",
     "NormalizedProfile",
@@ -87,7 +80,6 @@ __all__ = [
     "classify",
     "cuspidal_curvature",
     "deflate",
-    "euclidean_report",
     "identity_residual",
     "inflate",
     "inflectional_curvature",

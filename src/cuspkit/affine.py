@@ -25,7 +25,6 @@ leading coefficient reproduces mu_A / mu_I.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,8 @@ from .euclidean import (
     SingularityType,
     _at_base_point,
     _cross,
-    _euclidean_report,
+    _mu_g,
+    _profile_limit,
     _require,
     classify,
     curvature_from_jet,
@@ -68,32 +68,6 @@ G0_PER_MU_I = -(3.0 * 3.0**0.25) / (28.0 * math.sqrt(2.0))
 # (u^2, u^3 + c u^5), c_infl = INFL_NF_FACTOR * mu_I for (u, u^3 + c u^4).
 CUSP_NF_DENOM = 80.0 * 54.0**0.2
 INFL_NF_FACTOR = 6.0**0.25 / 4.0
-
-
-@dataclass(frozen=True)
-class AffineCuspReport:
-    """Germ data of (s_A)^2 kappa_A at a 3/2-cusp.
-
-    ``f0`` and ``fdot0`` are extracted from the deflated jet and must match
-    the universal values 4/25 and 0; ``h0`` is the tau^2-coefficient.
-    """
-
-    mu_A: float
-    f0: float
-    fdot0: float
-    h0: float
-
-
-@dataclass(frozen=True)
-class InflectionReport:
-    """Germ data of (s_A)^2 kappa_A at a generic inflection point."""
-
-    mu_I: float
-    eps_I: int
-    f0: float
-    g0: float
-    identity_residual_t: float
-    identity_residual_tau: float
 
 
 @dataclass(frozen=True)
@@ -228,11 +202,10 @@ class CuspProfileJets(ProfileJets):
 
     mu_A: float
 
-    def report(self) -> AffineCuspReport:
-        c = self.f_tau.coeffs
-        return AffineCuspReport(
-            mu_A=self.mu_A, f0=float(c[0]), fdot0=float(c[1]), h0=float(c[2])
-        )
+    @property
+    def h0(self) -> float:
+        """The tau^2-coefficient of f, H0_PER_MU_A * mu_A (f0 is 4/25 and fdot0 is 0)."""
+        return float(self.f_tau.coeffs[2])
 
 
 @dataclass(frozen=True)
@@ -243,22 +216,15 @@ class InflectionProfileJets(ProfileJets):
     eps_I: int
     identity_residual_t: float
 
-    @functools.cached_property
+    @property
+    def g0(self) -> float:
+        """The slope of f in tau, G0_PER_MU_I * mu_I (f0 is -5/16)."""
+        return self.fdot0
+
+    @property
     def identity_residual_tau(self) -> float:
         """The universal identity 32 f'(0)^2 + 9 f''(0) = 0 in tau, as a residual."""
-        c = self.f_tau.coeffs
-        return 32.0 * float(c[1]) ** 2 + 9.0 * 2.0 * float(c[2])
-
-    def report(self) -> InflectionReport:
-        c = self.f_tau.coeffs
-        return InflectionReport(
-            mu_I=self.mu_I,
-            eps_I=self.eps_I,
-            f0=float(c[0]),
-            g0=float(c[1]),
-            identity_residual_t=self.identity_residual_t,
-            identity_residual_tau=self.identity_residual_tau,
-        )
+        return 32.0 * self.g0**2 + 9.0 * self.fddot0
 
 
 def _smooth_jets(germ: PlaneJet, k: int) -> tuple[Jet, Jet, Jet]:
@@ -375,18 +341,18 @@ AFFINE_CUSP = _kind("affine-cusp", 2, cusp_profile_jets, CUSP_PROFILE_VALUE)
 INFLECTION = _kind("inflection", 1, inflection_profile_jets, INFLECTION_PROFILE_VALUE)
 
 
-def profile_A_cusp(curve: CurveSpec, tau_grid) -> tuple[NormalizedProfile, AffineCuspReport]:
-    """Sample (s_A)^2 kappa_A against the 3/5-arclength parameter at a cusp."""
+def profile_A_cusp(curve: CurveSpec, tau_grid) -> tuple[NormalizedProfile, CuspProfileJets]:
+    """Sample (s_A)^2 kappa_A on the 3/5-arclength parameter at a cusp, with its jets record."""
     p = Profiler(curve, AFFINE_CUSP)
-    return p.profile(tau_grid), p.jets.report()
+    return p.profile(tau_grid), p.jets
 
 
 def profile_A_inflection(
     curve: CurveSpec, tau_grid
-) -> tuple[NormalizedProfile, InflectionReport]:
-    """Sample (s_A)^2 kappa_A against the 3/4-arclength parameter at an inflection."""
+) -> tuple[NormalizedProfile, InflectionProfileJets]:
+    """Sample (s_A)^2 kappa_A on the 3/4-arclength parameter at an inflection, with its record."""
     p = Profiler(curve, INFLECTION)
-    return p.profile(tau_grid), p.jets.report()
+    return p.profile(tau_grid), p.jets
 
 
 # -- the invariant report ---------------------------------------------------------
@@ -406,12 +372,14 @@ def invariants(curve: CurveSpec) -> dict:
         "class": str(cls),
     }
     if cls.is_cusp:
-        jets, rep_g = _cusp_jets(germ, cls), _euclidean_report(germ, cls)
-        report.update(vars(jets.report()), mu_g=rep_g.mu_g, f0_g=rep_g.f0)
-        report["c"] = jets.mu_A / CUSP_NF_DENOM
+        jets, mu = _cusp_jets(germ, cls), _mu_g(germ, cls)
+        report.update(mu_A=jets.mu_A, f0=jets.f0, fdot0=jets.fdot0, h0=jets.h0, mu_g=mu)
+        report.update(f0_g=_profile_limit(mu), c=jets.mu_A / CUSP_NF_DENOM)
     elif cls.is_inflection:
         jets = _inflection_jets(germ, cls)
-        report.update(vars(jets.report()), c=INFL_NF_FACTOR * jets.mu_I)
+        report.update(mu_I=jets.mu_I, eps_I=jets.eps_I, f0=jets.f0, g0=jets.g0)
+        report.update(identity_residual_t=jets.identity_residual_t, c=INFL_NF_FACTOR * jets.mu_I)
+        report["identity_residual_tau"] = jets.identity_residual_tau
     elif cls.label is SingularityType.REGULAR:
         report.update(kappa_g=curvature_from_jet(germ), kappa_A=affine_curvature_from_jet(germ))
     else:
@@ -438,27 +406,27 @@ def _framed(germ: PlaneJet, i: int, power: float) -> PlaneJet:
     return g.transform(np.linalg.inv(np.array([g.derivative_vector(i), g.derivative_vector(3)]).T))
 
 
-def normal_form(germ: PlaneJet, kind: str) -> NormalFormResult:
+def normal_form(germ: PlaneJet) -> NormalFormResult:
     """Reduce a germ to its equi-affine normal form and extract c.
 
-    ``kind`` is 'cusp' (target (u^2, u^3 + c u^5), c = mu_A / (80 * 54^(1/5)))
-    or 'inflection' (target (u, u^3 + c u^4), c = 6^(1/4) mu_I / 4).  Negative
-    germs are first normalized by an orientation reversal (cusps) or an axis
-    flip (inflections), both of which preserve the invariant; this is flagged
-    in the result.
+    The germ's class picks the target: (u^2, u^3 + c u^5) at a 3/2-cusp,
+    c = mu_A / (80 * 54^(1/5)), or (u, u^3 + c u^4) at a generic inflection,
+    c = 6^(1/4) mu_I / 4.  Negative germs are first normalized by an
+    orientation reversal (cusps) or an axis flip (inflections), both of which
+    preserve the invariant; this is flagged in the result.  Any other germ
+    raises ``ValueError`` naming its class.
     """
-    if kind == "cusp":
-        return _normal_form_cusp(germ)
-    if kind == "inflection":
-        return _normal_form_inflection(germ)
-    raise ValueError(f"normal form kind must be 'cusp' or 'inflection', got {kind!r}")
+    cls = classify(germ)
+    if cls.is_cusp:
+        return _normal_form_cusp(germ, cls.label is SingularityType.NEGATIVE_CUSP)
+    if cls.is_inflection:
+        return _normal_form_inflection(germ, cls.label is SingularityType.NEGATIVE_INFLECTION)
+    raise ValueError(f"normal form needs a 3/2-cusp or a generic inflection germ, got {cls}")
 
 
-def _normal_form_cusp(germ: PlaneJet) -> NormalFormResult:
+def _normal_form_cusp(germ: PlaneJet, flipped: bool) -> NormalFormResult:
     if germ.order < 8:
         raise ValueError("cusp normal form needs a germ of order >= 8")
-    cls = _require(germ, "cusp normal form", cusp=True)
-    flipped = cls.label is SingularityType.NEGATIVE_CUSP
     if flipped:
         germ = germ.reversed_orientation()
     g = _framed(germ, 2, -0.2)
@@ -488,11 +456,9 @@ def _normal_form_cusp(germ: PlaneJet) -> NormalFormResult:
     return NormalFormResult(c, g, flipped, tail)
 
 
-def _normal_form_inflection(germ: PlaneJet) -> NormalFormResult:
+def _normal_form_inflection(germ: PlaneJet, flipped: bool) -> NormalFormResult:
     if germ.order < 5:
         raise ValueError("inflection normal form needs a germ of order >= 5")
-    cls = _require(germ, "inflection normal form", cusp=False)
-    flipped = cls.label is SingularityType.NEGATIVE_INFLECTION
     if flipped:
         germ = germ.transform(np.array([[1.0, 0.0], [0.0, -1.0]]))
     g = _framed(germ, 1, -0.25)

@@ -295,6 +295,10 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Every command exits 0 with finite numbers, or 1 with one error line on
+    stderr and nothing on stdout; ``verify`` also exits 1, after its report,
+    when a check fails, and argparse's own usage errors exit 2.
+    """
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_merge_dash_values(list(argv)))

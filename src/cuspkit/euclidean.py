@@ -69,13 +69,6 @@ class SingularityClass:
         return self.label.value
 
 
-@dataclass(frozen=True)
-class EuclideanCuspReport:
-    mu_g: float
-    singularity: SingularityClass
-    f0: float  # limit of sqrt(|s_g|)*kappa_g at the cusp: mu_g / (2*sqrt(2))
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> float:
     return float(cross(a, b))
 
@@ -157,20 +150,20 @@ def cuspidal_curvature(germ: PlaneJet) -> float:
 
     The sign of the result equals the sign of the cusp.
     """
-    return euclidean_report(germ).mu_g
+    return _mu_g(germ, _require(germ, "cuspidal curvature", cusp=True))
+
+
+def _mu_g(germ: PlaneJet, cls: SingularityClass) -> float:
+    return cls.b23 / float(np.hypot(*germ.derivative_vector(2))) ** 2.5
+
+
+def _profile_limit(mu: float) -> float:
+    """The limit of sqrt(|s_g|) kappa_g at a cusp of cuspidal curvature mu: mu / (2 sqrt(2))."""
+    return mu / (2.0 * math.sqrt(2.0))
 
 
 def mu_g(curve: CurveSpec) -> float:
     return cuspidal_curvature(curve.jet(0.0, 5))
-
-
-def euclidean_report(germ: PlaneJet) -> EuclideanCuspReport:
-    return _euclidean_report(germ, _require(germ, "cuspidal curvature", cusp=True))
-
-
-def _euclidean_report(germ: PlaneJet, cls: SingularityClass) -> EuclideanCuspReport:
-    value = cls.b23 / float(np.hypot(*germ.derivative_vector(2))) ** 2.5
-    return EuclideanCuspReport(value, cls, value / (2.0 * math.sqrt(2.0)))
 
 
 # -- arclength and the half-arclength parameter --------------------------------
@@ -247,7 +240,7 @@ EUCLID_CUSP = Kind(
     order=2,
     direct=_direct,
     jets=euclidean_profile_jets,
-    origin=lambda jets: jets.mu_g / (2.0 * math.sqrt(2.0)),
+    origin=lambda jets: _profile_limit(jets.mu_g),
 )
 
 

@@ -382,6 +382,7 @@ class ProfileJets:
 
     ``f_t`` is the profile, ``tau_t`` the adapted parameter tau = t L^p and
     ``L`` the arclength factor; each kind's record adds its invariants.
+    ``f0``, ``fdot0`` and ``fddot0``, f and its tau-derivatives at 0, read ``f_tau``.
     """
 
     f_t: Jet
@@ -392,6 +393,18 @@ class ProfileJets:
     def f_tau(self) -> Jet:
         """The profile as a jet in tau, f_t after the reversion of tau_t, built on first read."""
         return self.f_t.compose(self.tau_t.inverted())
+
+    @property
+    def f0(self) -> float:
+        return float(self.f_tau.coeffs[0])
+
+    @property
+    def fdot0(self) -> float:
+        return float(self.f_tau.coeffs[1])
+
+    @property
+    def fddot0(self) -> float:
+        return 2.0 * float(self.f_tau.coeffs[2])
 
 
 @dataclass(frozen=True)
@@ -547,14 +560,13 @@ class Profiler:
     def profile(self, tau_grid) -> NormalizedProfile:
         grid = np.asarray(tau_grid, dtype=float)
         ts, factor = self._invert(grid)
-        c = self.jets.f_tau.coeffs
         return NormalizedProfile(
             kind=self.kind.name,
             grid=grid,
             values=self.values_at_t(ts, factor),
-            f0=float(c[0]),
-            fdot0=float(c[1]),
-            fddot0=2.0 * float(c[2]),
+            f0=self.jets.f0,
+            fdot0=self.jets.fdot0,
+            fddot0=self.jets.fddot0,
         )
 
     def overlap_consistency(self) -> float:

@@ -85,7 +85,8 @@ class ProfileFunction:
 
     Wraps either a DSL expression in the variable t or any callable built
     from arithmetic operators and the polymorphic functions in
-    :mod:`cuspkit.jets` (so that jet evaluation works unchanged).
+    :mod:`cuspkit.jets` (so that jet evaluation works unchanged).  A value
+    that is not finite, as where the function overflows, raises ``ValueError``.
     """
 
     def __init__(self, fn: Union[Callable, float, int]):
@@ -100,13 +101,19 @@ class ProfileFunction:
             raise TypeError(f"cannot interpret {fn!r} as a profile function")
 
     def __call__(self, tau):
-        out = self._fn(tau)
+        with np.errstate(all="ignore"):
+            out = self._fn(tau)
+        finite = np.isfinite(out.coeffs).all(axis=0) if isinstance(out, Jet) else np.isfinite(out)
+        if not np.all(finite):
+            taus = np.ravel(tau.base_point if isinstance(tau, Jet) else tau)
+            at = float(taus[np.argmin(np.ravel(finite))])
+            raise ValueError(f"the prescribed function is not finite at tau = {at:.6g}")
         if isinstance(out, (int, float)) and isinstance(tau, np.ndarray):
             return np.full(tau.shape, float(out))
         return out
 
     def jet(self, base, order: int) -> Jet:
-        out = self._fn(Jet.variable(base, order))
+        out = self(Jet.variable(base, order))
         if isinstance(out, (int, float)):
             return Jet.constant(float(out), order, base)
         if not isinstance(out, Jet):
@@ -282,7 +289,8 @@ def _taylor_germ(entries: dict, frame0: np.ndarray, order: int) -> PlaneJet:
     ``entries`` holds A's entries as jets at 0 or as constants.  With
     A = sum_k A_k tau^k and Y = sum_k Y_k tau^k, matching the coefficients
     of tau^k gives Y_{k+1} = (A_0 Y_k + ... + A_k Y_0) / (k + 1), which needs
-    A through order - 1.  A constant enters A_0 only.
+    A through order - 1.  A constant enters A_0 only.  A coefficient of A or
+    Y that is not finite raises ``ValueError`` naming it.
     """
     series = {}
     for ij, a in entries.items():
@@ -291,11 +299,15 @@ def _taylor_germ(entries: dict, frame0: np.ndarray, order: int) -> PlaneJet:
                 f"a germ of order {order} needs A through order {order - 1}; a{ij} has {a.order}"
             )
         series[ij] = a.coeffs[:order] if isinstance(a, Jet) else Jet.constant(a, order - 1).coeffs
-    C = _frame_blocks(series, order)[:3]
+    C = _finite(_frame_blocks(series, order), lambda k: f"in its tau^{k} coefficient at tau = 0")
+    C = C[:3]
     Y = np.zeros((order + 1, 3, 2))
     Y[0] = frame0
     for k in range(order):
         Y[k + 1] = np.einsum("ijk,kjc->ic", C[..., : k + 1], Y[k::-1, 1:]) / (k + 1)
+    finite = np.isfinite(Y).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"the synthesis germ overflows in its tau^{np.argmin(finite)} coefficient")
     return PlaneJet.from_coeffs(Y[:, 0, 0], Y[:, 0, 1])
 
 
@@ -313,6 +325,15 @@ def _frame_blocks(entries: dict, n: int) -> np.ndarray:
                 f"frame system entry a{i}{j} is not allowed: gamma (column 0) must not feed back"
             )
         C[i, j - 1] = a
+    return C
+
+
+def _finite(C: np.ndarray, at: Callable) -> np.ndarray:
+    """C, or ``ValueError`` naming its first entry that is not finite and ``at`` of its point."""
+    finite = np.isfinite(C)
+    if not finite.all():
+        k, i, j = np.argwhere(~finite.transpose(2, 0, 1))[0]  # (point, i, j - 1)
+        raise ValueError(f"frame system entry a{i}{j + 1} is not finite {at(k)}")
     return C
 
 
@@ -632,9 +653,10 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method=
     result.  A side of n steps of h has its Richardson rerun in 2n steps of
     h/2.
     """
-    values, germ_inputs = system.inputs(profile)
-    tau = Jet.variable(0.0, GERM_ORDER)
-    germ = _taylor_germ(system.coefficients(tau, *germ_inputs), system.frame0, GERM_ORDER)
+    with np.errstate(all="ignore"):  # an entry of A that is not finite raises in _taylor_germ
+        values, germ_inputs = system.inputs(profile)
+        entries = system.coefficients(Jet.variable(0.0, GERM_ORDER), *germ_inputs)
+    germ = _taylor_germ(entries, system.frame0, GERM_ORDER)
     jets = system.kind.jets(germ)  # raises ValueError on a germ of another kind
 
     n = _step_count(tau_max, step)
@@ -655,6 +677,7 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method=
         def side(sign):
             taus_fine = np.linspace(0.0, sign * tau_max, sub * n + 1)
             C = _frame_blocks(system.coefficients(taus_fine, *values(taus_fine)), len(taus_fine))
+            C = _finite(C, lambda k: f"at tau = {taus_fine[k]:.6g}")
             h = sign * tau_max / n
             frames, s = _rk4(C[..., :: sub // 2], system.frame0, h, n, system.speed)
             AY = _matmul(C[..., ::sub], frames[1:])
@@ -667,7 +690,14 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method=
         (taus, s, derivatives), end = side(sign)
         return (taus, _spliced_arclength(taus, s, jets.tau_t, system.kind.p), derivatives), end
 
-    (taus, s, derivatives), err = _both_sides(spliced)
+    with np.errstate(all="ignore"):  # what is not finite raises here or below
+        (taus, s, derivatives), err = _both_sides(spliced)
+    finite = np.isfinite(derivatives).all(axis=(0, 1)) & np.isfinite(s)
+    if not finite.all():
+        raise ValueError(
+            f"{system.kind.name} synthesis with step {step!r} is not finite from |tau| = "
+            f"{float(np.min(np.abs(taus[~finite]))):.6g} on: the step is too large there"
+        )
     positions = derivatives[0].T.copy()
     stacks = np.zeros((5, 2, len(taus)))
     stacks[: len(derivatives)] = derivatives

@@ -235,20 +235,20 @@ def check_synthesis_brackets() -> CheckResult:
 
 def check_normal_forms() -> CheckResult:
     worst = 0.0
-    nf = affine.normal_form(parse_curve("(t^2, t^3 + t^5)").jet(0.0, 10), "cusp")
+    nf = affine.normal_form(parse_curve("(t^2, t^3 + t^5)").jet(0.0, 10))
     worst = max(worst, abs(nf.c - 1.0))
     for name in ("canonical_cusp", "cuspidal_cubic", "cycloid", "hyperbolic_cycloid"):
         curve = catalog_lookup(name, {"a": 1.0})
         value = affine.mu_A(curve)
-        nf = affine.normal_form(curve.jet(0.0, 10), "cusp")
+        nf = affine.normal_form(curve.jet(0.0, 10))
         expected = value / affine.CUSP_NF_DENOM
         worst = max(worst, abs(nf.c - expected) / max(1.0, abs(expected)))
-    nf = affine.normal_form(parse_curve("(t, t^3 + t^4)").jet(0.0, 8), "inflection")
+    nf = affine.normal_form(parse_curve("(t, t^3 + t^4)").jet(0.0, 8))
     worst = max(worst, abs(nf.c - 1.0))
     for name in ("cubic_graph", "skew_cycloid"):
         curve = catalog_lookup(name, {"a": 1.0})
         value, _ = affine.mu_I(curve)
-        nf = affine.normal_form(curve.jet(0.0, 10), "inflection")
+        nf = affine.normal_form(curve.jet(0.0, 10))
         expected = affine.INFL_NF_FACTOR * value
         worst = max(worst, abs(nf.c - expected) / max(1.0, abs(expected)))
     return _result("12_normal_forms", worst, 1e-8, "model germs and the catalog, c vs mu_A / mu_I")

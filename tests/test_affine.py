@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cuspkit import affine as affine_module
 from cuspkit.affine import (
     CUSP_NF_DENOM,
     CUSP_PROFILE_VALUE,
@@ -266,6 +267,25 @@ def test_cubic_graph_profile_constant():
     assert rep.identity_residual_t == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "fn, kind, name",
+    [(profile_A_cusp, AFFINE_CUSP, "cycloid"), (profile_A_inflection, INFLECTION, "skew_cycloid")],
+)
+def test_profile_returns_the_profilers_jets_record(monkeypatch, fn, kind, name):
+    made = []
+
+    class Recorded(Profiler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(affine_module, "Profiler", Recorded)
+    prof, rec = fn(catalog_lookup(name, {"a": 1.0}), [-0.1, 0.0, 0.1])
+    assert len(made) == 1 and made[0].kind is kind
+    assert rec is made[0].jets
+    assert (prof.f0, prof.fdot0, prof.fddot0) == (rec.f0, rec.fdot0, rec.fddot0)
+
+
 def test_skew_cycloid_inflection_report():
     _, rep = profile_A_inflection(catalog_lookup("skew_cycloid", {"a": 1.0}), [0.0])
     assert rep.f0 == pytest.approx(INFLECTION_PROFILE_VALUE, abs=1e-10)
@@ -403,7 +423,7 @@ def test_identity_residual_vanishes_for_true_profiles(rng):
 
 def test_cusp_normal_form_of_model_germ():
     germ = parse_curve("(t^2, t^3 + t^5)").jet(0.0, 10)
-    nf = normal_form(germ, "cusp")
+    nf = normal_form(germ)
     assert nf.c == pytest.approx(1.0, abs=1e-10)
     assert not nf.flipped
     # reduced second component is u^3 + c u^5 with no u^4 term
@@ -415,7 +435,7 @@ def test_cusp_normal_form_of_model_germ():
 
 def test_cusp_normal_form_handles_negative_cusps():
     germ = parse_curve("(t^2, -t^3 - t^5)").jet(0.0, 10)
-    nf = normal_form(germ, "cusp")
+    nf = normal_form(germ)
     assert nf.flipped
     assert nf.c == pytest.approx(1.0, abs=1e-10)
 
@@ -423,13 +443,13 @@ def test_cusp_normal_form_handles_negative_cusps():
 @pytest.mark.parametrize("name", ["cycloid", "hyperbolic_cycloid", "canonical_cusp"])
 def test_cusp_normal_form_reproduces_mu_A(name):
     curve = catalog_lookup(name, {"a": 1.0})
-    nf = normal_form(curve.jet(0.0, 10), "cusp")
+    nf = normal_form(curve.jet(0.0, 10))
     assert nf.c == pytest.approx(mu_A(curve) / CUSP_NF_DENOM, abs=1e-10)
 
 
 def test_inflection_normal_form_of_model_germ():
     germ = parse_curve("(t, t^3 + t^4)").jet(0.0, 8)
-    nf = normal_form(germ, "inflection")
+    nf = normal_form(germ)
     assert nf.c == pytest.approx(1.0, abs=1e-10)
     value, _ = inflectional_curvature(germ)
     assert INFL_NF_FACTOR * value == pytest.approx(1.0, rel=1e-12)
@@ -437,7 +457,7 @@ def test_inflection_normal_form_of_model_germ():
 
 def test_inflection_normal_form_handles_negative_inflections():
     germ = parse_curve("(t, -t^3 - t^4)").jet(0.0, 8)
-    nf = normal_form(germ, "inflection")
+    nf = normal_form(germ)
     assert nf.flipped
     assert nf.c == pytest.approx(1.0, abs=1e-10)
 
@@ -446,18 +466,27 @@ def test_inflection_normal_form_handles_negative_inflections():
 def test_inflection_normal_form_reproduces_mu_I(name):
     curve = catalog_lookup(name, {"a": 1.0})
     value, _ = mu_I(curve)
-    nf = normal_form(curve.jet(0.0, 10), "inflection")
+    nf = normal_form(curve.jet(0.0, 10))
     assert nf.c == pytest.approx(INFL_NF_FACTOR * value, abs=1e-10)
 
 
 def test_normal_form_rejects_wrong_kind():
-    cusp_germ = parse_curve("(t^2, t^3)").jet(0.0, 10)
-    with pytest.raises(ValueError, match="generic inflection"):
-        normal_form(cusp_germ, "inflection")
-    with pytest.raises(ValueError, match="3/2-cusp"):
-        normal_form(parse_curve("(t, t^3)").jet(0.0, 10), "cusp")
-    with pytest.raises(ValueError, match="kind"):
-        normal_form(cusp_germ, "vertex")
+    # The class picks the reduction, so a germ that is neither a cusp nor an
+    # inflection is refused by name, and no kind can be passed to override it.
+    cases = [("(t, t^2)", "Regular"), ("(t^2, t^4)", "Degenerate"), ("(t, t^4)", "Degenerate")]
+    for text, label in cases:
+        want = f"^normal form needs a 3/2-cusp or a generic inflection germ, got {label}$"
+        with pytest.raises(ValueError, match=want):
+            normal_form(parse_curve(text).jet(0.0, 10))
+    with pytest.raises(TypeError):
+        normal_form(parse_curve("(t^2, t^3)").jet(0.0, 10), "cusp")
+
+
+def test_normal_form_order_messages_are_unchanged():
+    with pytest.raises(ValueError, match=r"^cusp normal form needs a germ of order >= 8$"):
+        normal_form(parse_curve("(t^2, t^3 + t^5)").jet(0.0, 7))
+    with pytest.raises(ValueError, match=r"^inflection normal form needs a germ of order >= 5$"):
+        normal_form(parse_curve("(t, t^3 + t^4)").jet(0.0, 4))
 
 
 def _unimodular(rng) -> np.ndarray:
@@ -501,7 +530,7 @@ def test_normal_form_c_matches_the_invariant_on_model_germs(cusp, bound):
                     want = affine_cuspidal_curvature(g) / CUSP_NF_DENOM
                 else:
                     want = INFL_NF_FACTOR * inflectional_curvature(g)[0]
-                nf = normal_form(g, "cusp" if cusp else "inflection")
+                nf = normal_form(g)
                 assert nf.flipped is (g is flip)
                 worst = max(worst, abs(nf.c - want) / max(1.0, c))
                 drift = max(drift, abs(want - sign * c) / max(1.0, c))

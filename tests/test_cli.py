@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -274,10 +275,12 @@ REPORT_NAMES = CATALOG_CUSPS + CATALOG_INFLECTIONS
 def test_report_reads_the_profilers_jets(spec):
     report = cuspkit.invariants(spec)
     if report["class"].endswith("Cusp"):
-        want = Profiler(spec, affine.AFFINE_CUSP).jets.report()
+        want = Profiler(spec, affine.AFFINE_CUSP).jets
         fields = ("mu_A", "f0", "fdot0", "h0")
+        euclid = Profiler(spec, euclidean.EUCLID_CUSP)
+        assert (report["mu_g"], report["f0_g"]) == (euclid.jets.mu_g, euclid.f0)
     else:
-        want = Profiler(spec, affine.INFLECTION).jets.report()
+        want = Profiler(spec, affine.INFLECTION).jets
         fields = ("mu_I", "eps_I", "f0", "g0", "identity_residual_t", "identity_residual_tau")
     assert {f: report[f] for f in fields} == {f: getattr(want, f) for f in fields}
 
@@ -337,3 +340,80 @@ def test_regular_point_whose_curvature_overflows_exits_naming_the_speed(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error [invariants]: overflow encountered")
     assert err.endswith("in the curvature formula at |gamma'| = 3.33333e+299\n")
+
+
+# -- the output contract of cli.main ---------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# (argv, exit code, text the stdout (exit 0) or the one stderr line (exit 1)
+# must hold).  Every command the CI "Installed console script" step probes,
+# with its files on stdout, and each input once seen to end in a traceback,
+# a RuntimeWarning or non-finite output.
+CONTRACT = [
+    (["profile", "--curve", "cycloid", "--param", "a=1", "--kind", "euclid-cusp",
+      "--grid", "-0.5:3.1:101"], 1, "error [profile]"),
+    (["profile", "--curve", "cycloid", "--param", "a=1", "--kind", "euclid-cusp",
+      "--grid", "-1.5:1.5:4001"], 0, "tau,f\n"),
+    (["profile", "--curve", "hyperbolic_cycloid", "--param", "a=1", "--kind", "affine-cusp",
+      "--grid", "-0.8:0.8:4001"], 0, "tau,f\n"),
+    (["profile", "--curve", "skew_cycloid", "--param", "a=1", "--kind", "inflection",
+      "--grid", "-0.75:1.5:4001"], 0, "tau,f\n"),
+    (["invariants", "--curve", "cycloid", "--param", "a=1"], 0, '"class": "PositiveCusp"'),
+    (["invariants", "--curve", "skew_cycloid", "--param", "a=1"], 0, '"class": "PositiveInflection"'),
+    (["invariants", "--curve", "circle", "--param", "r=2"], 0, '"class": "Regular"'),
+    (["invariants", "--curve", "(a*t^2, a*t^3 + c*t^5) with a=2, c=1"], 0, '"class": "PositiveCusp"'),
+    (["synthesize", "--kind", "euclid-cusp", "--f", "1 + t/3", "--tau-max", "0.5"], 0, "tau,x,y\n"),
+    (["render", "--samples", os.path.join(GOLDEN, "synthesize_euclid-cusp_frame.csv"),
+      "--svg", "-"], 0, "<polyline"),
+    (["synthesize", "--kind", "affine-cusp", "--h", "0.5", "--tau-max", "0.5"], 0, "tau,x,y\n"),
+    (["synthesize", "--kind", "inflection", "--f", "-5/16", "--tau-max", "0.5"], 0, "tau,x,y\n"),
+    (["synthesize", "--kind", "inflection", "--f", "-5/16 - t", "--tau-max", "0.6"], 1, "0.5625"),
+    (["invariants", "--curve", "(t^2, 1e999*t^3)"], 1, "1e999"),
+    (["invariants", "--curve", "(t^2, 1e308*10*t^3)"], 1, "non-finite jet"),
+    (["invariants", "--curve", "(t^2, t^3 + exp(710))"], 1, "exp(710)"),
+    (["synthesize", "--kind", "affine-cusp", "--h", "1", "--tau-max", "0.5",
+      "--method", "quadrature"], 1, "only the 'frame' route"),
+    (["synthesize", "--kind", "euclid-cusp", "--f", "0", "--tau-max", "0.5"], 1, "f(0) != 0"),
+    (["synthesize", "--kind", "inflection", "--f", "-1/4", "--tau-max", "0.5"], 1, "-5/16"),
+    (["synthesize", "--kind", "affine-cusp", "--h", "1", "--tau-max", "1e308", "--step", "0.3"],
+     1, "tau_max / step <= 1000000, got inf"),
+    (["synthesize", "--kind", "inflection", "--f", "-5/16 + t*(1e300)", "--tau-max", "0.5"],
+     1, "f'(0) = 1e+300"),
+    (["invariants", "--curve", "(t^2, t^3 + ((1e300*t))^1/3)"], 1, "|gamma'| = 3.33333e+299"),
+    (["synthesize", "--kind", "euclid-cusp", "--f", "sinh(16)", "--tau-max", "1", "--step", "1e-2"],
+     1, "euclid-cusp synthesis with step 0.01 is not finite from |tau| = 0.17 on"),
+    (["synthesize", "--kind", "euclid-cusp", "--f", "sinh(16)", "--tau-max", "1", "--step", "1e-2",
+      "--method", "quadrature"], 0, "tau,x,y\n"),
+    (["synthesize", "--kind", "affine-cusp", "--h", "1e300", "--tau-max", "1e-9"],
+     1, "frame system entry a21 is not finite in its tau^0 coefficient at tau = 0"),
+    (["synthesize", "--kind", "euclid-cusp", "--f", "exp((t*t)^3)", "--tau-max", "50"],
+     1, "the prescribed function is not finite at tau = 2.982"),
+    (["synthesize", "--kind", "euclid-cusp", "--f", "exp((t*t)^3)", "--tau-max", "50",
+      "--method", "quadrature"], 1, "the prescribed function is not finite at tau = 2.98676"),
+    (["synthesize", "--kind", "euclid-cusp", "--f", "1 + sinh(1000*t)", "--tau-max", "1"],
+     1, "the prescribed function is not finite at tau = 0.704"),
+    (["synthesize", "--kind", "euclid-cusp", "--f", "1e200", "--tau-max", "0.1"],
+     1, "frame system entry a01 is not finite in its tau^0 coefficient at tau = 0"),
+    (["synthesize", "--kind", "euclid-cusp", "--f", "exp(t)", "--tau-max", "300"],
+     1, "frame system entry a12 is not finite at tau = 232.269"),
+    (["synthesize", "--kind", "inflection", "--f", "-5/16 + 1e100*t*t*t", "--tau-max", "0.01"],
+     1, "the synthesis germ overflows in its tau^10 coefficient"),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", CONTRACT, ids=[" ".join(c[0]) for c in CONTRACT])
+def test_every_command_exits_0_with_finite_numbers_or_1_with_one_error_line(
+    capsys, argv, code, text
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _run(capsys, argv)
+    if code == 0:
+        assert got[0] == 0 and got[2] == ""
+        assert text in got[1]
+        assert not re.search(r"\b(nan|inf|infinity)\b", got[1], re.IGNORECASE)
+    else:
+        assert got[:2] == (1, "")
+        assert got[2].count("\n") == 1 and got[2].endswith("\n")
+        assert text in got[2]

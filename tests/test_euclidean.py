@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cuspkit.affine import invariants
 from cuspkit.dsl import CATALOG_CUSPS, catalog_lookup, parse_curve
 from cuspkit.euclidean import (
     EUCLID_CUSP,
@@ -13,7 +14,6 @@ from cuspkit.euclidean import (
     classify,
     cuspidal_curvature,
     curvature_from_jet,
-    euclidean_report,
     kappa_g,
     mu_g,
     profile_g,
@@ -157,10 +157,15 @@ def test_mu_g_rejects_non_cusp():
 
 
 def test_euclidean_report_limit_value():
-    rep = euclidean_report(catalog_lookup("cycloid", {"a": 1.0}).jet(0.0, 5))
-    assert rep.mu_g == pytest.approx(1.0)
-    assert rep.f0 == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
-    assert rep.singularity.is_cusp
+    # The profile's value at the cusp and the report's f0_g share one formula.
+    curve = catalog_lookup("cycloid", {"a": 1.0})
+    germ = curve.jet(0.0, 5)
+    assert classify(germ).is_cusp
+    assert cuspidal_curvature(germ) == pytest.approx(1.0)
+    limit = Profiler(curve, EUCLID_CUSP).f0
+    assert limit == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
+    report = invariants(curve)
+    assert (report["mu_g"], report["f0_g"]) == (cuspidal_curvature(germ), limit)
 
 
 # -- the normalized profile -------------------------------------------------------

@@ -661,8 +661,12 @@ def test_f_tau_on_first_read_is_the_eager_composition(kind, name):
     assert got.base_point == want.base_point
     assert got.coeffs.tobytes() == want.coeffs.tobytes()
     assert jets.f_tau is got
+    c = want.coeffs
+    assert (jets.f0, jets.fdot0, jets.fddot0) == (float(c[0]), float(c[1]), 2.0 * float(c[2]))
+    if kind is AFFINE_CUSP:
+        assert jets.h0 == float(c[2])
     if kind is INFLECTION:
-        c = want.coeffs
+        assert jets.g0 == float(c[1])
         assert jets.identity_residual_tau == 32.0 * float(c[1]) ** 2 + 9.0 * 2.0 * float(c[2])
 
 
