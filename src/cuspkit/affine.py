@@ -37,6 +37,7 @@ from .euclidean import (
     _at_base_point,
     _cross,
     _mu_g,
+    _power_overflow,
     _profile_limit,
     _require,
     classify,
@@ -53,7 +54,14 @@ from .jets import (
     moment_quotient_jet,
     signed_power,
 )
-from .profiles import PROFILE_JET_ORDER, Kind, NormalizedProfile, Profiler, ProfileJets
+from .profiles import (
+    PROFILE_JET_ORDER,
+    Kind,
+    NormalizedProfile,
+    Profiler,
+    ProfileJets,
+    trapped_jets,
+)
 
 # Universal germ values of the normalized affine curvature.
 CUSP_PROFILE_VALUE = 4.0 / 25.0
@@ -158,11 +166,12 @@ def _mu_A(germ: PlaneJet, cls: SingularityClass) -> float:
     d3 = germ.derivative_vector(3)
     d4 = germ.derivative_vector(4)
     d5 = germ.derivative_vector(5)
-    num = (
-        24.0 * cls.b23 * _cross(d2, d5)
-        + 60.0 * cls.b23 * _cross(d3, d4)
-        - 35.0 * _cross(d2, d4) ** 2
-    )
+    b24 = _cross(d2, d4)
+    try:
+        num = 24.0 * cls.b23 * _cross(d2, d5) + 60.0 * cls.b23 * _cross(d3, d4) - 35.0 * b24**2
+    except OverflowError:  # the float power is past 1.8e308
+        name = "[gamma'', gamma'''']"
+        raise ValueError(_power_overflow("affine cuspidal curvature", name, "2", b24)) from None
     return num / signed_power(cls.b23, 12, 5)
 
 
@@ -224,7 +233,10 @@ class InflectionProfileJets(ProfileJets):
     @property
     def identity_residual_tau(self) -> float:
         """The universal identity 32 f'(0)^2 + 9 f''(0) = 0 in tau, as a residual."""
-        return 32.0 * self.g0**2 + 9.0 * self.fddot0
+        try:
+            return 32.0 * self.g0**2 + 9.0 * self.fddot0
+        except OverflowError:  # the float power is past 1.8e308
+            raise ValueError(_power_overflow("identity residual", "f'(0)", "2", self.g0)) from None
 
 
 def _smooth_jets(germ: PlaneJet, k: int) -> tuple[Jet, Jet, Jet]:
@@ -290,7 +302,10 @@ def _identity_residual(germ: PlaneJet, cls: SingularityClass, f_jet: Jet) -> flo
     b14 = _cross(d1, d4)
     fd = float(f_jet.coeffs[1])
     fdd = 2.0 * float(f_jet.coeffs[2])
-    return -(9.0 / 7.0) * ((b14 + cls.b23) / cls.b13) * fd + 32.0 * fd**2 + 9.0 * fdd
+    try:
+        return -(9.0 / 7.0) * ((b14 + cls.b23) / cls.b13) * fd + 32.0 * fd**2 + 9.0 * fdd
+    except OverflowError:  # the float power is past 1.8e308
+        raise ValueError(_power_overflow("identity residual", "f'(0)", "2", fd)) from None
 
 
 def inflection_profile_jets(germ: PlaneJet) -> InflectionProfileJets:
@@ -372,11 +387,12 @@ def invariants(curve: CurveSpec) -> dict:
         "class": str(cls),
     }
     if cls.is_cusp:
-        jets, mu = _cusp_jets(germ, cls), _mu_g(germ, cls)
+        mu = _mu_g(germ, cls)
+        jets = trapped_jets(AFFINE_CUSP.name, _cusp_jets, germ, cls)
         report.update(mu_A=jets.mu_A, f0=jets.f0, fdot0=jets.fdot0, h0=jets.h0, mu_g=mu)
         report.update(f0_g=_profile_limit(mu), c=jets.mu_A / CUSP_NF_DENOM)
     elif cls.is_inflection:
-        jets = _inflection_jets(germ, cls)
+        jets = trapped_jets(INFLECTION.name, _inflection_jets, germ, cls)
         report.update(mu_I=jets.mu_I, eps_I=jets.eps_I, f0=jets.f0, g0=jets.g0)
         report.update(identity_residual_t=jets.identity_residual_t, c=INFL_NF_FACTOR * jets.mu_I)
         report["identity_residual_tau"] = jets.identity_residual_tau

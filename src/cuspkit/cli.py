@@ -203,6 +203,11 @@ def _add_curve_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+_SVG_PRECISION = (
+    f"polyline coordinates in pixels to {svg.DECIMALS} decimals; the CSV keeps full precision"
+)
+
+
 def _add_svg_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--height", type=int, default=480)
@@ -243,13 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=synthesis.DEFAULT_STEP)
     p.add_argument("--method", choices=("frame", "quadrature"), default="frame")
     p.add_argument("--out", help="samples CSV (default stdout)")
-    p.add_argument("--svg", help="also render the curve to this SVG file")
+    p.add_argument(
+        "--svg", help=f"also render the curve to this SVG file ({_SVG_PRECISION})"
+    )
     _add_svg_args(p)
     p.set_defaults(fn=_cmd_synthesize)
 
     p = sub.add_parser("render", help="samples CSV to SVG polyline")
     p.add_argument("--samples", required=True, help="CSV with header tau,x,y or tau,f")
-    p.add_argument("--svg", required=True, help="output SVG file ('-' for stdout)")
+    p.add_argument(
+        "--svg", required=True, help=f"output SVG file ('-' for stdout; {_SVG_PRECISION})"
+    )
     _add_svg_args(p)
     p.set_defaults(fn=_cmd_render)
 

@@ -73,22 +73,37 @@ def _cross(a: np.ndarray, b: np.ndarray) -> float:
     return float(cross(a, b))
 
 
+# The values classify decides by, in the order it checks that they are finite.
+_DECIDING = (
+    "|gamma'|", "|gamma''|", "|gamma'''|",
+    "[gamma', gamma'']", "[gamma', gamma''']", "[gamma'', gamma''']",
+)
+
+
 def classify(germ: PlaneJet) -> SingularityClass:
     """Classify the germ's base point by its velocity and low-order brackets.
 
     Comparisons are relative: brackets against the largest diagnostic
-    bracket, the velocity against the largest derivative magnitude.
+    bracket, the velocity against the largest derivative magnitude.  A
+    derivative norm or bracket that is not finite raises ``ValueError``
+    naming it.
     """
     if germ.order < 3:
         raise ValueError(f"classification needs a germ of order >= 3, got {germ.order}")
     d1 = germ.derivative_vector(1)
     d2 = germ.derivative_vector(2)
     d3 = germ.derivative_vector(3)
-    b12 = _cross(d1, d2)
-    b13 = _cross(d1, d3)
-    b23 = _cross(d2, d3)
-    speed = float(np.hypot(*d1))
-    vscale = max(speed, float(np.hypot(*d2)), float(np.hypot(*d3)))
+    with np.errstate(all="ignore"):  # a value that is not finite raises below
+        norms = [float(np.hypot(*d)) for d in (d1, d2, d3)]
+        b12 = _cross(d1, d2)
+        b13 = _cross(d1, d3)
+        b23 = _cross(d2, d3)
+    values = (*norms, b12, b13, b23)
+    if not all(map(math.isfinite, values)):
+        name, value = next((n, v) for n, v in zip(_DECIDING, values) if not math.isfinite(v))
+        raise ValueError(f"cannot classify the germ: {name} = {value!r} is not finite")
+    speed = norms[0]
+    vscale = max(norms)
     bscale = max(abs(b12), abs(b13), abs(b23))
 
     if vscale == 0.0 or speed <= CLASSIFY_TOL * vscale:
@@ -154,7 +169,18 @@ def cuspidal_curvature(germ: PlaneJet) -> float:
 
 
 def _mu_g(germ: PlaneJet, cls: SingularityClass) -> float:
-    return cls.b23 / float(np.hypot(*germ.derivative_vector(2))) ** 2.5
+    accel = float(np.hypot(*germ.derivative_vector(2)))
+    try:
+        return cls.b23 / accel**2.5
+    except OverflowError:  # the float power is past 1.8e308
+        raise ValueError(
+            _power_overflow("cuspidal curvature", "|gamma''|", "(5/2)", accel)
+        ) from None
+
+
+def _power_overflow(what: str, name: str, power: str, value: float) -> str:
+    """The message for a float power of ``name`` that overflows in ``what``."""
+    return f"{what} overflows: {name}^{power} at {name} = {value:.6g}"
 
 
 def _profile_limit(mu: float) -> float:

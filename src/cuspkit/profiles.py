@@ -61,6 +61,7 @@ final iteration sums a shorter series over the grid.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -407,6 +408,26 @@ class ProfileJets:
         return 2.0 * float(self.f_tau.coeffs[2])
 
 
+def trapped_jets(kind: str, build: Callable, *args) -> ProfileJets:
+    """``build(*args)``, a germ's jets record, and its ``f_tau``, built with overflow trapped.
+
+    A field or coefficient that is not finite raises ``ValueError`` naming
+    the kind and the first such one, in field order with ``f_tau`` last.
+    """
+    with np.errstate(all="ignore"):
+        jets = build(*args)
+        jets.f_tau
+    for name, value in vars(jets).items():  # the fields in order, then the cached f_tau
+        coeffs = value.coeffs.tolist() if isinstance(value, Jet) else [value]
+        if all(map(math.isfinite, coeffs)):
+            continue
+        k = next(k for k, c in enumerate(coeffs) if not math.isfinite(c))
+        if isinstance(value, Jet):
+            name = f"the {'tau' if name == 'f_tau' else 't'}^{k} coefficient of {name}"
+        raise ValueError(f"the {kind} jets of the germ are not finite: {name} = {coeffs[k]!r}")
+    return jets
+
+
 @dataclass(frozen=True)
 class Kind:
     """What the profiler needs to know about one kind of singular point.
@@ -443,7 +464,7 @@ class Profiler:
     def __init__(self, curve, kind: Kind):
         self.curve = curve
         self.kind = kind
-        self.jets = kind.jets(curve.jet(0.0, PROFILE_JET_ORDER))
+        self.jets = trapped_jets(kind.name, kind.jets, curve.jet(0.0, PROFILE_JET_ORDER))
         self.f0 = kind.origin(self.jets)
         self._slope0 = float(self.jets.tau_t.coeffs[1])
 

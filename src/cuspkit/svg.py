@@ -1,4 +1,12 @@
-"""Plain SVG 1.1 output: one stroked polyline through sample points."""
+"""Plain SVG 1.1 output: one stroked polyline through sample points.
+
+The polyline's pixel coordinates are written in fixed point with
+``DECIMALS`` = 3 decimals: each printed value is the correctly rounded
+decimal of the float pixel coordinate, so it is off by at most half a
+thousandth of a pixel, which no renderer shows.  ``-0.000`` is written as
+``0.000``.  The axis lines and the stroke width keep their shortest
+round-trip repr.  The samples themselves (the CSVs) keep full precision.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+DECIMALS = 3
+_PAIR = f"%.{DECIMALS}f,%.{DECIMALS}f "
+# A value below this in magnitude prints as 0.000 or -0.000, so zeroing it
+# first changes no digit and drops the sign.
+_PRINTS_AS_ZERO = 0.5 * 10.0**-DECIMALS
 
 
 @dataclass(frozen=True)
@@ -60,7 +74,8 @@ def render_svg(samples, spec: RenderSpec | None = None) -> str:
     """Render (x, y) samples as a standalone SVG document string.
 
     The viewport auto-fits the data with a margin unless given explicitly;
-    the y-axis points up (mathematical orientation).  Raises ``ValueError``
+    the y-axis points up (mathematical orientation).  The polyline's pixel
+    coordinates are printed to ``DECIMALS`` decimals.  Raises ``ValueError``
     for fewer than two samples or for a sample that is not finite.
     """
     spec = spec or RenderSpec()
@@ -76,9 +91,11 @@ def render_svg(samples, spec: RenderSpec | None = None) -> str:
     sx = spec.width / (xmax - xmin)
     sy = spec.height / (ymax - ymin)
 
-    xs = ((points[:, 0] - xmin) * sx).tolist()
-    ys = ((ymax - points[:, 1]) * sy).tolist()
-    coords = " ".join(f"{x!r},{y!r}" for x, y in zip(xs, ys))
+    pixels = np.empty_like(points)
+    pixels[:, 0] = (points[:, 0] - xmin) * sx
+    pixels[:, 1] = (ymax - points[:, 1]) * sy
+    pixels[np.abs(pixels) < _PRINTS_AS_ZERO] = 0.0
+    coords = (_PAIR * len(pixels) % tuple(pixels.ravel().tolist()))[:-1]
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

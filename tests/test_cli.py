@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,6 +9,8 @@ import warnings
 
 import pytest
 from conftest import MODEL_GERMS
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cuspkit
 from cuspkit import affine, cli, euclidean
@@ -399,21 +403,97 @@ CONTRACT = [
      1, "frame system entry a12 is not finite at tau = 232.269"),
     (["synthesize", "--kind", "inflection", "--f", "-5/16 + 1e100*t*t*t", "--tau-max", "0.01"],
      1, "the synthesis germ overflows in its tau^10 coefficient"),
+    (["invariants", "--curve", "(t^2*1e200, t^3)"],
+     1, "cuspidal curvature overflows: |gamma''|^(5/2) at |gamma''| = 2e+200"),
+    (["profile", "--curve", "(t + t^2*1e300, t^3 + t^4)", "--kind", "euclid-cusp",
+      "--grid", "-0.1:0.1:11"],
+     1, "cuspidal curvature overflows: |gamma''|^(5/2) at |gamma''| = 2e+300"),
+    (["profile", "--curve", "(t^2 + t^3*16, t^3 + t^4*1e150)", "--kind", "affine-cusp",
+      "--grid", "0:0:1"],
+     1, "the affine-cusp jets of the germ are not finite: the t^3 coefficient of f_t = nan"),
 ]
 
 
-@pytest.mark.parametrize("argv, code, text", CONTRACT, ids=[" ".join(c[0]) for c in CONTRACT])
-def test_every_command_exits_0_with_finite_numbers_or_1_with_one_error_line(
-    capsys, argv, code, text
-):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = _run(capsys, argv)
+def _run_with_warnings_as_errors(argv):
+    """(exit code, stdout, stderr) of cli.main(argv), with RuntimeWarning an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(code, out, err):
     if code == 0:
-        assert got[0] == 0 and got[2] == ""
-        assert text in got[1]
-        assert not re.search(r"\b(nan|inf|infinity)\b", got[1], re.IGNORECASE)
+        assert err == ""
+        assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE)
     else:
-        assert got[:2] == (1, "")
-        assert got[2].count("\n") == 1 and got[2].endswith("\n")
-        assert text in got[2]
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv, code, text", CONTRACT, ids=[" ".join(c[0]) for c in CONTRACT])
+def test_every_command_exits_0_with_finite_numbers_or_1_with_one_error_line(argv, code, text):
+    got = _run_with_warnings_as_errors(argv)
+    assert got[0] == code
+    _assert_contract(*got)
+    assert text in got[1 if code == 0 else 2]
+
+
+# Curves from a small grammar of the DSL: numbers up to 1e308, the four
+# operators, unary minus, every function and rational powers.  Half of them
+# are a model cusp or inflection with drawn coefficients and a drawn term of
+# higher order, so that the germ's class is often a cusp or an inflection.
+_NUMBERS = st.sampled_from(
+    ["0", "1", "3", "16", "0.5", "(1/3)", "1e-300", "1e-150", "1e100", "1e150", "1e200",
+     "1e300", "1e308"]
+)
+_LEAVES = st.one_of(_NUMBERS, st.sampled_from(["t", "t^2", "t^3", "t^5", "a"]))
+_EXPRESSIONS = st.recursive(
+    _LEAVES,
+    lambda e: st.one_of(
+        st.builds("{} {} {}".format, e, st.sampled_from("+-*/"), e),
+        st.builds("{}({})".format, st.sampled_from(["sin", "cos", "sinh", "cosh", "exp"]), e),
+        st.builds("-{}".format, e),
+        st.builds("({})^{}".format, e, st.sampled_from(["2", "-1", "(1/3)", "(5/2)", "(-2/3)"])),
+    ),
+    max_leaves=5,
+)
+_MODELS = [("t^2", "t^3"), ("t", "t^3"), ("t^2", "t^3 + t^5"), ("t", "t^3 + t^4"), ("t^2", "t^4")]
+_CURVES = st.one_of(
+    st.builds(
+        lambda m, cx, cy, ex, ey, k:
+            f"({cx}*({m[0]}) + ({ex})*t^{k}, {cy}*({m[1]}) + ({ey})*t^{k + 1})",
+        st.sampled_from(_MODELS), _NUMBERS, _NUMBERS, _EXPRESSIONS, _EXPRESSIONS, st.integers(2, 5),
+    ),
+    st.builds("({}, {})".format, _EXPRESSIONS, _EXPRESSIONS),
+)
+_PARAMS = st.sampled_from([[], ["--param", "a=2"], ["--param", "a=1e308"], ["--param", "a=nan"]])
+_AT = st.sampled_from(["0", "0.5", "-1e-3", "1e-300", "1e308", "nan", "inf"])
+_COMMANDS = st.one_of(
+    st.builds(lambda c, p: ["invariants", "--curve", c, *p], _CURVES, _PARAMS),
+    st.builds(lambda c, at, p: ["classify", "--curve", c, "--at", at, *p], _CURVES, _AT, _PARAMS),
+)
+
+
+@given(_COMMANDS)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@example(["synthesize", "--kind", "affine-cusp", "--h", "1", "--tau-max", "1e308", "--step", "0.3"])
+@example(["synthesize", "--kind", "euclid-cusp", "--f", "sinh(16)", "--tau-max", "1",
+          "--step", "1e-2"])
+@example(["synthesize", "--kind", "euclid-cusp", "--f", "exp((t*t)^3)", "--tau-max", "50"])
+@example(["synthesize", "--kind", "inflection", "--f", "-5/16 + t*(1e300)", "--tau-max", "0.5"])
+@example(["synthesize", "--kind", "affine-cusp", "--h", "1e300", "--tau-max", "1e-9"])
+@example(["synthesize", "--kind", "euclid-cusp", "--f", "1e200", "--tau-max", "0.1"])
+@example(["synthesize", "--kind", "euclid-cusp", "--f", "exp(t)", "--tau-max", "300"])
+@example(["synthesize", "--kind", "euclid-cusp", "--f", "1 + sinh(1000*t)", "--tau-max", "1"])
+@example(["synthesize", "--kind", "inflection", "--f", "-5/16 + 1e100*t*t*t", "--tau-max", "0.01"])
+@example(["invariants", "--curve", "(t^2, t^3 + ((1e300*t))^1/3)"])
+@example(["invariants", "--curve", "(t^2*1e200, t^3)"])
+@example(["profile", "--curve", "(t + t^2*1e300, t^3 + t^4)", "--kind", "euclid-cusp",
+          "--grid", "-0.1:0.1:11"])
+@example(["profile", "--curve", "(t^2 + t^3*16, t^3 + t^4*1e150)", "--kind", "affine-cusp",
+          "--grid", "0:0:1"])
+def test_generated_commands_keep_the_output_contract(argv):
+    _assert_contract(*_run_with_warnings_as_errors(argv))

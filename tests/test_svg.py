@@ -1,10 +1,12 @@
 import math
 import re
+import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cuspkit.svg import RenderSpec, render_svg
+from cuspkit.svg import RenderSpec, _viewport, render_svg
 
 SQUARE = [(-1.0, -1.0), (1.0, 1.0)]
 
@@ -66,17 +68,49 @@ def test_no_axis_when_the_origin_is_out_of_both_ranges():
     assert _axis_lines(svg) == []
 
 
+def _pixels(points, spec):
+    """The float pixel coordinates of ``points``, as render_svg computes them."""
+    xmin, xmax, ymin, ymax = _viewport(points, spec)
+    sx, sy = spec.width / (xmax - xmin), spec.height / (ymax - ymin)
+    return [(float((x - xmin) * sx), float((ymax - y) * sy)) for x, y in points]
+
+
+def _polyline_points(svg: str) -> list[str]:
+    """The polyline's printed "x,y" points, from the parsed document."""
+    return ET.fromstring(svg).find("{http://www.w3.org/2000/svg}polyline").get("points").split(" ")
+
+
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
 def test_polyline_matches_a_per_point_loop(scale):
     rng = np.random.default_rng(3)
     points = rng.normal(size=(500, 2)) * scale
     spec = RenderSpec(width=300, height=200, viewport=(-3 * scale, 3 * scale, -2 * scale, 2.5 * scale))
-    xmin, xmax, ymin, ymax = spec.viewport
-    sx, sy = spec.width / (xmax - xmin), spec.height / (ymax - ymin)
-    want = " ".join(
-        f"{float((x - xmin) * sx)!r},{float((ymax - y) * sy)!r}" for x, y in points
-    )
+    want = " ".join(f"{x:.3f},{y:.3f}" for x, y in _pixels(points, spec)).replace("-0.000", "0.000")
     assert f'points="{want}"' in render_svg(points, spec)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("user_viewport", [False, True])
+def test_polyline_is_within_half_a_thousandth_of_a_pixel(scale, user_viewport):
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(400, 2)) * scale
+    if user_viewport:
+        # Most points fall left of and above the canvas, at negative pixels;
+        # the last two sit a hair outside its corner, at -0.000... pixels.
+        viewport = (0.5 * scale, 3 * scale, -2 * scale, -0.5 * scale)
+        spec = RenderSpec(width=300, height=200, viewport=viewport)
+        points[-2:] = [(0.5 * scale * (1 - 1e-9), -0.5 * scale * (1 - 1e-9))] * 2
+    else:
+        spec = RenderSpec(width=300, height=200)  # fitted to the points
+    drawn = _polyline_points(render_svg(points, spec))
+    assert len(drawn) == len(points)
+    printed = [v for point in drawn for v in point.split(",")]
+    pixels = [v for pair in _pixels(points, spec) for v in pair]
+    assert all(re.fullmatch(r"-?\d+\.\d{3}", v) for v in printed)
+    assert "-0.000" not in printed
+    assert max(abs(Fraction(v) - Fraction(p)) for v, p in zip(printed, pixels)) <= Fraction(1, 2000)
+    if user_viewport:
+        assert min(pixels) < -1.0 and printed[-4:] == ["0.000"] * 4
 
 
 @pytest.mark.parametrize(
@@ -122,4 +156,4 @@ def test_spec_rejects_non_finite_sizes_margins_and_viewports(options, named, val
 
 def test_zero_margin_touches_the_canvas_edges():
     svg = render_svg([(0.0, 0.0), (2.0, 1.0)], RenderSpec(width=200, height=100, margin=0.0))
-    assert 'points="0.0,100.0 200.0,0.0"' in svg
+    assert 'points="0.000,100.000 200.000,0.000"' in svg
