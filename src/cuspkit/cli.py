@@ -138,10 +138,8 @@ def _cmd_synthesize(args) -> int:
             raise ValueError(f"{args.kind} synthesis needs --f (the profile function)")
         fn = parse_expression(args.f)
     spec = _render_spec(args)
-    # Only tau, x, y are written, so the Richardson rerun behind step_error is skipped.
-    result = synthesis.synthesize(
-        args.kind, fn, args.tau_max, step=args.step, method=args.method, richardson=False
-    )
+    # Only tau, x, y are written; step_error is never read, so its rerun never runs.
+    result = synthesis.synthesize(args.kind, fn, args.tau_max, step=args.step, method=args.method)
     rows = zip(result.taus, result.positions[:, 0], result.positions[:, 1])
     _write_text(args.out, _csv_text(["tau", "x", "y"], rows))
     if args.svg:
@@ -270,31 +268,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_dash_value(tok: str) -> bool:
-    """A value that starts with '-': '-1e-3', '-.5', '-5/16+t', '-inf'."""
-    if not tok.startswith("-"):
-        return False
-    if tok[1:2].isdigit() or tok[1:2] == ".":
-        return True
-    try:
-        float(tok)
-    except ValueError:
-        return False
-    return True
-
-
 def _merge_dash_values(argv: list[str]) -> list[str]:
     """Join '--option -1e-3' into '--option=-1e-3' for argparse.
 
     argparse reads a token that starts with '-' as an option unless it looks
-    like -1 or -1.5, so values such as -1e-3, -inf, -5/16+t or the grid
-    -0.5:0.5:101 have to be attached to their option.
+    like -1 or -1.5, so values such as -1e-3, -inf, -cos(t), -5/16+t or the
+    grid -0.5:0.5:101 have to be attached to their option.  Every cuspkit
+    option but -h is long, so any other token that starts with a single '-'
+    after an option without '=' is that option's value.
     """
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok.startswith("--") and i + 1 < len(argv) and _is_dash_value(argv[i + 1]):
+        if (
+            tok.startswith("--")
+            and "=" not in tok
+            and i + 1 < len(argv)
+            and argv[i + 1].startswith("-")
+            and not argv[i + 1].startswith("--")
+            and argv[i + 1] != "-h"
+        ):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
             continue

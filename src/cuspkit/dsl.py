@@ -36,7 +36,6 @@ from typing import Union
 import numpy as np
 
 from .jets import (
-    DEFAULT_ORDER,
     Jet,
     PlaneJet,
     _reduce_exponent,
@@ -386,7 +385,7 @@ class CurveSpec:
             [evaluate(self.x_expr, t, self.params), evaluate(self.y_expr, t, self.params)]
         )
 
-    def jet(self, t0: float, order: int = DEFAULT_ORDER) -> PlaneJet:
+    def jet(self, t0: float, order: int) -> PlaneJet:
         """Exact Taylor jet of the curve at t0 (automatic differentiation).
 
         Raises ``ValueError`` on a coefficient that is not finite, as when

@@ -36,8 +36,6 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-DEFAULT_ORDER = 8
-
 Scalar = Union[int, float]
 
 
@@ -136,7 +134,7 @@ class Jet:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, order: int = DEFAULT_ORDER, base_point=0.0) -> "Jet":
+    def constant(cls, value, order: int, base_point=0.0) -> "Jet":
         """The constant jet at base_point, a float or a 1-D array of base points."""
         batch = isinstance(base_point, np.ndarray) and base_point.ndim == 1
         c = np.zeros((order + 1, base_point.size) if batch else order + 1)
@@ -144,7 +142,7 @@ class Jet:
         return _wrap(c, base_point if batch else float(base_point))
 
     @classmethod
-    def variable(cls, base_point=0.0, order: int = DEFAULT_ORDER) -> "Jet":
+    def variable(cls, base_point, order: int) -> "Jet":
         """The jet of the identity map t |-> t, at one base point or at an array of them."""
         jet = cls.constant(base_point, order, base_point)
         if order >= 1:

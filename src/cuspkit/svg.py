@@ -20,22 +20,22 @@ _PAIR = f"%.{DECIMALS}f,%.{DECIMALS}f "
 # A value below this in magnitude prints as 0.000 or -0.000, so zeroing it
 # first changes no digit and drops the sign.
 _PRINTS_AS_ZERO = 0.5 * 10.0**-DECIMALS
+MARGIN = 0.05  # an auto-fit viewport's padding, as a fraction of the data extent
 
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Canvas size in pixels, polyline stroke width, margin, axes and viewport.
+    """Canvas size in pixels, polyline stroke width, axes and viewport.
 
     Raises ``ValueError``, naming the field, its value and the valid range,
-    unless width, height and stroke width are finite and > 0, the margin is
-    finite and >= 0, and the viewport, if given, has four finite bounds with
-    xmin < xmax and ymin < ymax.
+    unless width, height and stroke width are finite and > 0 and the
+    viewport, if given, has four finite bounds with xmin < xmax and
+    ymin < ymax.
     """
 
     width: int = 640
     height: int = 480
     stroke_width: float = 1.5
-    margin: float = 0.05  # padding as a fraction of the data extent
     axes: bool = False
     viewport: tuple[float, float, float, float] | None = None  # xmin, xmax, ymin, ymax
 
@@ -44,8 +44,6 @@ class RenderSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"SVG {name} must be finite and > 0, got {name}={value!r}")
-        if not (math.isfinite(self.margin) and self.margin >= 0):
-            raise ValueError(f"SVG margin must be finite and >= 0, got margin={self.margin!r}")
         if self.viewport is not None:
             if len(self.viewport) != 4 or not all(map(math.isfinite, self.viewport)):
                 raise ValueError(
@@ -66,14 +64,14 @@ def _viewport(points: np.ndarray, spec: RenderSpec) -> tuple[float, float, float
     xmin, ymin = points.min(axis=0)
     xmax, ymax = points.max(axis=0)
     span = max(xmax - xmin, ymax - ymin, 1e-30)
-    pad = spec.margin * span
+    pad = MARGIN * span
     return xmin - pad, xmax + pad, ymin - pad, ymax + pad
 
 
 def render_svg(samples, spec: RenderSpec | None = None) -> str:
     """Render (x, y) samples as a standalone SVG document string.
 
-    The viewport auto-fits the data with a margin unless given explicitly;
+    The viewport auto-fits the data with a ``MARGIN`` unless given explicitly;
     the y-axis points up (mathematical orientation).  The polyline's pixel
     coordinates are printed to ``DECIMALS`` decimals.  Raises ``ValueError``
     for fewer than two samples or for a sample that is not finite.

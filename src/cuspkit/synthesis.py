@@ -28,22 +28,22 @@ Three inverse problems are solved, one per singularity type:
 One entry, ``synthesize(kind, ...)``, serves all three; each kind's input
 rules and routes live in its :class:`FrameSystem` record.
 
-All integrations use classical fixed-step RK4 (default step 1e-3) with a
-half-step comparison as a built-in error estimate.  The three frame
-systems are linear, Y' = A(tau) Y, and act alike on the x and y columns.
-Each kind declares its system once, as a :class:`FrameSystem` record: the
-entries of the 3x3 coefficient matrix A, written once as a function that
-runs on arrays and on jets, the initial frame, the arclength integrand and
-the rows of Y and A Y that hold the derivatives of gamma.  One driver
-serves every kind.  Column 0 of A is zero in every system (gamma never
-feeds back), so A is stored entries-first as its 3x2 block of columns
-(xi, eta), and an RK4 step is the affine map Z_{k+1} = Q_k Z_k,
+All integrations use classical fixed-step RK4 (default step 1e-3).  The
+three frame systems are linear, Y' = A(tau) Y, and act alike on the x and
+y columns.  Each kind declares its system once, as a :class:`FrameSystem`
+record: the entries of the 3x3 coefficient matrix A, written once as a
+function that runs on arrays and on jets, the initial frame, the arclength
+integrand and the rows of Y and A Y that hold the derivatives of gamma.
+One driver serves every kind.  Column 0 of A is zero in every system
+(gamma never feeds back), so A is stored entries-first as its 3x2 block of
+columns (xi, eta), and an RK4 step is the affine map Z_{k+1} = Q_k Z_k,
 gamma_{k+1} = gamma_k + g_k Z_k of the 2x2 block Z = (xi, eta).  The step
 maps are chained by a log-depth prefix scan under one associative combine
 (Blelloch, "Prefix sums and their applications", 1990); the arclength is
-the RK4 quadrature of the integrand over the stage states.  The half-step
-Richardson rerun, exactly 2n steps of h/2, shares its side's coefficient
-grid and composes its step maps in pairs down to its endpoint.
+the RK4 quadrature of the integrand over the stage states.  A result's
+``step_error`` is a half-step Richardson rerun, exactly 2n steps of h/2,
+made when it is first read: it builds its own coefficient grid and
+composes its step maps in pairs down to its endpoint.
 Derivatives of the synthesized curve are read from Y and A Y, never by
 differencing positions; the germ at tau = 0 comes from the Taylor
 recurrence Y_{k+1} = (A_0 Y_k + ... + A_k Y_0) / (k + 1) on the jet
@@ -71,7 +71,7 @@ _EXPR_NODES = (Num, Sym, Neg, BinOp, Func, Power)
 
 DEFAULT_STEP = 1e-3
 GERM_ORDER = 12
-MAX_STEPS = 10**6  # tau_max / step; 10**5 steps with the Richardson rerun peak at ~0.15 GB
+MAX_STEPS = 10**6  # tau_max / step; 10**5 steps peak at ~0.09 GB, step_error read or not
 
 AFFINE_CUSP_ETA0 = 250.0 / 27.0  # [gamma'', gamma'''](0) of the normalized cusp system
 INFLECTION_ETA0 = 64.0 / 27.0  # [gamma', gamma'''](0) of the inflection system
@@ -351,13 +351,8 @@ class SynthesisResult:
     value plus the integrated increments beyond it (``_spliced_arclength``).
     ``profile_jets`` holds those jets (the kind's ``jets(germ)``, built once
     per synthesis; a synthesis reads only ``tau_t`` and ``f_t``, so its
-    ``f_tau`` is not built unless read).
-    ``step_error`` is the half-step Richardson estimate of the endpoint
-    position error: the largest change of an endpoint position when each
-    side of n steps of size h is rerun as exactly 2n steps of h/2, NaN when
-    the rerun is off.  The frame route's rerun computes only its endpoint,
-    as the composite of its step maps applied to the initial frame
-    (``_rk4_endpoint``).
+    ``f_tau`` is not built unless read).  ``tau_max`` is the range as
+    asked; the grid's last tau need not equal it bit for bit.
     """
 
     kind: str  # 'euclid-cusp' | 'affine-cusp' | 'inflection'
@@ -366,11 +361,36 @@ class SynthesisResult:
     germ: PlaneJet
     input_profile: object
     step: float
+    tau_max: float
     stacks: np.ndarray | None = None  # shape (5, 2, n)
     arclength: np.ndarray | None = None
-    step_error: float = math.nan
     method: str = "frame"
     profile_jets: object = None
+
+    @functools.cached_property
+    def step_error(self) -> float:
+        """The half-step Richardson estimate of the endpoint position error.
+
+        The largest change of an endpoint position when each side of n steps
+        of h is rerun as exactly 2n steps of h/2, on first read.  The frame
+        route's rerun builds its own grid of 4n + 1 points and composes its
+        step maps down to the endpoint (``_rk4_endpoint``).  A point of that
+        grid that the run's checks refuse raises their ``ValueError``.
+        """
+        system = SYSTEMS[self.kind]
+        n = _step_count(self.tau_max, self.step)
+        errs = []
+        with np.errstate(all="ignore"):  # what is not finite raises in _side_grid
+            values = system.inputs(self.input_profile)[0]
+            ends = ((self.positions[-1], self.tau_max), (self.positions[0], -self.tau_max))
+            for end, tau_end in ends:
+                if self.method == "quadrature":
+                    half = _euclid_quadrature(self.input_profile, tau_end, 2 * n)[2][0, :, -1]
+                else:
+                    C = _side_grid(system, values, tau_end, 4 * n + 1)[1]
+                    half = _rk4_endpoint(C, system.frame0, 0.5 * (tau_end / n))[0]
+                errs.append(float(np.max(np.abs(end - half))))
+        return max(errs)
 
     def tau_normalized(self) -> np.ndarray:
         """The adapted parameter recomputed from the synthesized data."""
@@ -398,21 +418,11 @@ def _both_sides(side):
     """Run a one-sided integrator on [0, tau_max] and on [-tau_max, 0] and merge.
 
     ``side(sign)`` integrates from 0 to sign * tau_max.  It returns arrays
-    with the grid on the last axis (the grid, the arclength, then the
-    derivative stacks, positions first), and the endpoint position of the
-    half-step rerun, or None when the rerun is off.  Returns the merged
-    arrays and the Richardson estimate, the largest change of an endpoint
-    position in the rerun (NaN when it is off).
+    with the grid on the last axis: the grid, the arclength, then the
+    derivative stacks, positions first.
     """
-    (plus, plus_end), (minus, minus_end) = side(1.0), side(-1.0)
-    merged = [np.concatenate([m[..., ::-1], p[..., 1:]], axis=-1) for p, m in zip(plus, minus)]
-    err = math.nan
-    if plus_end is not None:
-        err = max(
-            float(np.max(np.abs(run[2][0, :, -1] - end)))
-            for run, end in ((plus, plus_end), (minus, minus_end))
-        )
-    return merged, err
+    plus, minus = side(1.0), side(-1.0)
+    return [np.concatenate([m[..., ::-1], p[..., 1:]], axis=-1) for p, m in zip(plus, minus)]
 
 
 def _spliced_arclength(taus: np.ndarray, s: np.ndarray, tau_t: Jet, p: float) -> np.ndarray:
@@ -644,14 +654,24 @@ SYSTEMS = {s.kind.name: s for s in (EUCLID_CUSP_SYSTEM, AFFINE_CUSP_SYSTEM, INFL
 # -- the driver ---------------------------------------------------------------------
 
 
-def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method="frame"):
+def _side_grid(system: FrameSystem, values, tau_end: float, points: int):
+    """A side's grid of ``points`` from 0 to tau_end and A's blocks on it.
+
+    An entry of A that is not finite raises ``ValueError`` naming its tau.
+    """
+    taus = np.linspace(0.0, tau_end, points)
+    C = _frame_blocks(system.coefficients(taus, *values(taus)), points)
+    return taus, _finite(C, lambda k: f"at tau = {taus[k]:.6g}")
+
+
+def _synthesize(system: FrameSystem, profile, tau_max, step, method="frame"):
     """Germ, curve, derivative stacks and arclength of one kind's synthesis.
 
     The frame route integrates Y' = A Y by RK4 over both sides, from one
-    coefficient grid per side, and reads the derivatives from Y and A Y; the
+    coefficient grid per side at half steps: the run reads every point, the
+    stacks every second.  It reads the derivatives from Y and A Y; the
     Euclidean quadrature route shares only the germ and the assembly of the
-    result.  A side of n steps of h has its Richardson rerun in 2n steps of
-    h/2.
+    result.  The result's ``step_error`` reruns each side on first read.
     """
     with np.errstate(all="ignore"):  # an entry of A that is not finite raises in _taylor_germ
         values, germ_inputs = system.inputs(profile)
@@ -660,38 +680,20 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method=
     jets = system.kind.jets(germ)  # raises ValueError on a germ of another kind
 
     n = _step_count(tau_max, step)
-    if method == "quadrature":
 
-        def side(sign):
-            run = _euclid_quadrature(profile, sign * tau_max, n)
-            if not richardson:
-                return run, None
-            return run, _euclid_quadrature(profile, sign * tau_max, 2 * n)[2][0, :, -1]
-
-    else:
-        # One coefficient grid per side, at quarter steps when the rerun is
-        # on: the run reads it at half steps, the stacks at full steps and
-        # the rerun, 2n steps of h/2, at every point.
-        sub = 4 if richardson else 2
-
-        def side(sign):
-            taus_fine = np.linspace(0.0, sign * tau_max, sub * n + 1)
-            C = _frame_blocks(system.coefficients(taus_fine, *values(taus_fine)), len(taus_fine))
-            C = _finite(C, lambda k: f"at tau = {taus_fine[k]:.6g}")
-            h = sign * tau_max / n
-            frames, s = _rk4(C[..., :: sub // 2], system.frame0, h, n, system.speed)
-            AY = _matmul(C[..., ::sub], frames[1:])
-            rows = {"Y": frames, "AY": AY}
-            stacks = np.stack([rows[source][i] for source, i in system.stack_rows])
-            end = _rk4_endpoint(C, system.frame0, 0.5 * h)[0] if richardson else None
-            return (taus_fine[::sub], s, stacks), end
-
-    def spliced(sign):
-        (taus, s, derivatives), end = side(sign)
-        return (taus, _spliced_arclength(taus, s, jets.tau_t, system.kind.p), derivatives), end
+    def side(sign):
+        if method == "quadrature":
+            taus, s, derivatives = _euclid_quadrature(profile, sign * tau_max, n)
+        else:
+            taus_half, C = _side_grid(system, values, sign * tau_max, 2 * n + 1)
+            frames, s = _rk4(C, system.frame0, sign * tau_max / n, n, system.speed)
+            rows = {"Y": frames, "AY": _matmul(C[..., ::2], frames[1:])}
+            taus = taus_half[::2]
+            derivatives = np.stack([rows[source][i] for source, i in system.stack_rows])
+        return taus, _spliced_arclength(taus, s, jets.tau_t, system.kind.p), derivatives
 
     with np.errstate(all="ignore"):  # what is not finite raises here or below
-        (taus, s, derivatives), err = _both_sides(spliced)
+        taus, s, derivatives = _both_sides(side)
     finite = np.isfinite(derivatives).all(axis=(0, 1)) & np.isfinite(s)
     if not finite.all():
         raise ValueError(
@@ -708,9 +710,9 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, richardson, method=
         germ=germ,
         input_profile=profile,
         step=step,
+        tau_max=tau_max,
         stacks=stacks,
         arclength=s,
-        step_error=err,
         method=method,
         profile_jets=jets,
     )
@@ -793,7 +795,6 @@ def synthesize(
     tau_max: float,
     step: float = DEFAULT_STEP,
     method: str = "frame",
-    richardson: bool = True,
 ) -> SynthesisResult:
     """The curve germ of ``kind`` whose normalized profile is fn, for |tau| <= tau_max.
 
@@ -807,8 +808,8 @@ def synthesize(
     f'(0) != 0 and |c| tau_max < 1, and the profile realized is then
     ``result.input_profile``.  These rules are the kind's
     ``FrameSystem.prepare`` and ``routes``; an input that breaks one raises
-    ``ValueError`` before any germ work.  ``richardson`` adds the half-step
-    rerun behind ``step_error``.
+    ``ValueError`` before any germ work.  The result's ``step_error`` is
+    computed when first read.
     """
     system = SYSTEMS.get(kind)
     if system is None:
@@ -823,7 +824,7 @@ def synthesize(
         if len(system.routes) == 1:
             raise ValueError(f"{kind} synthesis has only the {use} route, not method {method!r}")
         raise ValueError(f"unknown method {method!r}; use {use}")
-    return _synthesize(system, profile, tau_max, step, richardson, method)
+    return _synthesize(system, profile, tau_max, step, method)
 
 
 def roundtrip(fn, kind: str, tau_max: float, step: float = DEFAULT_STEP) -> float:
@@ -834,7 +835,7 @@ def roundtrip(fn, kind: str, tau_max: float, step: float = DEFAULT_STEP) -> floa
     the sup-norm deviation between the recomputed profile and the prescribed
     one evaluated at the recomputed adapted parameter.
     """
-    result = synthesize(kind, fn, tau_max, step=step, richardson=False)
+    result = synthesize(kind, fn, tau_max, step=step)
     tau_n = result.tau_normalized()
     recomputed = result.profile_recomputed()
     profile = result.input_profile

@@ -71,8 +71,8 @@ def check_cusp_limit_richardson() -> CheckResult:
 def check_canonical_cusp_synthesis() -> CheckResult:
     worst = 0.0
     for a in (0.5, 1.0):
-        frame = synthesis.synthesize("euclid-cusp", a, 1.0, method="frame", richardson=False)
-        quad = synthesis.synthesize("euclid-cusp", a, 1.0, method="quadrature", richardson=False)
+        frame = synthesis.synthesize("euclid-cusp", a, 1.0, method="frame")
+        quad = synthesis.synthesize("euclid-cusp", a, 1.0, method="quadrature")
         tt = frame.taus
         xc = (2 * a * tt * np.sin(2 * a * tt) + np.cos(2 * a * tt) - 1.0) / (2 * a**2)
         yc = (np.sin(2 * a * tt) - 2 * a * tt * np.cos(2 * a * tt)) / (2 * a**2)
@@ -211,7 +211,7 @@ def check_synthesis_roundtrips() -> CheckResult:
 def check_synthesis_brackets() -> CheckResult:
     worst = 0.0
     for h in (1.0, -1.0):
-        res = synthesis.synthesize("affine-cusp", h, 0.5, richardson=False)
+        res = synthesis.synthesize("affine-cusp", h, 0.5)
         d = res.stacks
         t = res.taus
         b12, b13, b23 = cross(d[1], d[2]), cross(d[1], d[3]), cross(d[2], d[3])
@@ -222,7 +222,7 @@ def check_synthesis_brackets() -> CheckResult:
             float(np.max(np.abs(b23 - (125.0 / 243.0) * (18.0 + 25.0 * t**2 * h)))),
         )
     for fn in (-5.0 / 16.0, parse_expression("-5/16 + t")):
-        res = synthesis.synthesize("inflection", fn, 0.5, richardson=False)
+        res = synthesis.synthesize("inflection", fn, 0.5)
         d = res.stacks
         t = res.taus
         b12, b13 = cross(d[1], d[2]), cross(d[1], d[3])

@@ -45,7 +45,10 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["invariants", "--help"], ["profile", "--help"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["invariants", "--help"], ["profile", "--help"], ["synthesize", "--axes", "-h"]],
+)
 def test_help_exits_zero(capsys, argv):
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:
@@ -379,6 +382,10 @@ CONTRACT = [
     (["synthesize", "--kind", "affine-cusp", "--h", "1", "--tau-max", "0.5",
       "--method", "quadrature"], 1, "only the 'frame' route"),
     (["synthesize", "--kind", "euclid-cusp", "--f", "0", "--tau-max", "0.5"], 1, "f(0) != 0"),
+    # A value that starts with "-" before a letter or a bracket is the option's value.
+    (["synthesize", "--kind", "euclid-cusp", "--f", "-cos(t)", "--tau-max", "0.5"], 0, "tau,x,y\n"),
+    (["synthesize", "--kind", "euclid-cusp", "--f", "-t^2", "--tau-max", "0.5"], 1, "f(0) != 0"),
+    (["synthesize", "--kind", "affine-cusp", "--h", "-t^5", "--tau-max", "0.5"], 0, "tau,x,y\n"),
     (["synthesize", "--kind", "inflection", "--f", "-1/4", "--tau-max", "0.5"], 1, "-5/16"),
     (["synthesize", "--kind", "affine-cusp", "--h", "1", "--tau-max", "1e308", "--step", "0.3"],
      1, "tau_max / step <= 1000000, got inf"),

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cuspkit import svg as svg_module
 from cuspkit.svg import RenderSpec, _viewport, render_svg
 
 SQUARE = [(-1.0, -1.0), (1.0, 1.0)]
@@ -137,23 +138,21 @@ def test_spec_rejects_an_empty_canvas_or_stroke(options, named):
     [
         ({"width": math.inf}, "width=inf", "finite and > 0"),
         ({"height": math.nan}, "height=nan", "finite and > 0"),
-        ({"margin": math.nan}, "margin=nan", "finite and >= 0"),
-        ({"margin": math.inf}, "margin=inf", "finite and >= 0"),
-        ({"margin": -0.5}, "margin=-0.5", "finite and >= 0"),
         ({"viewport": (0, math.inf, 0, 1)}, "viewport=(0, inf, 0, 1)", "four finite bounds"),
         ({"viewport": (-math.inf, 1, 0, 1)}, "viewport=(-inf, 1, 0, 1)", "four finite bounds"),
         ({"viewport": (0, 1, math.nan, 1)}, "viewport=(0, 1, nan, 1)", "four finite bounds"),
         ({"viewport": (0, 1, 0)}, "viewport=(0, 1, 0)", "four finite bounds"),
     ],
 )
-def test_spec_rejects_non_finite_sizes_margins_and_viewports(options, named, valid):
-    # Each used to reach the document: inf or nan coordinates, a division
-    # by zero at margin -0.5, or every x collapsed to 0.0.
+def test_spec_rejects_non_finite_sizes_and_viewports(options, named, valid):
+    # Each used to reach the document: inf or nan coordinates, or every x
+    # collapsed to 0.0.
     with pytest.raises(ValueError, match=f"{re.escape(named)}$") as exc:
         RenderSpec(**options)
     assert valid in str(exc.value)
 
 
-def test_zero_margin_touches_the_canvas_edges():
-    svg = render_svg([(0.0, 0.0), (2.0, 1.0)], RenderSpec(width=200, height=100, margin=0.0))
+def test_zero_margin_touches_the_canvas_edges(monkeypatch):
+    monkeypatch.setattr(svg_module, "MARGIN", 0.0)
+    svg = render_svg([(0.0, 0.0), (2.0, 1.0)], RenderSpec(width=200, height=100))
     assert 'points="0.000,100.000 200.000,0.000"' in svg

@@ -139,7 +139,7 @@ def test_block_assembly_rejects_a_gamma_column_entry():
 def test_synthesis_is_fourth_order(kind):
     fn = parse_expression(PROFILES[kind])
     ends = [
-        S.synthesize(kind, fn, 1.0, step=step, richardson=False).positions[-1]
+        S.synthesize(kind, fn, 1.0, step=step).positions[-1]
         for step in (4e-3, 2e-3, 1e-3)
     ]
     ratio = np.linalg.norm(ends[0] - ends[1]) / np.linalg.norm(ends[1] - ends[2])
@@ -179,7 +179,7 @@ ROUTES = [(kind, {}) for kind in KINDS] + [("euclid-cusp", {"method": "quadratur
 def _reference_step_error(kind, kw, tau_max, step):
     """Rerun each side in full, 2n steps of h/2, and compare endpoints."""
     fn = parse_expression(PROFILES[kind])
-    res = S.synthesize(kind, fn, tau_max, step=step, richardson=False, **kw)
+    res = S.synthesize(kind, fn, tau_max, step=step, **kw)
     n = S._step_count(tau_max, step)
     errs = []
     for sign, end in ((1.0, res.positions[-1]), (-1.0, res.positions[0])):
@@ -218,9 +218,36 @@ def test_step_error_rerun_doubles_a_rounded_up_step_count(kind, kw):
 
 
 @pytest.mark.parametrize("kind, kw", ROUTES)
-def test_step_error_is_nan_without_richardson(kind, kw):
-    fn = parse_expression(PROFILES[kind])
-    assert math.isnan(S.synthesize(kind, fn, 0.5, richardson=False, **kw).step_error)
+def test_step_error_reruns_each_side_once_on_first_read(kind, kw, monkeypatch):
+    reruns = []
+    endpoint, quadrature = S._rk4_endpoint, S._euclid_quadrature
+
+    def counted_endpoint(*args):
+        reruns.append("frame")
+        return endpoint(*args)
+
+    def counted_quadrature(profile, tau_end, n):
+        if n == 2 * S._step_count(0.5, S.DEFAULT_STEP):
+            reruns.append("quadrature")
+        return quadrature(profile, tau_end, n)
+
+    monkeypatch.setattr(S, "_rk4_endpoint", counted_endpoint)
+    monkeypatch.setattr(S, "_euclid_quadrature", counted_quadrature)
+    res = S.synthesize(kind, parse_expression(PROFILES[kind]), 0.5, **kw)
+    assert reruns == []
+    first = res.step_error
+    assert reruns == [kw.get("method", "frame")] * 2
+    assert res.step_error == first
+    assert len(reruns) == 2
+
+
+def test_step_error_refuses_a_point_of_its_own_grid():
+    # D = 18 + 25 tau^2 h dips below 0 near tau = 1/16 only: a point of the
+    # rerun's grid of h/4, not of the run's grid of h/2.
+    h = parse_expression("-1e6*exp(-1e8*(t - 0.0625)^2)")
+    res = S.synthesize("affine-cusp", h, 1.0, step=0.25)
+    with pytest.raises(ValueError, match=r"18 \+ 25 tau\^2 h\(tau\) > 0 .* at tau = 0\.0625$"):
+        res.step_error
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -235,7 +262,7 @@ def test_step_error_shrinks_at_fourth_order(kind):
 @pytest.mark.parametrize("tau_max", [0.35, 1.0])
 def test_roundtrip_every_kind(kind, tau_max):
     fn = parse_expression(PROFILES[kind])
-    res = S.synthesize(kind, fn, tau_max, richardson=False)
+    res = S.synthesize(kind, fn, tau_max)
     assert np.all(np.sign(res.arclength) == np.sign(res.taus))
     assert S.roundtrip(fn, kind, tau_max) <= 1e-9
 
@@ -299,7 +326,7 @@ def test_reparametrization_pole_raises_before_germ_work(slope, valid, monkeypatc
         calls.append(tau)
         return -5.0 / 16.0 + slope * tau
 
-    assert S.synthesize("inflection", fn, 0.55, richardson=False).taus[-1] == 0.55
+    assert S.synthesize("inflection", fn, 0.55).taus[-1] == 0.55
     calls.clear()
     monkeypatch.setattr(S, "_synthesize", lambda *args: pytest.fail("germ work started"))
     with pytest.raises(ValueError) as info:
@@ -368,7 +395,7 @@ def test_cli_synthesize_skips_the_unreported_rerun(kind, tmp_path, monkeypatch):
 
     monkeypatch.setattr(S, "synthesize", recorded)
     assert cli.main(_synthesize_argv(kind, tmp_path / "c.csv", tmp_path / "c.svg")) == 0
-    assert len(results) == 1 and math.isnan(results[0].step_error)
+    assert len(results) == 1 and "step_error" not in vars(results[0])
 
 
 def test_cli_synthesize_rejects_zero_step(tmp_path, capsys):
@@ -414,8 +441,7 @@ def test_spliced_arclength_continues_from_the_value_it_stores(kind, kw, monkeypa
     for text in (CONSTANT_PROFILES[kind], PROFILES[kind]):
         for tau_max in (0.3, 0.5, 1.0):
             for step in (1e-3, 7e-3):
-                S.synthesize(kind, parse_expression(text), tau_max, step=step, richardson=False,
-                             **kw)
+                S.synthesize(kind, parse_expression(text), tau_max, step=step, **kw)
     assert len(sides) == 24
     for taus, s, out in sides:
         b = int(np.flatnonzero(np.abs(taus) >= S.SWITCH_RADIUS)[0])
@@ -430,7 +456,7 @@ def test_synthesize_takes_the_method_of_every_kind(kind):
     fn = parse_expression(CONSTANT_PROFILES[kind])
     with pytest.raises(ValueError, match=f"^{kind} synthesis has only the 'frame' route, not "):
         S.synthesize(kind, fn, 0.3, method="quadrature")
-    res = S.synthesize(kind, fn, 0.3, method="frame", richardson=False)
+    res = S.synthesize(kind, fn, 0.3, method="frame")
     assert res.method == "frame" and res.taus[-1] == 0.3
 
 
@@ -470,13 +496,13 @@ def test_germ_of_another_kind_raises_from_the_kind_before_integration(monkeypatc
     monkeypatch.setattr(S, "_rk4", lambda *args: pytest.fail("integration started"))
     profile = S.as_profile(parse_expression(PROFILES["inflection"]))
     with pytest.raises(ValueError, match="needs a 3/2-cusp germ, got PositiveInflection") as info:
-        S._synthesize(system, profile, 0.5, 1e-3, True)
+        S._synthesize(system, profile, 0.5, 1e-3)
     assert any(entry.name == "cusp_profile_jets" for entry in info.traceback)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_kind_builds_a_profile_jets_record(kind):
-    res = S.synthesize(kind, parse_expression(PROFILES[kind]), 0.1, richardson=False)
+    res = S.synthesize(kind, parse_expression(PROFILES[kind]), 0.1)
     assert isinstance(res.profile_jets, ProfileJets)
     names = [field.name for field in dataclasses.fields(res.profile_jets)]
     assert names[:3] == ["f_t", "tau_t", "L"]
@@ -564,7 +590,7 @@ GERM_CASES = [
 
 @pytest.mark.parametrize("kind, text, reference", GERM_CASES)
 def test_germ_matches_picard_iteration(kind, text, reference):
-    res = S.synthesize(kind, parse_expression(text), 0.04, richardson=False)
+    res = S.synthesize(kind, parse_expression(text), 0.04)
     want = reference(res.input_profile, S.GERM_ORDER)
     assert res.germ.order == S.GERM_ORDER
     for got, ref in ((res.germ.x.coeffs, want.x.coeffs), (res.germ.y.coeffs, want.y.coeffs)):
