@@ -73,6 +73,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         if not math.isfinite(values[-1]):
             raise ValueError(f"bad --grid {spec!r}; {name} must be finite, got {values[-1]!r}")
     start, stop, count = values
+    if not math.isfinite(stop - start):
+        raise ValueError(f"bad --grid {spec!r}; stop - start = {stop - start!r} overflows a float")
     if count < 1:
         raise ValueError(f"bad --grid {spec!r}; count must be >= 1, got {count}")
     return np.linspace(start, stop, count)
@@ -244,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", help="tau^2-coefficient expression in t (affine-cusp)")
     p.add_argument("--tau-max", type=float, required=True)
     p.add_argument("--step", type=float, default=synthesis.DEFAULT_STEP)
-    p.add_argument("--method", choices=("frame", "quadrature"), default="frame")
+    routes = dict.fromkeys(route for system in synthesis.SYSTEMS.values() for route in system.routes)
+    p.add_argument("--method", choices=list(routes), default="frame")
     p.add_argument("--out", help="samples CSV (default stdout)")
     p.add_argument(
         "--svg", help=f"also render the curve to this SVG file ({_SVG_PRECISION})"

@@ -92,9 +92,15 @@ def _cauchy(a: np.ndarray, b: np.ndarray, divide: bool = False) -> np.ndarray:
     return out
 
 
-def _has_zero(c0) -> bool:
-    """Whether a constant coefficient is 0 (np.any on a scalar's numpy float is slow)."""
-    return bool(np.any(c0 == 0.0)) if c0.ndim else c0 == 0.0
+def _require_nonzero(what: str, c0, base) -> None:
+    """Raise ``ZeroDivisionError`` on ``what`` a jet whose constant coefficient c0 is 0.
+
+    The message names the base point, in a batch the first where c0 is 0.
+    np.any on a scalar's numpy float is slow, so a scalar is compared alone.
+    """
+    if bool(np.any(c0 == 0.0)) if c0.ndim else c0 == 0.0:
+        at = np.ravel(base)[np.argmax(c0 == 0.0)] if c0.ndim else base
+        raise ZeroDivisionError(f"{what} a jet with zero constant coefficient at t = {float(at):.6g}")
 
 
 def _terms(coeffs: np.ndarray) -> list:
@@ -245,8 +251,7 @@ class Jet:
         k = min(self.order, other.order)
         u = self.coeffs[: k + 1]
         w = other.coeffs[: k + 1]
-        if _has_zero(w[0]):
-            raise ZeroDivisionError("division by a jet with zero constant coefficient")
+        _require_nonzero("division by", w[0], self.base_point)
         return _wrap(_cauchy(u, w, divide=True), self.base_point)
 
     def __rtruediv__(self, other):
@@ -286,10 +291,7 @@ class Jet:
         m, n = _reduce_exponent(m, n)
         if n == 1:
             return self ** m
-        if _has_zero(self.coeffs[0]):
-            raise ZeroDivisionError(
-                "fractional power of a jet with zero constant coefficient"
-            )
+        _require_nonzero("fractional power of", self.coeffs[0], self.base_point)
         r = m / n
         u = _terms(self.coeffs)
         u0 = u[0]

@@ -42,8 +42,7 @@ maps are chained by a log-depth prefix scan under one associative combine
 (Blelloch, "Prefix sums and their applications", 1990); the arclength is
 the RK4 quadrature of the integrand over the stage states.  A result's
 ``step_error`` is a half-step Richardson rerun, exactly 2n steps of h/2,
-made when it is first read: it builds its own coefficient grid and
-composes its step maps in pairs down to its endpoint.
+made when it is first read by the same side function as the run.
 Derivatives of the synthesized curve are read from Y and A Y, never by
 differencing positions; the germ at tau = 0 comes from the Taylor
 recurrence Y_{k+1} = (A_0 Y_k + ... + A_k Y_0) / (k + 1) on the jet
@@ -71,7 +70,7 @@ _EXPR_NODES = (Num, Sym, Neg, BinOp, Func, Power)
 
 DEFAULT_STEP = 1e-3
 GERM_ORDER = 12
-MAX_STEPS = 10**6  # tau_max / step; 10**5 steps peak at ~0.09 GB, step_error read or not
+MAX_STEPS = 10**6  # tau_max / step; 10**5 steps peak at ~0.08 GB, ~0.17 GB on a step_error read
 
 AFFINE_CUSP_ETA0 = 250.0 / 27.0  # [gamma'', gamma'''](0) of the normalized cusp system
 INFLECTION_ETA0 = 64.0 / 27.0  # [gamma', gamma'''](0) of the inflection system
@@ -86,7 +85,8 @@ class ProfileFunction:
     Wraps either a DSL expression in the variable t or any callable built
     from arithmetic operators and the polymorphic functions in
     :mod:`cuspkit.jets` (so that jet evaluation works unchanged).  A value
-    that is not finite, as where the function overflows, raises ``ValueError``.
+    that is not finite, as where the function overflows or, at a float tau,
+    has a pole, raises ``ValueError``.
     """
 
     def __init__(self, fn: Union[Callable, float, int]):
@@ -101,8 +101,13 @@ class ProfileFunction:
             raise TypeError(f"cannot interpret {fn!r} as a profile function")
 
     def __call__(self, tau):
-        with np.errstate(all="ignore"):
-            out = self._fn(tau)
+        try:
+            with np.errstate(all="ignore"):
+                out = self._fn(tau)
+        except ZeroDivisionError:
+            if not isinstance(tau, (int, float)):
+                raise
+            out = math.inf
         finite = np.isfinite(out.coeffs).all(axis=0) if isinstance(out, Jet) else np.isfinite(out)
         if not np.all(finite):
             taus = np.ravel(tau.base_point if isinstance(tau, Jet) else tau)
@@ -230,7 +235,6 @@ def _rk4(
 
     Returns the frames at every full step entries-first, shape
     (3, 2, n_steps + 1), and the arclength there, shape (n_steps + 1,).
-    ``_rk4_endpoint`` computes the last frame alone.
     """
     maps, stages = _step_maps(C, h)
     # After the pass with stride d, map k is the composite of steps
@@ -249,24 +253,6 @@ def _rk4(
     sigma = speed(*(v.swapaxes(0, 1) for v in (slopes[:, 0], xi, slopes[:, 1])))
     ds = (h / 6.0) * (sigma[0] + 2.0 * sigma[1] + 2.0 * sigma[2] + sigma[3])
     return frames, np.concatenate([[0.0], np.cumsum(ds)])
-
-
-def _rk4_endpoint(C: np.ndarray, frame0: np.ndarray, h: float) -> np.ndarray:
-    """The last frame of ``_rk4``, shape (3, 2), without the others.
-
-    The step maps are composed in pairs from the right, map n-1 after n-2,
-    then n-3 after n-4, ..., which halves the stack on each pass; when the
-    stack is odd, its first element waits for the next pass.  This is how
-    the doubling scan of ``_rk4`` associates its last element, so the
-    result is bit-identical to ``_rk4(...)[0][..., -1]``, with no prefix
-    frames, stage states or arclength.
-    """
-    maps = _step_maps(C, h)[0]
-    while maps.shape[-1] > 1:
-        odd = maps.shape[-1] % 2
-        pairs = _compose(maps[..., odd + 1 :: 2], maps[..., odd::2])
-        maps = np.concatenate([maps[..., :1], pairs], axis=-1) if odd else pairs
-    return _compose(maps, frame0[..., None])[..., 0]
 
 
 def _step_count(tau_max: float, step: float) -> int:
@@ -362,35 +348,30 @@ class SynthesisResult:
     input_profile: object
     step: float
     tau_max: float
-    stacks: np.ndarray | None = None  # shape (5, 2, n)
-    arclength: np.ndarray | None = None
-    method: str = "frame"
-    profile_jets: object = None
+    stacks: np.ndarray  # shape (5, 2, n)
+    arclength: np.ndarray
+    method: str
+    profile_jets: object
 
     @functools.cached_property
     def step_error(self) -> float:
         """The half-step Richardson estimate of the endpoint position error.
 
         The largest change of an endpoint position when each side of n steps
-        of h is rerun as exactly 2n steps of h/2, on first read.  The frame
-        route's rerun builds its own grid of 4n + 1 points and composes its
-        step maps down to the endpoint (``_rk4_endpoint``).  A point of that
+        of h is rerun as exactly 2n steps of h/2, on first read, by the
+        route's side function that made the run.  A point of the rerun's
         grid that the run's checks refuse raises their ``ValueError``.
         """
         system = SYSTEMS[self.kind]
+        route = system.routes[self.method]
         n = _step_count(self.tau_max, self.step)
-        errs = []
-        with np.errstate(all="ignore"):  # what is not finite raises in _side_grid
+        with np.errstate(all="ignore"):  # what is not finite raises in the route
             values = system.inputs(self.input_profile)[0]
-            ends = ((self.positions[-1], self.tau_max), (self.positions[0], -self.tau_max))
-            for end, tau_end in ends:
-                if self.method == "quadrature":
-                    half = _euclid_quadrature(self.input_profile, tau_end, 2 * n)[2][0, :, -1]
-                else:
-                    C = _side_grid(system, values, tau_end, 4 * n + 1)[1]
-                    half = _rk4_endpoint(C, system.frame0, 0.5 * (tau_end / n))[0]
-                errs.append(float(np.max(np.abs(end - half))))
-        return max(errs)
+            halves = [
+                route(system, values, self.input_profile, tau_end, 2 * n)[2][0, :, -1]
+                for tau_end in (self.tau_max, -self.tau_max)
+            ]
+            return float(np.max(np.abs(self.positions[[-1, 0]] - halves)))
 
     def tau_normalized(self) -> np.ndarray:
         """The adapted parameter recomputed from the synthesized data."""
@@ -462,7 +443,11 @@ class FrameSystem:
     The germ must be of ``kind``: ``kind.jets`` raises ``ValueError`` on
     any other.  ``prepare(fn, tau_max)`` holds the kind's admissibility
     rules: it returns the profile to integrate, or raises ``ValueError``
-    before any germ work.  ``routes`` names the methods the kind has.
+    before any germ work.  ``routes`` maps each method the kind has to its
+    side function, route(system, values, profile, tau_end, n) -> (taus, s,
+    derivatives): n steps from 0 to tau_end, with the grid on the last axis
+    and the derivative stacks positions first.  The run and the
+    ``step_error`` rerun both call it.
     """
 
     kind: Kind
@@ -472,11 +457,32 @@ class FrameSystem:
     speed: Callable
     stack_rows: tuple
     prepare: Callable
-    routes: tuple = ("frame",)
+    routes: dict
 
     @property
     def frame0(self) -> np.ndarray:
         return np.array([[0.0, 0.0], [1.0, 0.0], [0.0, self.eta0]])
+
+
+def _frame_side(system: FrameSystem, values, profile, tau_end: float, n: int):
+    """The frame route: n RK4 steps of Y' = A Y from 0 to tau_end.
+
+    A's blocks come from one grid of 2n + 1 points at half steps: RK4 reads
+    every point, the stacks every second.  An entry of A that is not
+    finite raises ``ValueError`` naming its tau.  The derivatives are read
+    from Y and A Y by ``stack_rows``.
+    """
+    taus = np.linspace(0.0, tau_end, 2 * n + 1)
+    C = _frame_blocks(system.coefficients(taus, *values(taus)), 2 * n + 1)
+    C = _finite(C, lambda k: f"at tau = {taus[k]:.6g}")
+    frames, s = _rk4(C, system.frame0, tau_end / n, n, system.speed)
+    rows = {"Y": frames, "AY": _matmul(C[..., ::2], frames[1:])}
+    return taus[::2], s, np.stack([rows[source][i] for source, i in system.stack_rows])
+
+
+def _quadrature_side(system: FrameSystem, values, profile, tau_end: float, n: int):
+    """The Euclidean quadrature route, which reads the profile alone."""
+    return _euclid_quadrature(profile, tau_end, n)
 
 
 def _profile_inputs(profile):
@@ -628,7 +634,7 @@ EUCLID_CUSP_SYSTEM = FrameSystem(
     speed=lambda gamma_d, xi, xi_d: np.hypot(gamma_d[0], gamma_d[1]),
     stack_rows=(("Y", 0), ("AY", 0), ("AY", 3)),
     prepare=_euclid_cusp_prepare,
-    routes=("frame", "quadrature"),
+    routes={"frame": _frame_side, "quadrature": _quadrature_side},
 )
 AFFINE_CUSP_SYSTEM = FrameSystem(
     kind=_affine.AFFINE_CUSP,
@@ -638,6 +644,7 @@ AFFINE_CUSP_SYSTEM = FrameSystem(
     speed=lambda gamma_d, xi, xi_d: np.abs(cross(gamma_d, xi)) ** (1.0 / 3.0),
     stack_rows=(("Y", 0), ("AY", 0), ("Y", 1), ("Y", 2), ("AY", 2)),
     prepare=lambda fn, tau_max: as_profile(fn),
+    routes={"frame": _frame_side},
 )
 INFLECTION_SYSTEM = FrameSystem(
     kind=_affine.INFLECTION,
@@ -647,6 +654,7 @@ INFLECTION_SYSTEM = FrameSystem(
     speed=lambda gamma_d, xi, xi_d: np.abs(cross(xi, xi_d)) ** (1.0 / 3.0),
     stack_rows=(("Y", 0), ("Y", 1), ("AY", 1), ("Y", 2), ("AY", 2)),
     prepare=_inflection_prepare,
+    routes={"frame": _frame_side},
 )
 SYSTEMS = {s.kind.name: s for s in (EUCLID_CUSP_SYSTEM, AFFINE_CUSP_SYSTEM, INFLECTION_SYSTEM)}
 
@@ -654,24 +662,13 @@ SYSTEMS = {s.kind.name: s for s in (EUCLID_CUSP_SYSTEM, AFFINE_CUSP_SYSTEM, INFL
 # -- the driver ---------------------------------------------------------------------
 
 
-def _side_grid(system: FrameSystem, values, tau_end: float, points: int):
-    """A side's grid of ``points`` from 0 to tau_end and A's blocks on it.
-
-    An entry of A that is not finite raises ``ValueError`` naming its tau.
-    """
-    taus = np.linspace(0.0, tau_end, points)
-    C = _frame_blocks(system.coefficients(taus, *values(taus)), points)
-    return taus, _finite(C, lambda k: f"at tau = {taus[k]:.6g}")
-
-
 def _synthesize(system: FrameSystem, profile, tau_max, step, method="frame"):
     """Germ, curve, derivative stacks and arclength of one kind's synthesis.
 
-    The frame route integrates Y' = A Y by RK4 over both sides, from one
-    coefficient grid per side at half steps: the run reads every point, the
-    stacks every second.  It reads the derivatives from Y and A Y; the
-    Euclidean quadrature route shares only the germ and the assembly of the
-    result.  The result's ``step_error`` reruns each side on first read.
+    Each side is the ``method``'s route from ``system.routes`` with its
+    arclength spliced to the germ's near 0; the routes share the germ and
+    the assembly of the result.  The result's ``step_error`` reruns each
+    side on first read.
     """
     with np.errstate(all="ignore"):  # an entry of A that is not finite raises in _taylor_germ
         values, germ_inputs = system.inputs(profile)
@@ -679,17 +676,11 @@ def _synthesize(system: FrameSystem, profile, tau_max, step, method="frame"):
     germ = _taylor_germ(entries, system.frame0, GERM_ORDER)
     jets = system.kind.jets(germ)  # raises ValueError on a germ of another kind
 
+    route = system.routes[method]
     n = _step_count(tau_max, step)
 
     def side(sign):
-        if method == "quadrature":
-            taus, s, derivatives = _euclid_quadrature(profile, sign * tau_max, n)
-        else:
-            taus_half, C = _side_grid(system, values, sign * tau_max, 2 * n + 1)
-            frames, s = _rk4(C, system.frame0, sign * tau_max / n, n, system.speed)
-            rows = {"Y": frames, "AY": _matmul(C[..., ::2], frames[1:])}
-            taus = taus_half[::2]
-            derivatives = np.stack([rows[source][i] for source, i in system.stack_rows])
+        taus, s, derivatives = route(system, values, profile, sign * tau_max, n)
         return taus, _spliced_arclength(taus, s, jets.tau_t, system.kind.p), derivatives
 
     with np.errstate(all="ignore"):  # what is not finite raises here or below

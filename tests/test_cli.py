@@ -418,6 +418,15 @@ CONTRACT = [
     (["profile", "--curve", "(t^2 + t^3*16, t^3 + t^4*1e150)", "--kind", "affine-cusp",
       "--grid", "0:0:1"],
      1, "the affine-cusp jets of the germ are not finite: the t^3 coefficient of f_t = nan"),
+    (["profile", "--curve", "cycloid", "--param", "a=1", "--kind", "affine-cusp",
+      "--grid", "-1e308:1e308:3"], 1, "bad --grid '-1e308:1e308:3'; stop - start = inf"),
+    # A pole of the prescribed function on a grid point, or at tau = 0, is named.
+    (["synthesize", "--kind", "euclid-cusp", "--f", "1 + 1/(t - 0.125)", "--tau-max", "1",
+      "--step", "0.25"], 1, "zero constant coefficient at t = 0.125"),
+    (["synthesize", "--kind", "affine-cusp", "--h", "1/(t-0.125)", "--tau-max", "1",
+      "--step", "0.25"], 1, "zero constant coefficient at t = 0.125"),
+    (["synthesize", "--kind", "euclid-cusp", "--f", "1 + 1/t", "--tau-max", "1", "--step", "0.25"],
+     1, "the prescribed function is not finite at tau = 0"),
 ]
 
 
@@ -448,25 +457,31 @@ def test_every_command_exits_0_with_finite_numbers_or_1_with_one_error_line(argv
     assert text in got[1 if code == 0 else 2]
 
 
-# Curves from a small grammar of the DSL: numbers up to 1e308, the four
-# operators, unary minus, every function and rational powers.  Half of them
-# are a model cusp or inflection with drawn coefficients and a drawn term of
-# higher order, so that the germ's class is often a cusp or an inflection.
+# Curves and synthesis inputs from a small grammar of the DSL: numbers up to
+# 1e308, the four operators, unary minus, every function and rational powers.
+# Half of the curves are a model cusp or inflection with drawn coefficients
+# and a drawn term of higher order, so that the germ's class is often a cusp
+# or an inflection.
 _NUMBERS = st.sampled_from(
     ["0", "1", "3", "16", "0.5", "(1/3)", "1e-300", "1e-150", "1e100", "1e150", "1e200",
      "1e300", "1e308"]
 )
-_LEAVES = st.one_of(_NUMBERS, st.sampled_from(["t", "t^2", "t^3", "t^5", "a"]))
-_EXPRESSIONS = st.recursive(
-    _LEAVES,
-    lambda e: st.one_of(
-        st.builds("{} {} {}".format, e, st.sampled_from("+-*/"), e),
-        st.builds("{}({})".format, st.sampled_from(["sin", "cos", "sinh", "cosh", "exp"]), e),
-        st.builds("-{}".format, e),
-        st.builds("({})^{}".format, e, st.sampled_from(["2", "-1", "(1/3)", "(5/2)", "(-2/3)"])),
-    ),
-    max_leaves=5,
-)
+
+
+def _expressions(variables):
+    return st.recursive(
+        st.one_of(_NUMBERS, st.sampled_from(variables)),
+        lambda e: st.one_of(
+            st.builds("{} {} {}".format, e, st.sampled_from("+-*/"), e),
+            st.builds("{}({})".format, st.sampled_from(["sin", "cos", "sinh", "cosh", "exp"]), e),
+            st.builds("-{}".format, e),
+            st.builds("({})^{}".format, e, st.sampled_from(["2", "-1", "(1/3)", "(5/2)", "(-2/3)"])),
+        ),
+        max_leaves=5,
+    )
+
+
+_EXPRESSIONS = _expressions(["t", "t^2", "t^3", "t^5", "a"])
 _MODELS = [("t^2", "t^3"), ("t", "t^3"), ("t^2", "t^3 + t^5"), ("t", "t^3 + t^4"), ("t^2", "t^4")]
 _CURVES = st.one_of(
     st.builds(
@@ -478,14 +493,27 @@ _CURVES = st.one_of(
 )
 _PARAMS = st.sampled_from([[], ["--param", "a=2"], ["--param", "a=1e308"], ["--param", "a=nan"]])
 _AT = st.sampled_from(["0", "0.5", "-1e-3", "1e-300", "1e308", "nan", "inf"])
+# Synthesis inputs are each kind's value at 0 plus a drawn term times t.
+_AT_ZERO = {"euclid-cusp": ("--f", "1"), "affine-cusp": ("--h", "0.5"),
+            "inflection": ("--f", "-5/16")}
+_TAU_MAX = st.sampled_from(["1e-300", "1e-9", "0.049", "0.05", "0.5", "1", "50", "1e308"])
+_STEP = st.sampled_from([[], ["--step", "1e-300"], ["--step", "1e-2"], ["--step", "0.3"]])
+_METHOD = st.sampled_from([[], ["--method", "quadrature"]])
 _COMMANDS = st.one_of(
     st.builds(lambda c, p: ["invariants", "--curve", c, *p], _CURVES, _PARAMS),
     st.builds(lambda c, at, p: ["classify", "--curve", c, "--at", at, *p], _CURVES, _AT, _PARAMS),
+    st.builds(
+        lambda kind, e, tau_max, step, method: [
+            "synthesize", "--kind", kind, _AT_ZERO[kind][0], f"{_AT_ZERO[kind][1]} + ({e})*t",
+            "--tau-max", tau_max, *step, *method],
+        st.sampled_from(list(_AT_ZERO)), _expressions(["t", "t^2", "t^3", "t^5"]), _TAU_MAX,
+        _STEP, _METHOD,
+    ),
 )
 
 
 @given(_COMMANDS)
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @example(["synthesize", "--kind", "affine-cusp", "--h", "1", "--tau-max", "1e308", "--step", "0.3"])
 @example(["synthesize", "--kind", "euclid-cusp", "--f", "sinh(16)", "--tau-max", "1",
           "--step", "1e-2"])

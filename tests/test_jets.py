@@ -234,6 +234,14 @@ def test_batched_division_by_a_zero_constant_at_one_base_point_rejected():
     with pytest.raises(ZeroDivisionError, match="zero constant coefficient"):
         t.pow_rational(1, 3)
     assert np.all(np.isfinite((1.0 / (t + 2.0)).coeffs))
+    # The message names the first base point of the batch whose constant is 0.
+    poles = (t - 0.25) * (t + 0.3)
+    with pytest.raises(ZeroDivisionError, match=r"coefficient at t = -0\.3$"):
+        1.0 / poles
+    with pytest.raises(ZeroDivisionError, match=r"^fractional power of .* at t = -0\.3$"):
+        poles.pow_rational(1, 3)
+    with pytest.raises(ZeroDivisionError, match=r"^division by .* at t = 0\.5$"):
+        1.0 / (Jet.variable(0.5, 3) - 0.5)
 
 
 def test_batched_jet_repr_and_shape_check():

@@ -91,7 +91,6 @@ def test_rk4_matches_textbook_loop(kind, n_steps, tau_max):
     assert frames.shape == (3, 2, n_steps + 1)
     assert _rel_err(frames.transpose(2, 0, 1), want_frames) <= 1e-13
     assert _rel_err(s, want_s) <= 1e-13
-    assert _rel_err(S._rk4_endpoint(C, frame0, h), want_frames[-1]) <= 1e-13
 
 
 def _loop_product(a, b):
@@ -219,24 +218,20 @@ def test_step_error_rerun_doubles_a_rounded_up_step_count(kind, kw):
 
 @pytest.mark.parametrize("kind, kw", ROUTES)
 def test_step_error_reruns_each_side_once_on_first_read(kind, kw, monkeypatch):
-    reruns = []
-    endpoint, quadrature = S._rk4_endpoint, S._euclid_quadrature
+    method = kw.get("method", "frame")
+    routes = S.SYSTEMS[kind].routes
+    route, reruns = routes[method], []
 
-    def counted_endpoint(*args):
-        reruns.append("frame")
-        return endpoint(*args)
-
-    def counted_quadrature(profile, tau_end, n):
+    def counted(system, values, profile, tau_end, n):
         if n == 2 * S._step_count(0.5, S.DEFAULT_STEP):
-            reruns.append("quadrature")
-        return quadrature(profile, tau_end, n)
+            reruns.append(tau_end)
+        return route(system, values, profile, tau_end, n)
 
-    monkeypatch.setattr(S, "_rk4_endpoint", counted_endpoint)
-    monkeypatch.setattr(S, "_euclid_quadrature", counted_quadrature)
+    monkeypatch.setitem(routes, method, counted)
     res = S.synthesize(kind, parse_expression(PROFILES[kind]), 0.5, **kw)
     assert reruns == []
     first = res.step_error
-    assert reruns == [kw.get("method", "frame")] * 2
+    assert reruns == [0.5, -0.5]
     assert res.step_error == first
     assert len(reruns) == 2
 
@@ -247,6 +242,13 @@ def test_step_error_refuses_a_point_of_its_own_grid():
     h = parse_expression("-1e6*exp(-1e8*(t - 0.0625)^2)")
     res = S.synthesize("affine-cusp", h, 1.0, step=0.25)
     with pytest.raises(ValueError, match=r"18 \+ 25 tau\^2 h\(tau\) > 0 .* at tau = 0\.0625$"):
+        res.step_error
+
+
+def test_step_error_names_a_pole_on_its_own_grid():
+    # 1/(tau - 1/16) has its pole on the rerun's grid of h/4, not on the run's of h/2.
+    res = S.synthesize("euclid-cusp", parse_expression("1 + 1/(t - 0.0625)"), 1.0, step=0.25)
+    with pytest.raises(ZeroDivisionError, match=r"zero constant coefficient at t = 0\.0625$"):
         res.step_error
 
 
