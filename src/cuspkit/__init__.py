@@ -12,8 +12,6 @@ from .affine import (
     NormalFormResult,
     affine_cuspidal_curvature,
     affine_curvature_from_jet,
-    arclength_A,
-    identity_residual,
     inflectional_curvature,
     invariants,
     kappa_A,
@@ -33,7 +31,6 @@ from .dsl import (
 from .euclidean import (
     SingularityClass,
     SingularityType,
-    arclength_g,
     classify,
     cuspidal_curvature,
     kappa_g,
@@ -73,14 +70,11 @@ __all__ = [
     "SynthesisResult",
     "affine_curvature_from_jet",
     "affine_cuspidal_curvature",
-    "arclength_A",
-    "arclength_g",
     "bracket",
     "catalog_lookup",
     "classify",
     "cuspidal_curvature",
     "deflate",
-    "identity_residual",
     "inflate",
     "inflectional_curvature",
     "invariants",

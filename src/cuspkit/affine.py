@@ -17,10 +17,10 @@ with s_A the affine arclength, extends smoothly through both singularities:
   affine inflectional curvature mu_I, and the germ of f satisfies a
   universal second-order identity.
 
-This module computes kappa_A, s_A and the adapted parameters, mu_A, mu_I,
-the normalized profiles with their germ data, the identity residuals, and
-the normal-form reductions (u^2, u^3 + c u^5) / (u, u^3 + c u^4) whose
-leading coefficient reproduces mu_A / mu_I.
+This module computes kappa_A, mu_A, mu_I, the normalized profiles with
+their germ data and identity residuals, and the normal-form reductions
+(u^2, u^3 + c u^5) / (u, u^3 + c u^4) whose leading coefficient reproduces
+mu_A / mu_I.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .euclidean import (
 from .jets import (
     Jet,
     PlaneJet,
-    _weighted_mean,
     bracket,
     cross,
     deflate,
@@ -113,39 +112,6 @@ def affine_curvature_from_jet(germ: PlaneJet) -> float:
 
 def kappa_A(curve: CurveSpec, t: float) -> float:
     return affine_curvature_from_jet(curve.jet(t, 4))
-
-
-# -- affine arclength and the adapted parameters -------------------------------
-
-
-def _bracket12(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
-    """[gamma', gamma''] at each t of ts."""
-    d = curve.derivatives_at(ts, 2)
-    return cross(d[1], d[2])
-
-
-def arclength_A(curve: CurveSpec, t: float) -> tuple[float, float, float]:
-    """Affine arclength s_A(t) plus the two adapted parameters.
-
-    Returns (s_A, tau35, tau34) with tau35 = sgn(s_A)|s_A|^(3/5) (smooth at
-    cusps) and tau34 = sgn(t)|s_A|^(3/4) (smooth at generic inflections).
-    Raises ``ValueError`` for a t that is not finite.
-    """
-    if not math.isfinite(t):
-        raise ValueError(f"arclength parameter t must be finite, got t={t!r}")
-    cls = classify(curve.jet(0.0, 3))
-    ts = np.array([t])
-    if cls.is_cusp or cls.is_inflection:
-        kind = AFFINE_CUSP if cls.is_cusp else INFLECTION
-        s = float(Profiler(curve, kind).arclength(ts)[0])
-    elif cls.label is SingularityType.REGULAR:
-        mean = _weighted_mean(lambda u: np.abs(_bracket12(curve, u)) ** (1.0 / 3.0), 0.0, ts)
-        s = float(t * mean[0])
-    else:
-        raise ValueError(f"affine arclength undefined for a {cls} origin")
-    tau35 = signed_power(s, 3, 5)
-    tau34 = float(np.sign(t)) * abs(s) ** 0.75
-    return s, tau35, tau34
 
 
 # -- the affine invariants ------------------------------------------------------
@@ -281,7 +247,7 @@ def _cusp_jets(germ: PlaneJet, cls: SingularityClass) -> CuspProfileJets:
     return CuspProfileJets(*_smooth_jets(germ, 2), _mu_A(germ, cls))
 
 
-def identity_residual(germ: PlaneJet, f_jet: Jet) -> float:
+def _identity_residual(germ: PlaneJet, cls: SingularityClass, f_jet: Jet) -> float:
     """Residual of the universal inflection identity, in the germ's parameter.
 
     For the jet of f = (s_A)^2 kappa_A at a generic inflection the combination
@@ -291,10 +257,6 @@ def identity_residual(germ: PlaneJet, f_jet: Jet) -> float:
 
     vanishes; the returned residual measures the failure of a candidate f-jet.
     """
-    return _identity_residual(germ, _require(germ, "identity residual", cusp=False), f_jet)
-
-
-def _identity_residual(germ: PlaneJet, cls: SingularityClass, f_jet: Jet) -> float:
     if f_jet.order < 2:
         raise ValueError("identity residual needs the f-jet to order >= 2")
     d1 = germ.derivative_vector(1)
@@ -323,6 +285,12 @@ def _inflection_jets(germ: PlaneJet, cls: SingularityClass) -> InflectionProfile
 
 
 # -- the profile kinds -----------------------------------------------------------
+
+
+def _bracket12(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
+    """[gamma', gamma''] at each t of ts."""
+    d = curve.derivatives_at(ts, 2)
+    return cross(d[1], d[2])
 
 
 def _direct(d: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -116,7 +117,9 @@ def evaluate(expr: Expression, t, params: dict[str, float], pairs: dict | None =
     keeps (sin, cos) and (sinh, cosh) of each argument, so that both members
     of a pair come from one evaluation of the argument and, on jets, one
     recurrence.  The values are the same with or without it.  A function or
-    power whose float value overflows raises ``ValueError`` naming the term.
+    power whose float value overflows raises ``ValueError`` naming the term,
+    and a division or power of plain numbers that divides by zero raises
+    ``ZeroDivisionError`` naming it.
     """
     if isinstance(expr, Num):
         return expr.value
@@ -138,7 +141,7 @@ def evaluate(expr: Expression, t, params: dict[str, float], pairs: dict | None =
             return a - b
         if expr.op == "*":
             return a * b
-        return a / b
+        return _named_zero_division(expr, operator.truediv, a, b)
     try:
         if isinstance(expr, Func):
             if pairs is None or expr.name not in _PAIRED:
@@ -153,10 +156,24 @@ def evaluate(expr: Expression, t, params: dict[str, float], pairs: dict | None =
                     pairs[key] = (sinh(arg), cosh(arg)) if hyperbolic else (sin(arg), cos(arg))
             return pairs[key][member]
         if isinstance(expr, Power):
-            return rational_pow(evaluate(expr.base, t, params, pairs), expr.num, expr.den)
+            base = evaluate(expr.base, t, params, pairs)
+            return _named_zero_division(expr, rational_pow, base, expr.num, expr.den)
     except OverflowError:  # a float function or power past 1.8e308, as in exp(710)
         raise ValueError(f"{to_text(expr)} overflows a float") from None
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _named_zero_division(expr: Expression, op, *args):
+    """``op(*args)``; a zero division among plain numbers raises naming ``expr``.
+
+    A jet operand raises its own message, which names its base point.
+    """
+    try:
+        return op(*args)
+    except ZeroDivisionError:
+        if not all(isinstance(a, (int, float)) for a in args):
+            raise
+        raise ZeroDivisionError(f"{to_text(expr)} divides by zero") from None
 
 
 def _format_number(v: float) -> str:
@@ -373,11 +390,6 @@ class CurveSpec:
             )
             text += f" with {bindings}"
         return text
-
-    def with_params(self, **params: float) -> "CurveSpec":
-        merged = dict(self.params)
-        merged.update(params)
-        return CurveSpec(self.x_expr, self.y_expr, merged, self.label)
 
     def point(self, t):
         """Position gamma(t); works on scalars and numpy arrays."""

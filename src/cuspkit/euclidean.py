@@ -8,8 +8,8 @@ singularity.  Its limit at the cusp is mu_g / (2*sqrt(2)), where
     mu_g = [gamma''(0), gamma'''(0)] / |gamma''(0)|^(5/2)
 
 is the cuspidal curvature.  This module classifies the origin, computes
-kappa_g, arclength, mu_g, and samples the normalized profile through the
-cusp on a grid of the half-arclength parameter tau = sgn(t)*sqrt(|s_g|).
+kappa_g and mu_g, and samples the normalized profile through the cusp on a
+grid of the half-arclength parameter tau = sgn(t)*sqrt(|s_g|).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from .dsl import CurveSpec
 from .jets import (
     PlaneJet,
-    _weighted_mean,
     bracket,
     cross,
     deflate,
@@ -192,31 +191,6 @@ def mu_g(curve: CurveSpec) -> float:
     return cuspidal_curvature(curve.jet(0.0, 5))
 
 
-# -- arclength and the half-arclength parameter --------------------------------
-
-
-def _speeds(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
-    d = curve.derivatives_at(ts, 1)
-    return np.hypot(d[1][0], d[1][1])
-
-
-def arclength_g(curve: CurveSpec, t: float) -> tuple[float, float]:
-    """Signed arclength from 0 and the adapted parameter at t.
-
-    At a cusp the second value is the half-arclength parameter
-    tau = sgn(t) sqrt(|s_g|); at a regular origin it is s_g itself.
-    Raises ``ValueError`` for a t that is not finite.
-    """
-    if not math.isfinite(t):
-        raise ValueError(f"arclength parameter t must be finite, got t={t!r}")
-    cls = classify(curve.jet(0.0, 3))
-    if cls.is_cusp:
-        s = float(Profiler(curve, EUCLID_CUSP).arclength(np.array([t]))[0])
-        return s, math.copysign(math.sqrt(abs(s)), s)
-    s = t * _weighted_mean(lambda u: _speeds(curve, u), 0.0, np.array([t]))
-    return float(s[0]), float(s[0])
-
-
 # -- the normalized profile sqrt(|s_g|) * kappa_g ------------------------------
 
 
@@ -248,6 +222,11 @@ def euclidean_profile_jets(germ: PlaneJet) -> EuclideanProfileJets:
     f_t = L.sqrt() * B / (phi * phi * phi)
     tau_t = inflate(L.sqrt(), 1)
     return EuclideanProfileJets(f_t, tau_t, L, mu)
+
+
+def _speeds(curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
+    d = curve.derivatives_at(ts, 1)
+    return np.hypot(d[1][0], d[1][1])
 
 
 def _direct(d: np.ndarray, s: np.ndarray) -> np.ndarray:

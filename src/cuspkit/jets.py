@@ -21,8 +21,8 @@ geometry layers rely on:
   ``(integral_0^t |u|^a phi(u) du) / (sgn(t) |t|^(1+a))``, computed through
   the regular representation ``integral_0^1 u^a phi(t u) du`` so that t = 0
   is an ordinary point.  Its Gauss rule, ``_weighted_mean``, is the only
-  one for weighted means in the package: the profiler's L(t) and the
-  regular-point arclengths (a = 0) sum through it too.
+  one for weighted means in the package: the profiler's L(t) sums through
+  it too.
 
 Everything here is an immutable value; all functions are pure.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from functools import cache, partial
 from math import gcd
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -357,10 +357,6 @@ class Jet:
             c = c[1:] * k
         return Jet(c, self.base_point)
 
-    def antiderivative(self, constant: float = 0.0) -> "Jet":
-        k = np.arange(1, len(self.coeffs) + 1)
-        return Jet(np.concatenate([[constant], self.coeffs / k]), self.base_point)
-
     def compose(self, inner: "Jet") -> "Jet":
         """Jet of self(inner(t)) at inner's base point.
 
@@ -581,10 +577,9 @@ def _weighted_mean(phi, alpha: float, ts, also_at=None):
 
     The substitution u = v^q, with the smallest q making alpha*q an integer,
     makes the weight polynomial; when no q <= 16 does, the smallest q with
-    alpha*q >= 1 still removes the endpoint singularity.  At alpha = 0 the
-    nodes and weights are the plain Gauss rule's.  ``phi`` maps the flat
-    array of every t * v_j^q to its values in one call, so a whole grid of
-    quadratures is one vectorized evaluation.  Given points ``also_at``,
+    alpha*q >= 1 still removes the endpoint singularity.  ``phi`` maps the
+    flat array of every t * v_j^q to its values in one call, so a whole grid
+    of quadratures is one vectorized evaluation.  Given points ``also_at``,
     the same call evaluates phi there too, and (means, phi(also_at)) is
     returned.
 

@@ -17,8 +17,6 @@ from cuspkit.affine import (
     INFLECTION_PROFILE_VALUE,
     affine_cuspidal_curvature,
     affine_curvature_from_jet,
-    arclength_A,
-    identity_residual,
     inflection_profile_jets,
     inflectional_curvature,
     kappa_A,
@@ -29,7 +27,8 @@ from cuspkit.affine import (
     profile_A_inflection,
 )
 from cuspkit.dsl import catalog_lookup, parse_curve
-from cuspkit.jets import Jet, PlaneJet
+from cuspkit.euclidean import classify
+from cuspkit.jets import Jet, PlaneJet, signed_power
 from cuspkit.profiles import Profiler
 
 
@@ -77,32 +76,33 @@ def test_kappa_A_reparametrization_invariance():
 # -- affine arclength ----------------------------------------------------------
 
 
+def _arclength(curve, kind, t):
+    """s_A at t from the profiler."""
+    return float(Profiler(curve, kind).arclength(np.array([t]))[0])
+
+
 def test_arclength_cuspidal_cubic():
-    s, tau35, _ = arclength_A(parse_curve("(t^2, t^3)"), 1.0)
+    s = _arclength(parse_curve("(t^2, t^3)"), AFFINE_CUSP, 1.0)
     expected = 3.0 * 6.0 ** (1 / 3) / 5.0
     assert s == pytest.approx(expected, abs=1e-12)
-    assert tau35 == pytest.approx(expected**0.6, abs=1e-12)
+    assert signed_power(s, 3, 5) == pytest.approx(expected**0.6, abs=1e-12)  # tau35
 
 
 def test_tau35_is_linear_for_the_cuspidal_cubic():
     curve = parse_curve("(t^2, t^3)")
     slope = None
     for t in (0.2, 0.5, 1.0, -0.7):
-        _, tau35, _ = arclength_A(curve, t)
-        ratio = tau35 / t
+        s = _arclength(curve, AFFINE_CUSP, t)
+        ratio = signed_power(s, 3, 5) / t  # tau35 / t
         slope = slope if slope is not None else ratio
         assert ratio == pytest.approx(slope, abs=1e-10)
 
 
 def test_arclength_cubic_graph():
-    s, _, tau34 = arclength_A(parse_curve("(t, t^3)"), 1.0)
+    s = _arclength(parse_curve("(t, t^3)"), INFLECTION, 1.0)
     assert s == pytest.approx(0.75 * 6.0 ** (1 / 3), abs=1e-12)
-    assert tau34 == pytest.approx(s**0.75, abs=1e-12)
-
-
-def test_arclength_regular_curve():
-    s, _, _ = arclength_A(catalog_lookup("circle", {"r": 1.0}), 0.4)
-    assert s == pytest.approx(0.4, abs=1e-12)
+    tau34 = abs(s) ** 0.75  # sgn(t) |s_A|^(3/4) at t = 1
+    assert tau34 == pytest.approx((0.75 * 6.0 ** (1 / 3)) ** 0.75, abs=1e-12)
 
 
 # -- the two affine invariants ----------------------------------------------------
@@ -214,7 +214,7 @@ def test_cuspidal_cubic_profile_constant():
 def test_exactness_cross_check_cuspidal_cubic():
     curve = parse_curve("(t^2, t^3)")
     for t in (0.1, 0.5, 1.0):
-        s, _, _ = arclength_A(curve, t)
+        s = _arclength(curve, AFFINE_CUSP, t)
         assert s * s * kappa_A(curve, t) == pytest.approx(0.16, abs=1e-10)
 
 
@@ -396,15 +396,12 @@ def test_inflection_profile_rejects_cusp():
 def test_identity_residual_is_linear_in_fddot():
     germ = catalog_lookup("skew_cycloid", {"a": 1.0}).jet(0.0, 10)
     f_jet = inflection_profile_jets(germ).f_t
-    base = identity_residual(germ, f_jet)
+    cls = classify(germ)
+    base = affine_module._identity_residual(germ, cls, f_jet)
     perturbed = Jet(f_jet.coeffs.copy())
     perturbed.coeffs[2] += 0.5  # adds +1 to f''(0)
-    assert identity_residual(germ, perturbed) - base == pytest.approx(9.0, abs=1e-12)
-
-
-def test_identity_residual_rejects_cusp_germ():
-    with pytest.raises(ValueError, match="generic inflection"):
-        identity_residual(parse_curve("(t^2, t^3)").jet(0.0, 5), Jet([0.0, 0.0, 0.0]))
+    moved = affine_module._identity_residual(germ, cls, perturbed)
+    assert moved - base == pytest.approx(9.0, abs=1e-12)
 
 
 def test_identity_residual_vanishes_for_true_profiles(rng):

@@ -427,6 +427,11 @@ CONTRACT = [
       "--step", "0.25"], 1, "zero constant coefficient at t = 0.125"),
     (["synthesize", "--kind", "euclid-cusp", "--f", "1 + 1/t", "--tau-max", "1", "--step", "0.25"],
      1, "the prescribed function is not finite at tau = 0"),
+    # A division or negative power of constants that divides by zero is named by its term.
+    (["synthesize", "--kind", "inflection", "--f", "-5/16 + (0 / 0)*t", "--tau-max", "0.049",
+      "--step", "0.3"], 1, "error [synthesize]: 0 / 0 divides by zero\n"),
+    (["synthesize", "--kind", "inflection", "--f", "-5/16 + ((0)^(-2/3))*t", "--tau-max", "0.5"],
+     1, "error [synthesize]: 0^(-2/3) divides by zero\n"),
 ]
 
 

@@ -10,14 +10,13 @@ from cuspkit import profiles
 from cuspkit.affine import (
     AFFINE_CUSP,
     INFLECTION,
-    arclength_A,
     cusp_profile_jets,
     inflection_profile_jets,
     profile_A_cusp,
     profile_A_inflection,
 )
 from cuspkit.dsl import CATALOG_CUSPS, CATALOG_INFLECTIONS, CurveSpec, catalog_lookup, parse_curve
-from cuspkit.euclidean import EUCLID_CUSP, arclength_g, euclidean_profile_jets, profile_g
+from cuspkit.euclidean import EUCLID_CUSP, euclidean_profile_jets, profile_g
 from cuspkit.jets import Jet, PlaneJet, moment_quotient
 from cuspkit.profiles import (
     CHEB_DEGREES,
@@ -599,36 +598,15 @@ def test_grid_of_zeros_is_solved_without_evaluating_the_curve(kind, name, monkey
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
-    "arclength, name",
-    [(arclength_g, "cycloid"), (arclength_g, "circle"), (arclength_A, "cycloid"),
-     (arclength_A, "skew_cycloid"), (arclength_A, "circle")],
+    "kind, name", [(EUCLID_CUSP, "cycloid"), (AFFINE_CUSP, "cycloid"), (INFLECTION, "skew_cycloid")]
 )
-def test_arclength_at_a_non_finite_t_raises(arclength, name, t):
-    curve = catalog_lookup(name, {"r" if name == "circle" else "a": 1.0})
-    with pytest.raises(ValueError, match=f"t must be finite, got t={t!r}"):
-        arclength(curve, t)
+def test_arclength_at_a_non_finite_t_raises(kind, name, t):
+    profiler = Profiler(catalog_lookup(name, {"a": 1.0}), kind)
+    with pytest.raises(ValueError, match=f"non-finite jet at t0={t!r}"):
+        profiler.arclength(np.array([t]))
 
 
-# -- one arclength for every caller ------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "kind, arclength, name",
-    [
-        (EUCLID_CUSP, arclength_g, "cycloid"),
-        (EUCLID_CUSP, arclength_g, "hyperbolic_cycloid"),
-        (AFFINE_CUSP, arclength_A, "cycloid"),
-        (AFFINE_CUSP, arclength_A, "hyperbolic_cycloid"),
-        (INFLECTION, arclength_A, "skew_cycloid"),
-        (INFLECTION, arclength_A, "cubic_graph"),
-    ],
-)
-def test_arclength_functions_match_the_profiler(kind, arclength, name):
-    # One batch against single points: each t's Gauss sum is taken on its own.
-    curve = catalog_lookup(name, {"a": 1.0})
-    ts = np.array([-0.7, -0.3, 0.1, 0.4, 0.9])
-    batch = Profiler(curve, kind).arclength(ts)
-    assert [arclength(curve, float(t))[0] for t in ts] == batch.tolist()
+# -- one quadrature for every caller -----------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -636,12 +614,13 @@ def test_arclength_functions_match_the_profiler(kind, arclength, name):
     [(EUCLID_CUSP, "cycloid"), (AFFINE_CUSP, "hyperbolic_cycloid"), (INFLECTION, "skew_cycloid")],
 )
 def test_moment_quotient_is_the_profilers_quadrature(kind, name):
-    # Verify check 13 pins moment_quotient, so it must be the sum profiles run.
+    # Verify check 13 pins moment_quotient, so it must be the sum profiles run;
+    # one batch against single points: each t's Gauss sum is taken on its own.
     curve = catalog_lookup(name, {"a": 1.0})
     phi = functools.partial(kind.phi, curve)
-    profiler = Profiler(curve, kind)
-    for t in (-0.6, -0.05, -1e-3, 2e-3, 0.049, 0.3, 0.8):
-        assert moment_quotient(phi, kind.alpha, t) == profiler._factor(np.array([t]))[0]
+    ts = np.array([-0.6, -0.05, -1e-3, 2e-3, 0.049, 0.3, 0.8])
+    batch = Profiler(curve, kind)._factor(ts)
+    assert [moment_quotient(phi, kind.alpha, t) for t in ts] == batch.tolist()
 
 
 # -- the jets record's f_tau, built on first read ----------------------------------

@@ -513,6 +513,12 @@ def test_every_kind_builds_a_profile_jets_record(kind):
 # -- the germ against an independent Picard iteration ------------------------------------
 
 
+def _antiderivative(jet, constant):
+    """The jet of the integral of ``jet`` from its base point, plus ``constant``."""
+    k = np.arange(1, len(jet.coeffs) + 1)
+    return Jet(np.concatenate([[constant], jet.coeffs / k]), jet.base_point)
+
+
 def _picard_germ(rhs_jets, y0, order):
     """Power-series solution of y' = F(tau, y) at tau = 0 by Picard iteration.
 
@@ -524,7 +530,7 @@ def _picard_germ(rhs_jets, y0, order):
     state = [Jet.constant(v, order) for v in y0]
     for _ in range(order + 2):
         rhs = rhs_jets(tau, state)
-        state = [r.truncated(order - 1).antiderivative(v) for r, v in zip(rhs, y0)]
+        state = [_antiderivative(r.truncated(order - 1), v) for r, v in zip(rhs, y0)]
     return PlaneJet(state[0], state[1])
 
 

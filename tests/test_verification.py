@@ -10,6 +10,21 @@ def test_verify_suite_passes():
     assert len(report["checks"]) == 13
 
 
+def test_a_check_that_raises_fails_and_the_others_still_run(monkeypatch, capsys):
+    def raises():
+        raise ValueError("inflection synthesis needs f(0) = -5/16")
+
+    monkeypatch.setattr(verification, "check_g0_mu_I_relation", raises)
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14 and lines[-1] == "seed 0: FAILURES"
+    report = lines[:-1]
+    assert [line.split(":")[0] for line in report if not line.startswith("PASS")] == [
+        "FAIL 08_g0_mu_I_relation"
+    ]
+    assert report[7].endswith("- ValueError: inflection synthesis needs f(0) = -5/16")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
