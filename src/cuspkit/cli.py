@@ -303,7 +303,8 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     """Every command exits 0 with finite numbers, or 1 with one error line on
     stderr and nothing on stdout; ``verify`` also exits 1, after its report,
-    when a check fails, and argparse's own usage errors exit 2.
+    when a check fails, and argparse's own usage errors exit 2.  ``CONTRACT``
+    in ``tests/contract.py`` is the one list of commands that probe this.
     """
     if argv is None:
         argv = sys.argv[1:]

@@ -518,8 +518,9 @@ class PlaneJet:
         return self.x.order
 
     @classmethod
-    def from_coeffs(cls, x_coeffs, y_coeffs, base_point: float = 0.0) -> "PlaneJet":
-        return cls(Jet(x_coeffs, base_point), Jet(y_coeffs, base_point))
+    def from_coeffs(cls, x_coeffs, y_coeffs) -> "PlaneJet":
+        """The germ at t = 0 with these x and y coefficients."""
+        return cls(Jet(x_coeffs), Jet(y_coeffs))
 
     def __call__(self, t: float) -> np.ndarray:
         return np.array([self.x(t), self.y(t)])

@@ -497,16 +497,21 @@ class Profiler:
     def _tau_and_slope(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """tau = t L^p and dtau/dt = p phi L^(p-1), from one evaluation of phi.
 
-        phi runs once, on the quadrature nodes and the ts together; at t = 0
-        it may be 0/0, and the slope there is the germ's.
+        phi runs once, on the quadrature nodes and the ts together.  Below
+        |t| = 1e-8 it may be 0/0, or underflow at the nodes, so tau and the
+        slope there are the germ's; far out it may overflow, which Newton's
+        residual reports.
         """
         ts = np.atleast_1d(ts)
         p = self.kind.p
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             L, phi = self._factor(ts, with_phi=True)
             Lp = L**p
-            slope = p * phi * Lp / L
-        return ts * Lp, np.where(np.abs(ts) < 1e-8, self._slope0, slope)
+            tau, slope = ts * Lp, p * phi * Lp / L
+        near = np.abs(ts) < 1e-8
+        if near.any():
+            tau[near] = self.jets.tau_t(ts[near])
+        return tau, np.where(near, self._slope0, slope)
 
     def t_of_tau(self, taus: np.ndarray) -> np.ndarray:
         return self._invert(taus)[0]
@@ -522,8 +527,10 @@ class Profiler:
         clipped to the range, from the table of the interpolant's own
         samples (t_j L_j^p, t_j).  The interpolant is returned so that the
         caller can evaluate s on the same grid.  A grid of zeros returns
-        t = 0 and None.  A grid that is not a non-empty 1-D array, or a
-        non-finite target, raises ``ValueError``.
+        t = 0 and None, and a t-range narrower than 1e-8 t from the germ's
+        tau(t), the exact map there, and None: an interpolant's derivative
+        scales L by 2 / width, which can overflow.  A grid that is not a
+        non-empty 1-D array, or a non-finite target, raises ``ValueError``.
         """
         targets = np.asarray(taus, dtype=float)
         if targets.ndim != 1 or targets.size == 0:
@@ -537,6 +544,10 @@ class Profiler:
         t_range = _t_range(self._tau_and_slope, targets, self.jets.tau_t)
         if t_range is None:
             return np.zeros(len(targets)), None
+        if t_range[1] - t_range[0] < 1e-8:
+            tau, slope = self.jets.tau_t, self.jets.tau_t.derivative()
+            ts = invert_monotone(lambda t: (tau(t), slope(t)), targets, self._slope0, t_range)
+            return ts, None
 
         def factor(ts):
             out = np.empty(len(ts))

@@ -818,7 +818,7 @@ def synthesize(
     return _synthesize(system, profile, tau_max, step, method)
 
 
-def roundtrip(fn, kind: str, tau_max: float, step: float = DEFAULT_STEP) -> float:
+def roundtrip(fn, kind: str, tau_max: float) -> float:
     """Synthesize, recompute the profile from the result, compare.
 
     For the affine cusp the prescribed function is h (the profile being
@@ -826,7 +826,7 @@ def roundtrip(fn, kind: str, tau_max: float, step: float = DEFAULT_STEP) -> floa
     the sup-norm deviation between the recomputed profile and the prescribed
     one evaluated at the recomputed adapted parameter.
     """
-    result = synthesize(kind, fn, tau_max, step=step)
+    result = synthesize(kind, fn, tau_max)
     tau_n = result.tau_normalized()
     recomputed = result.profile_recomputed()
     profile = result.input_profile

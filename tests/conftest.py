@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+# contract.py is a helper module, not a test module: rewrite its asserts too.
+pytest.register_assert_rewrite("contract")
+
 # Central-difference stencils, 4th-order accurate, for derivative orders 1-4.
 FD_STENCILS = {
     1: ([-2, -1, 1, 2], [1 / 12, -8 / 12, 8 / 12, -1 / 12]),

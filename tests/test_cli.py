@@ -2,13 +2,13 @@ import contextlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import warnings
 
 import pytest
 from conftest import MODEL_GERMS
+from contract import CONTRACT, assert_contract
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -351,88 +351,8 @@ def test_regular_point_whose_curvature_overflows_exits_naming_the_speed(capsys):
 
 # -- the output contract of cli.main ---------------------------------------------
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-
-# (argv, exit code, text the stdout (exit 0) or the one stderr line (exit 1)
-# must hold).  Every command the CI "Installed console script" step probes,
-# with its files on stdout, and each input once seen to end in a traceback,
-# a RuntimeWarning or non-finite output.
-CONTRACT = [
-    (["profile", "--curve", "cycloid", "--param", "a=1", "--kind", "euclid-cusp",
-      "--grid", "-0.5:3.1:101"], 1, "error [profile]"),
-    (["profile", "--curve", "cycloid", "--param", "a=1", "--kind", "euclid-cusp",
-      "--grid", "-1.5:1.5:4001"], 0, "tau,f\n"),
-    (["profile", "--curve", "hyperbolic_cycloid", "--param", "a=1", "--kind", "affine-cusp",
-      "--grid", "-0.8:0.8:4001"], 0, "tau,f\n"),
-    (["profile", "--curve", "skew_cycloid", "--param", "a=1", "--kind", "inflection",
-      "--grid", "-0.75:1.5:4001"], 0, "tau,f\n"),
-    (["invariants", "--curve", "cycloid", "--param", "a=1"], 0, '"class": "PositiveCusp"'),
-    (["invariants", "--curve", "skew_cycloid", "--param", "a=1"], 0, '"class": "PositiveInflection"'),
-    (["invariants", "--curve", "circle", "--param", "r=2"], 0, '"class": "Regular"'),
-    (["invariants", "--curve", "(a*t^2, a*t^3 + c*t^5) with a=2, c=1"], 0, '"class": "PositiveCusp"'),
-    (["synthesize", "--kind", "euclid-cusp", "--f", "1 + t/3", "--tau-max", "0.5"], 0, "tau,x,y\n"),
-    (["render", "--samples", os.path.join(GOLDEN, "synthesize_euclid-cusp_frame.csv"),
-      "--svg", "-"], 0, "<polyline"),
-    (["synthesize", "--kind", "affine-cusp", "--h", "0.5", "--tau-max", "0.5"], 0, "tau,x,y\n"),
-    (["synthesize", "--kind", "inflection", "--f", "-5/16", "--tau-max", "0.5"], 0, "tau,x,y\n"),
-    (["synthesize", "--kind", "inflection", "--f", "-5/16 - t", "--tau-max", "0.6"], 1, "0.5625"),
-    (["invariants", "--curve", "(t^2, 1e999*t^3)"], 1, "1e999"),
-    (["invariants", "--curve", "(t^2, 1e308*10*t^3)"], 1, "non-finite jet"),
-    (["invariants", "--curve", "(t^2, t^3 + exp(710))"], 1, "exp(710)"),
-    (["synthesize", "--kind", "affine-cusp", "--h", "1", "--tau-max", "0.5",
-      "--method", "quadrature"], 1, "only the 'frame' route"),
-    (["synthesize", "--kind", "euclid-cusp", "--f", "0", "--tau-max", "0.5"], 1, "f(0) != 0"),
-    # A value that starts with "-" before a letter or a bracket is the option's value.
-    (["synthesize", "--kind", "euclid-cusp", "--f", "-cos(t)", "--tau-max", "0.5"], 0, "tau,x,y\n"),
-    (["synthesize", "--kind", "euclid-cusp", "--f", "-t^2", "--tau-max", "0.5"], 1, "f(0) != 0"),
-    (["synthesize", "--kind", "affine-cusp", "--h", "-t^5", "--tau-max", "0.5"], 0, "tau,x,y\n"),
-    (["synthesize", "--kind", "inflection", "--f", "-1/4", "--tau-max", "0.5"], 1, "-5/16"),
-    (["synthesize", "--kind", "affine-cusp", "--h", "1", "--tau-max", "1e308", "--step", "0.3"],
-     1, "tau_max / step <= 1000000, got inf"),
-    (["synthesize", "--kind", "inflection", "--f", "-5/16 + t*(1e300)", "--tau-max", "0.5"],
-     1, "f'(0) = 1e+300"),
-    (["invariants", "--curve", "(t^2, t^3 + ((1e300*t))^1/3)"], 1, "|gamma'| = 3.33333e+299"),
-    (["synthesize", "--kind", "euclid-cusp", "--f", "sinh(16)", "--tau-max", "1", "--step", "1e-2"],
-     1, "euclid-cusp synthesis with step 0.01 is not finite from |tau| = 0.17 on"),
-    (["synthesize", "--kind", "euclid-cusp", "--f", "sinh(16)", "--tau-max", "1", "--step", "1e-2",
-      "--method", "quadrature"], 0, "tau,x,y\n"),
-    (["synthesize", "--kind", "affine-cusp", "--h", "1e300", "--tau-max", "1e-9"],
-     1, "frame system entry a21 is not finite in its tau^0 coefficient at tau = 0"),
-    (["synthesize", "--kind", "euclid-cusp", "--f", "exp((t*t)^3)", "--tau-max", "50"],
-     1, "the prescribed function is not finite at tau = 2.982"),
-    (["synthesize", "--kind", "euclid-cusp", "--f", "exp((t*t)^3)", "--tau-max", "50",
-      "--method", "quadrature"], 1, "the prescribed function is not finite at tau = 2.98676"),
-    (["synthesize", "--kind", "euclid-cusp", "--f", "1 + sinh(1000*t)", "--tau-max", "1"],
-     1, "the prescribed function is not finite at tau = 0.704"),
-    (["synthesize", "--kind", "euclid-cusp", "--f", "1e200", "--tau-max", "0.1"],
-     1, "frame system entry a01 is not finite in its tau^0 coefficient at tau = 0"),
-    (["synthesize", "--kind", "euclid-cusp", "--f", "exp(t)", "--tau-max", "300"],
-     1, "frame system entry a12 is not finite at tau = 232.269"),
-    (["synthesize", "--kind", "inflection", "--f", "-5/16 + 1e100*t*t*t", "--tau-max", "0.01"],
-     1, "the synthesis germ overflows in its tau^10 coefficient"),
-    (["invariants", "--curve", "(t^2*1e200, t^3)"],
-     1, "cuspidal curvature overflows: |gamma''|^(5/2) at |gamma''| = 2e+200"),
-    (["profile", "--curve", "(t + t^2*1e300, t^3 + t^4)", "--kind", "euclid-cusp",
-      "--grid", "-0.1:0.1:11"],
-     1, "cuspidal curvature overflows: |gamma''|^(5/2) at |gamma''| = 2e+300"),
-    (["profile", "--curve", "(t^2 + t^3*16, t^3 + t^4*1e150)", "--kind", "affine-cusp",
-      "--grid", "0:0:1"],
-     1, "the affine-cusp jets of the germ are not finite: the t^3 coefficient of f_t = nan"),
-    (["profile", "--curve", "cycloid", "--param", "a=1", "--kind", "affine-cusp",
-      "--grid", "-1e308:1e308:3"], 1, "bad --grid '-1e308:1e308:3'; stop - start = inf"),
-    # A pole of the prescribed function on a grid point, or at tau = 0, is named.
-    (["synthesize", "--kind", "euclid-cusp", "--f", "1 + 1/(t - 0.125)", "--tau-max", "1",
-      "--step", "0.25"], 1, "zero constant coefficient at t = 0.125"),
-    (["synthesize", "--kind", "affine-cusp", "--h", "1/(t-0.125)", "--tau-max", "1",
-      "--step", "0.25"], 1, "zero constant coefficient at t = 0.125"),
-    (["synthesize", "--kind", "euclid-cusp", "--f", "1 + 1/t", "--tau-max", "1", "--step", "0.25"],
-     1, "the prescribed function is not finite at tau = 0"),
-    # A division or negative power of constants that divides by zero is named by its term.
-    (["synthesize", "--kind", "inflection", "--f", "-5/16 + (0 / 0)*t", "--tau-max", "0.049",
-      "--step", "0.3"], 1, "error [synthesize]: 0 / 0 divides by zero\n"),
-    (["synthesize", "--kind", "inflection", "--f", "-5/16 + ((0)^(-2/3))*t", "--tau-max", "0.5"],
-     1, "error [synthesize]: 0^(-2/3) divides by zero\n"),
-]
+# The table of probes is CONTRACT in tests/contract.py, the one list: CI runs
+# it through the installed script, and the test below in process.
 
 
 def _run_with_warnings_as_errors(argv):
@@ -445,20 +365,11 @@ def _run_with_warnings_as_errors(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _assert_contract(code, out, err):
-    if code == 0:
-        assert err == ""
-        assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE)
-    else:
-        assert (code, out) == (1, "")
-        assert err.count("\n") == 1 and err.endswith("\n")
-
-
 @pytest.mark.parametrize("argv, code, text", CONTRACT, ids=[" ".join(c[0]) for c in CONTRACT])
 def test_every_command_exits_0_with_finite_numbers_or_1_with_one_error_line(argv, code, text):
     got = _run_with_warnings_as_errors(argv)
     assert got[0] == code
-    _assert_contract(*got)
+    assert_contract(*got)
     assert text in got[1 if code == 0 else 2]
 
 
@@ -504,6 +415,19 @@ _AT_ZERO = {"euclid-cusp": ("--f", "1"), "affine-cusp": ("--h", "0.5"),
 _TAU_MAX = st.sampled_from(["1e-300", "1e-9", "0.049", "0.05", "0.5", "1", "50", "1e308"])
 _STEP = st.sampled_from([[], ["--step", "1e-300"], ["--step", "1e-2"], ["--step", "0.3"]])
 _METHOD = st.sampled_from([[], ["--method", "quadrature"]])
+# Profile lines run each kind on a catalog cusp or inflection or on a drawn
+# curve, over a grid whose ends reach from 0 past the subnormal edge to 1e308.
+_PROFILE_CURVES = st.one_of(
+    st.builds(
+        lambda name, a: ["--curve", name, "--param", f"a={a}"],
+        st.sampled_from(CATALOG_CUSPS + CATALOG_INFLECTIONS), st.sampled_from(["0.5", "1", "2"]),
+    ),
+    st.builds(lambda c, p: ["--curve", c, *p], _CURVES, _PARAMS),
+)
+_GRID_END = st.builds(
+    "{}{}".format, st.sampled_from(["", "-"]),
+    st.sampled_from(["0", "1e-310", "1e-300", "1e-160", "0.049", "0.05", "1.5", "50", "1e308"]),
+)
 _COMMANDS = st.one_of(
     st.builds(lambda c, p: ["invariants", "--curve", c, *p], _CURVES, _PARAMS),
     st.builds(lambda c, at, p: ["classify", "--curve", c, "--at", at, *p], _CURVES, _AT, _PARAMS),
@@ -513,6 +437,12 @@ _COMMANDS = st.one_of(
             "--tau-max", tau_max, *step, *method],
         st.sampled_from(list(_AT_ZERO)), _expressions(["t", "t^2", "t^3", "t^5"]), _TAU_MAX,
         _STEP, _METHOD,
+    ),
+    st.builds(
+        lambda curve, kind, start, stop, count: [
+            "profile", *curve, "--kind", kind, "--grid", f"{start}:{stop}:{count}"],
+        _PROFILE_CURVES, st.sampled_from(list(_AT_ZERO)), _GRID_END, _GRID_END,
+        st.sampled_from(["1", "3", "11", "101"]),
     ),
 )
 
@@ -536,4 +466,4 @@ _COMMANDS = st.one_of(
 @example(["profile", "--curve", "(t^2 + t^3*16, t^3 + t^4*1e150)", "--kind", "affine-cusp",
           "--grid", "0:0:1"])
 def test_generated_commands_keep_the_output_contract(argv):
-    _assert_contract(*_run_with_warnings_as_errors(argv))
+    assert_contract(*_run_with_warnings_as_errors(argv))

@@ -28,12 +28,6 @@ def test_rejects_a_non_finite_sample_by_index(bad, index, column):
         render_svg(points)
 
 
-@pytest.mark.parametrize("viewport", [(1.0, 1.0, 0.0, 1.0), (2.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)])
-def test_rejects_an_empty_viewport(viewport):
-    with pytest.raises(ValueError, match="xmin < xmax"):
-        render_svg(SQUARE, RenderSpec(viewport=viewport))
-
-
 def _axis_lines(svg: str) -> list[str]:
     return [line for line in svg.splitlines() if line.startswith("<line")]
 
@@ -43,7 +37,7 @@ def test_no_axes_unless_asked():
 
 
 def test_axes_through_the_origin_in_view():
-    svg = render_svg(SQUARE, RenderSpec(width=200, height=100, axes=True, viewport=(-1, 1, -1, 1)))
+    svg = render_svg(SQUARE, RenderSpec(width=200, height=100, axes=True))
     assert _axis_lines(svg) == [
         '<line x1="0" y1="50.0" x2="200" y2="50.0" stroke="#bbbbbb" stroke-width="1"/>',
         '<line x1="100.0" y1="0" x2="100.0" y2="100" stroke="#bbbbbb" stroke-width="1"/>',
@@ -51,27 +45,27 @@ def test_axes_through_the_origin_in_view():
 
 
 @pytest.mark.parametrize(
-    "viewport, drawn",
+    "samples, drawn",
     [
-        ((1.0, 2.0, -1.0, 1.0), 'y1="50.0"'),  # x = 0 out of view: only the x-axis
-        ((-1.0, 1.0, 1.0, 2.0), 'x1="100.0"'),  # y = 0 out of view: only the y-axis
+        ([(1.0, -1.0), (2.0, 1.0)], 'y1="50.0"'),  # x = 0 out of view: only the x-axis
+        ([(-1.0, 1.0), (1.0, 2.0)], 'x1="100.0"'),  # y = 0 out of view: only the y-axis
     ],
 )
-def test_axis_out_of_view_is_left_out(viewport, drawn):
-    svg = render_svg(SQUARE, RenderSpec(width=200, height=100, axes=True, viewport=viewport))
+def test_axis_out_of_view_is_left_out(samples, drawn):
+    svg = render_svg(samples, RenderSpec(width=200, height=100, axes=True))
     lines = _axis_lines(svg)
     assert len(lines) == 1
     assert drawn in lines[0]
 
 
 def test_no_axis_when_the_origin_is_out_of_both_ranges():
-    svg = render_svg(SQUARE, RenderSpec(axes=True, viewport=(1.0, 2.0, 1.0, 2.0)))
+    svg = render_svg([(1.0, 1.0), (2.0, 2.0)], RenderSpec(axes=True))
     assert _axis_lines(svg) == []
 
 
 def _pixels(points, spec):
     """The float pixel coordinates of ``points``, as render_svg computes them."""
-    xmin, xmax, ymin, ymax = _viewport(points, spec)
+    xmin, xmax, ymin, ymax = _viewport(points)
     sx, sy = spec.width / (xmax - xmin), spec.height / (ymax - ymin)
     return [(float((x - xmin) * sx), float((ymax - y) * sy)) for x, y in points]
 
@@ -85,24 +79,16 @@ def _polyline_points(svg: str) -> list[str]:
 def test_polyline_matches_a_per_point_loop(scale):
     rng = np.random.default_rng(3)
     points = rng.normal(size=(500, 2)) * scale
-    spec = RenderSpec(width=300, height=200, viewport=(-3 * scale, 3 * scale, -2 * scale, 2.5 * scale))
-    want = " ".join(f"{x:.3f},{y:.3f}" for x, y in _pixels(points, spec)).replace("-0.000", "0.000")
+    spec = RenderSpec(width=300, height=200)
+    want = " ".join(f"{x:.3f},{y:.3f}" for x, y in _pixels(points, spec))
     assert f'points="{want}"' in render_svg(points, spec)
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
-@pytest.mark.parametrize("user_viewport", [False, True])
-def test_polyline_is_within_half_a_thousandth_of_a_pixel(scale, user_viewport):
+def test_polyline_is_within_half_a_thousandth_of_a_pixel(scale):
     rng = np.random.default_rng(5)
     points = rng.normal(size=(400, 2)) * scale
-    if user_viewport:
-        # Most points fall left of and above the canvas, at negative pixels;
-        # the last two sit a hair outside its corner, at -0.000... pixels.
-        viewport = (0.5 * scale, 3 * scale, -2 * scale, -0.5 * scale)
-        spec = RenderSpec(width=300, height=200, viewport=viewport)
-        points[-2:] = [(0.5 * scale * (1 - 1e-9), -0.5 * scale * (1 - 1e-9))] * 2
-    else:
-        spec = RenderSpec(width=300, height=200)  # fitted to the points
+    spec = RenderSpec(width=300, height=200)
     drawn = _polyline_points(render_svg(points, spec))
     assert len(drawn) == len(points)
     printed = [v for point in drawn for v in point.split(",")]
@@ -110,8 +96,6 @@ def test_polyline_is_within_half_a_thousandth_of_a_pixel(scale, user_viewport):
     assert all(re.fullmatch(r"-?\d+\.\d{3}", v) for v in printed)
     assert "-0.000" not in printed
     assert max(abs(Fraction(v) - Fraction(p)) for v, p in zip(printed, pixels)) <= Fraction(1, 2000)
-    if user_viewport:
-        assert min(pixels) < -1.0 and printed[-4:] == ["0.000"] * 4
 
 
 @pytest.mark.parametrize(
@@ -138,15 +122,10 @@ def test_spec_rejects_an_empty_canvas_or_stroke(options, named):
     [
         ({"width": math.inf}, "width=inf", "finite and > 0"),
         ({"height": math.nan}, "height=nan", "finite and > 0"),
-        ({"viewport": (0, math.inf, 0, 1)}, "viewport=(0, inf, 0, 1)", "four finite bounds"),
-        ({"viewport": (-math.inf, 1, 0, 1)}, "viewport=(-inf, 1, 0, 1)", "four finite bounds"),
-        ({"viewport": (0, 1, math.nan, 1)}, "viewport=(0, 1, nan, 1)", "four finite bounds"),
-        ({"viewport": (0, 1, 0)}, "viewport=(0, 1, 0)", "four finite bounds"),
     ],
 )
-def test_spec_rejects_non_finite_sizes_and_viewports(options, named, valid):
-    # Each used to reach the document: inf or nan coordinates, or every x
-    # collapsed to 0.0.
+def test_spec_rejects_non_finite_sizes(options, named, valid):
+    # Each used to reach the document as inf or nan coordinates.
     with pytest.raises(ValueError, match=f"{re.escape(named)}$") as exc:
         RenderSpec(**options)
     assert valid in str(exc.value)
