@@ -85,9 +85,12 @@ def test_polyline_matches_a_per_point_loop(scale):
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
-def test_polyline_is_within_half_a_thousandth_of_a_pixel(scale):
+@pytest.mark.parametrize("centre", [0.0, 1e3])
+def test_polyline_is_within_half_a_thousandth_of_a_pixel(scale, centre):
+    # centre = 1e3: the data sit a thousand spreads off the origin, so every
+    # pixel comes from a difference of two large, close coordinates.
     rng = np.random.default_rng(5)
-    points = rng.normal(size=(400, 2)) * scale
+    points = (rng.normal(size=(400, 2)) + [centre, -centre]) * scale
     spec = RenderSpec(width=300, height=200)
     drawn = _polyline_points(render_svg(points, spec))
     assert len(drawn) == len(points)
@@ -121,6 +124,8 @@ def test_spec_rejects_an_empty_canvas_or_stroke(options, named):
     "options, named, valid",
     [
         ({"width": math.inf}, "width=inf", "finite and > 0"),
+        ({"width": math.nan}, "width=nan", "finite and > 0"),
+        ({"height": math.inf}, "height=inf", "finite and > 0"),
         ({"height": math.nan}, "height=nan", "finite and > 0"),
     ],
 )
