@@ -18,7 +18,9 @@ shortest round-trip precision, so repeated runs are byte-identical.
 
 ``main()`` reuses one argument parser per process: ``build_parser`` is
 cached, and every call parses into a fresh namespace, so repeated in-process
-calls pay for the parser once and share no option values.
+calls pay for the parser once and share no option values.  Likewise
+``dsl.parse_curve`` parses each curve text once per process, and each call
+binds its own ``--param`` values.
 """
 
 from __future__ import annotations

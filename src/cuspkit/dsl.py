@@ -65,36 +65,47 @@ class ParseError(ValueError):
 # -- expression tree ----------------------------------------------------------
 
 
+class _Node:
+    """Base of the tree nodes.
+
+    :func:`parse_curve` sets ``_shared`` on a compound node that its trees
+    reach by more than one path; :func:`evaluate` keeps the value of such a
+    node in ``pairs``.  It takes no part in equality or hashing.
+    """
+
+    _shared = False
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Sym:
+class Sym(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Expression"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * /
     left: "Expression"
     right: "Expression"
 
 
 @dataclass(frozen=True)
-class Func:
+class Func(_Node):
     name: str
     arg: "Expression"
 
 
 @dataclass(frozen=True)
-class Power:
+class Power(_Node):
     base: "Expression"
     num: int
     den: int  # reduced, den >= 1
@@ -106,6 +117,7 @@ Expression = Union[Num, Sym, Neg, BinOp, Func, Power]
 # Functions that come in pairs from one Taylor recurrence on jets: the
 # pair's hyperbolic flag and the function's place in it.
 _PAIRED = {"sin": (False, 0), "cos": (False, 1), "sinh": (True, 0), "cosh": (True, 1)}
+_PENDING = object()  # in ``pairs``: the value of a repeated subtree being computed
 
 
 def evaluate(expr: Expression, t, params: dict[str, float], pairs: dict | None = None):
@@ -116,10 +128,14 @@ def evaluate(expr: Expression, t, params: dict[str, float], pairs: dict | None =
     does not involve t).  ``pairs``, a dict shared by the calls on one ``t``,
     keeps (sin, cos) and (sinh, cosh) of each argument, so that both members
     of a pair come from one evaluation of the argument and, on jets, one
-    recurrence.  The values are the same with or without it.  A function or
-    power whose float value overflows raises ``ValueError`` naming the term,
-    and a division or power of plain numbers that divides by zero raises
-    ``ZeroDivisionError`` naming it.
+    recurrence.  It also keeps the value of each subtree that
+    :func:`parse_curve` found more than once in its text, keyed by the
+    node's identity, so that a repeated subtree is evaluated once per ``t``;
+    a tree with no repeated subtree stores nothing there.  The values are
+    the same with or without ``pairs``.  A function or power whose float
+    value overflows raises ``ValueError`` naming the term, and a division or
+    power of plain numbers that divides by zero raises ``ZeroDivisionError``
+    naming it.
     """
     if isinstance(expr, Num):
         return expr.value
@@ -130,6 +146,14 @@ def evaluate(expr: Expression, t, params: dict[str, float], pairs: dict | None =
             return params[expr.name]
         except KeyError:
             raise ValueError(f"unbound parameter '{expr.name}'") from None
+    if pairs is not None and expr._shared and pairs.get(id(expr)) is not _PENDING:
+        # A repeated subtree: the nested call, which finds the key pending,
+        # computes the value that every later visit on this t reads.
+        key = id(expr)
+        if key not in pairs:
+            pairs[key] = _PENDING
+            pairs[key] = evaluate(expr, t, params, pairs)
+        return pairs[key]
     if isinstance(expr, Neg):
         return -evaluate(expr.arg, t, params, pairs)
     if isinstance(expr, BinOp):
@@ -273,6 +297,9 @@ class _Parser:
         self.i = 0
         self.names: set[str] = set()  # of every Sym parsed so far
 
+    def node(self, cls, *fields) -> Expression:
+        return cls(*fields)
+
     def fail_unbound(self, names: set[str]):
         """Report the names at the first occurrence of any of them."""
         offset = next(tok.offset for tok in self.tokens if tok.kind == "ident" and tok.text in names)
@@ -302,7 +329,7 @@ class _Parser:
         while self.current.kind == "op" and self.current.text in "+-":
             op = self.current.text
             self.i += 1
-            node = BinOp(op, node, self.parse_term())
+            node = self.node(BinOp, op, node, self.parse_term())
         return node
 
     def parse_term(self):
@@ -310,19 +337,19 @@ class _Parser:
         while self.current.kind == "op" and self.current.text in "*/":
             op = self.current.text
             self.i += 1
-            node = BinOp(op, node, self.parse_unary())
+            node = self.node(BinOp, op, node, self.parse_unary())
         return node
 
     def parse_unary(self):
         if self.accept("-"):
-            return Neg(self.parse_unary())
+            return self.node(Neg, self.parse_unary())
         return self.parse_power()
 
     def parse_power(self):
         base = self.parse_atom()
         if self.accept("^"):
             m, n = self.parse_rational()
-            return Power(base, m, n)
+            return self.node(Power, base, m, n)
         return base
 
     def parse_rational(self) -> tuple[int, int]:
@@ -353,21 +380,57 @@ class _Parser:
             if not math.isfinite(value):
                 raise _error_at(self.text, tok.offset, f"number {tok.text} overflows a float")
             self.i += 1
-            return Num(value)
+            return self.node(Num, value)
         if tok.kind == "ident":
             self.i += 1
             if tok.text in FUNCTIONS:
                 self.expect("(", f"'(' after function {tok.text}")
                 arg = self.parse_expr()
                 self.expect(")", f"')' closing {tok.text}(...)")
-                return Func(tok.text, arg)
+                return self.node(Func, tok.text, arg)
             self.names.add(tok.text)
-            return Sym(tok.text)
+            return self.node(Sym, tok.text)
         if self.accept("("):
             node = self.parse_expr()
             self.expect(")", "')' closing the parenthesized expression")
             return node
         self._fail("a number, name, function call, or '('")
+
+
+class _SharingParser(_Parser):
+    """A parser that hash-conses its nodes, so that a repeated subtree is one node.
+
+    A node is keyed on its type, its plain fields and the identity of its
+    child nodes, which are interned already; ``parents`` counts, per node
+    identity, the distinct nodes that hold it.
+    """
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.nodes: dict[tuple, Expression] = {}
+        self.parents: dict[int, int] = {}
+
+    def node(self, cls, *fields) -> Expression:
+        key = (cls, *[id(f) if isinstance(f, _Node) else f for f in fields])
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*fields)
+            for f in fields:
+                if isinstance(f, _Node):
+                    self.parents[id(f)] = self.parents.get(id(f), 0) + 1
+        return node
+
+    def mark_shared(self, *roots: Expression) -> None:
+        """Set ``_shared`` on each compound node reached by more than one path.
+
+        A root counts as a parent, so a component that is also the other
+        component, or a subtree of it, is marked too.
+        """
+        for root in roots:
+            self.parents[id(root)] = self.parents.get(id(root), 0) + 1
+        for node in self.nodes.values():
+            if self.parents.get(id(node), 0) > 1 and not isinstance(node, (Num, Sym)):
+                object.__setattr__(node, "_shared", True)
 
 
 # -- curve specifications -----------------------------------------------------
@@ -462,11 +525,34 @@ def parse_expression(text: str) -> Expression:
 def parse_curve(text: str, params: dict[str, float] | None = None) -> CurveSpec:
     """Parse a curve definition; extra parameter bindings may be supplied.
 
-    Raises :class:`ParseError` (with line/column) on malformed input and on
-    parameters that remain unbound after the with-clause, and a plain
-    ``ValueError`` on a binding that is not finite.
+    Each text is parsed once per process while it stays among the
+    ``_PARSE_CACHE_SIZE`` most recently parsed, and its expression trees
+    are shared by every call; each call gets its own ``params`` and
+    ``label``.  Raises :class:`ParseError` (with line/column) on malformed
+    input and on parameters that remain unbound after the with-clause, and
+    a plain ``ValueError`` on a binding that is not finite.
     """
-    parser = _Parser(text)
+    x_expr, y_expr, names, with_bindings = _parsed(text)
+    bindings: dict[str, float] = dict(params or {})
+    bindings.update(with_bindings)
+    unbound = names - set(bindings)
+    if unbound:
+        _Parser(text).fail_unbound(unbound)
+    _check_finite(bindings)
+    return CurveSpec(x_expr, y_expr, bindings, text.strip())
+
+
+_PARSE_CACHE_SIZE = 256  # curve texts kept parsed, the catalog's among them
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parsed(text: str) -> tuple[Expression, Expression, frozenset, tuple]:
+    """The (x, y) trees of a curve text, its parameter names and its with-clause bindings.
+
+    A ``ParseError`` is raised again on every call with the text; only
+    texts that parse are kept.
+    """
+    parser = _SharingParser(text)
     parser.expect("(", "'(' opening the curve definition")
     x_expr = parser.parse_expr()
     parser.expect(",", "',' between the two curve components")
@@ -475,7 +561,7 @@ def parse_curve(text: str, params: dict[str, float] | None = None) -> CurveSpec:
     y_expr = parser.parse_expr()
     parser.expect(")", "')' closing the curve definition")
 
-    bindings: dict[str, float] = dict(params or {})
+    bindings = []
     tok = parser.current
     if tok.kind == "ident" and tok.text == "with":
         parser.i += 1
@@ -490,17 +576,13 @@ def parse_curve(text: str, params: dict[str, float] | None = None) -> CurveSpec:
             if val_tok.kind != "num":
                 parser._fail("a numeric parameter value")
             parser.i += 1
-            bindings[name_tok.text] = sign * float(val_tok.text)
+            bindings.append((name_tok.text, sign * float(val_tok.text)))
             if not parser.accept(","):
                 break
     if parser.current.kind != "end":
         parser._fail("end of input")
-
-    unbound = parser.names - {"t"} - set(bindings)
-    if unbound:
-        parser.fail_unbound(unbound)
-    _check_finite(bindings)
-    return CurveSpec(x_expr, y_expr, bindings, text.strip())
+    parser.mark_shared(x_expr, y_expr)
+    return x_expr, y_expr, frozenset(parser.names - {"t"}), tuple(bindings)
 
 
 def _check_finite(bindings: dict[str, float]) -> None:
@@ -513,7 +595,7 @@ def _check_finite(bindings: dict[str, float]) -> None:
 
 # Definitions are stored as DSL text, so the parser is on the path of each
 # catalog curve's first use in a process; its frozen expression trees are
-# kept by ``_catalog_trees`` and shared by every later lookup.
+# kept by the parse cache of ``parse_curve`` and shared by every later lookup.
 _CATALOG: dict[str, tuple[str, tuple[str, ...]]] = {
     "cuspidal_cubic": ("(a*t^2, a*t^3)", ("a",)),
     "cycloid": ("(a*(t - sin(t)), a*(-1 + cos(t)))", ("a",)),
@@ -541,9 +623,9 @@ def catalog_lookup(name: str, params: dict[str, float] | None = None) -> CurveSp
     """Fetch a named example curve with its parameters bound.
 
     Parameters required by the curve must be present, positive and finite.
-    The expression trees are parsed on the curve's first lookup in the
-    process and shared by every later one; each lookup gets its own
-    ``params`` and ``label``.
+    The expression trees come from the parse cache that ``parse_curve``
+    reads: parsed on the curve's first lookup in the process and shared by
+    every later one.  Each lookup gets its own ``params`` and ``label``.
     """
     if name not in _CATALOG:
         known = ", ".join(CATALOG_NAMES)
@@ -564,12 +646,5 @@ def catalog_lookup(name: str, params: dict[str, float] | None = None) -> CurveSp
     label = name if not params else (
         name + "(" + ", ".join(f"{k}={_format_number(v)}" for k, v in sorted(params.items())) + ")"
     )
-    return CurveSpec(*_catalog_trees(name), params, label)
-
-
-@functools.cache
-def _catalog_trees(name: str) -> tuple[Expression, Expression]:
-    """The (x, y) expression trees of a catalog curve, parsed once per process."""
-    text, required = _CATALOG[name]
-    spec = parse_curve(text, dict.fromkeys(required, 1.0))
-    return spec.x_expr, spec.y_expr
+    x_expr, y_expr, _, _ = _parsed(_CATALOG[name][0])
+    return CurveSpec(x_expr, y_expr, params, label)

@@ -19,6 +19,7 @@ import numpy as np
 DECIMALS = 3
 _PAIR = f"%.{DECIMALS}f,%.{DECIMALS}f "
 MARGIN = 0.05  # the viewport's padding, as a fraction of the data extent
+_MIN_SPAN = 1e-12  # the least data extent, as a fraction of the largest |coordinate|
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,26 @@ class RenderSpec:
 
 
 def _viewport(points: np.ndarray) -> tuple[float, float, float, float]:
-    xmin, ymin = points.min(axis=0)
-    xmax, ymax = points.max(axis=0)
-    span = max(xmax - xmin, ymax - ymin, 1e-30)
+    """(xmin, xmax, ymin, ymax): the samples' box, padded by ``MARGIN`` of its larger extent.
+
+    That extent counts as at least ``_MIN_SPAN`` of the largest |coordinate|
+    (and 1e-30), so that samples that all coincide, also far from the
+    origin, get a viewport some thousand ulps wide with them at its centre.
+    Raises ``ValueError`` naming the samples' extent when the padded width
+    or height overflows a float.
+    """
+    xmin, ymin = points.min(axis=0).tolist()
+    xmax, ymax = points.max(axis=0).tolist()
+    magnitude = max(-xmin, xmax, -ymin, ymax)
+    span = max(xmax - xmin, ymax - ymin, 1e-30, _MIN_SPAN * magnitude)
     pad = MARGIN * span
-    return xmin - pad, xmax + pad, ymin - pad, ymax + pad
+    box = xmin - pad, xmax + pad, ymin - pad, ymax + pad
+    if not (math.isfinite(box[1] - box[0]) and math.isfinite(box[3] - box[2])):
+        raise ValueError(
+            "render_svg needs samples whose padded extent is finite, got x from "
+            f"{xmin!r} to {xmax!r} and y from {ymin!r} to {ymax!r}"
+        )
+    return box
 
 
 def render_svg(samples, spec: RenderSpec | None = None) -> str:
@@ -54,8 +70,9 @@ def render_svg(samples, spec: RenderSpec | None = None) -> str:
 
     The viewport fits the data with a ``MARGIN``; the y-axis points up
     (mathematical orientation).  The polyline's pixel coordinates are
-    printed to ``DECIMALS`` decimals.  Raises ``ValueError``
-    for fewer than two samples or for a sample that is not finite.
+    printed to ``DECIMALS`` decimals.  Raises ``ValueError`` for fewer
+    than two samples, for a sample that is not finite and for samples whose
+    padded extent overflows a float.
     """
     spec = spec or RenderSpec()
     points = np.atleast_2d(np.asarray(samples, dtype=float))

@@ -27,7 +27,9 @@ import shutil
 import subprocess
 import sys
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(TESTS, "golden")
+DATA = os.path.join(TESTS, "data")
 
 # The one list of probes: (argv, exit code, text the stdout (exit 0) or the
 # one stderr line (exit 1) must hold).  It holds the console-script probes of
@@ -49,6 +51,12 @@ CONTRACT = [
     (["synthesize", "--kind", "euclid-cusp", "--f", "1 + t/3", "--tau-max", "0.5"], 0, "tau,x,y\n"),
     (["render", "--samples", os.path.join(GOLDEN, "synthesize_euclid-cusp_frame.csv"),
       "--svg", "-"], 0, "<polyline"),
+    # Samples that all sit at (1e10, 1e10) are drawn at the centre; an x extent
+    # from -1e308 to 1e308 overflows and is named.
+    (["render", "--samples", os.path.join(DATA, "render_coincident.csv"), "--svg", "-"],
+     0, 'points="320.000,240.000 320.000,240.000"'),
+    (["render", "--samples", os.path.join(DATA, "render_wide.csv"), "--svg", "-"],
+     1, "padded extent is finite, got x from -1e+308 to 1e+308"),
     (["synthesize", "--kind", "affine-cusp", "--h", "0.5", "--tau-max", "0.5"], 0, "tau,x,y\n"),
     (["synthesize", "--kind", "inflection", "--f", "-5/16", "--tau-max", "0.5"], 0, "tau,x,y\n"),
     (["synthesize", "--kind", "inflection", "--f", "-5/16 - t", "--tau-max", "0.6"], 1, "0.5625"),
@@ -123,6 +131,11 @@ CONTRACT = [
     (["synthesize", "--kind", "inflection", "--f", "-5/16 + ((0)^(-2/3))*t", "--tau-max", "0.5"],
      1, "error [synthesize]: 0^(-2/3) divides by zero\n"),
 ]
+
+
+def row_id(argv) -> str:
+    """A row's command line, with the checkout's tests directory written as "tests"."""
+    return " ".join(argv).replace(TESTS, "tests")
 
 
 def assert_contract(code, out, err):

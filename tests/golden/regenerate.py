@@ -10,7 +10,8 @@ that moves the CLI output shows by how much.  ``versions.json`` records the
 numpy and Python versions the files were written with; the test compares
 bytes only when numpy matches it.
 
-The set: ``invariants`` JSON for every catalog cusp and inflection at a = 1,
+The set: ``invariants`` JSON for every catalog cusp and inflection at a = 1
+and for the two DSL curves ``MODEL_GERMS``, whose subtrees repeat,
 ``classify`` for the whole catalog, 101-point ``profile`` CSVs of every
 applicable kind, one ``render`` SVG of the profile CSV ``RENDER_SAMPLES``,
 always read from this directory, ``synthesize`` CSVs of every kind and
@@ -37,6 +38,14 @@ VERSIONS_FILE = "versions.json"
 CUSPS = ("canonical_cusp", "cuspidal_cubic", "cycloid", "hyperbolic_cycloid")
 INFLECTIONS = ("cubic_graph", "skew_cycloid")
 CATALOG_PARAMS = {"circle": ["r=1"], "line": [], "parabola": []}
+# The reparametrized model cusp and inflection of tests/conftest.py
+# (MODEL_GERMS[1] and [3]): six copies of (t + t^2/3) in each.
+MODEL_GERMS = {
+    "model_cusp": "(2*(t + t^2/3)^2 + (t + t^2/3)^3 - 0.5*(t + t^2/3)^5 + 1,"
+    " 3*(t + t^2/3)^2 + 2*(t + t^2/3)^3 - (t + t^2/3)^5 - 2)",
+    "model_inflection": "(2*(t + t^2/3) + (t + t^2/3)^3 + 0.7*(t + t^2/3)^4 + 1,"
+    " 3*(t + t^2/3) + 2*(t + t^2/3)^3 + 1.4*(t + t^2/3)^4 - 2)",
+}
 GRID = "-0.5:0.5:101"
 RENDER_SAMPLES = "profile_affine-cusp_cycloid.csv"
 # The profiles of tests/test_synthesis.py; the affine cusp's is h, the
@@ -65,6 +74,8 @@ def _cases() -> dict[str, list[list[str]]]:
         f"invariants_{name}.json": [["invariants", *_curve_args(name)]]
         for name in CUSPS + INFLECTIONS
     }
+    for name, text in MODEL_GERMS.items():
+        cases[f"invariants_{name}.json"] = [["invariants", "--curve", text]]
     cases["classify_catalog.txt"] = [
         ["classify", *_curve_args(name)] for name in cli.CATALOG_NAMES
     ]

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 from conftest import MODEL_GERMS
-from contract import CONTRACT, assert_contract
+from contract import CONTRACT, assert_contract, row_id
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -365,7 +365,7 @@ def _run_with_warnings_as_errors(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv, code, text", CONTRACT, ids=[" ".join(c[0]) for c in CONTRACT])
+@pytest.mark.parametrize("argv, code, text", CONTRACT, ids=[row_id(c[0]) for c in CONTRACT])
 def test_every_command_exits_0_with_finite_numbers_or_1_with_one_error_line(argv, code, text):
     got = _run_with_warnings_as_errors(argv)
     assert got[0] == code

@@ -176,10 +176,12 @@ def test_catalog_errors():
 
 
 def test_catalog_lookups_share_the_parsed_trees(monkeypatch):
-    dsl._catalog_trees.cache_clear()
+    dsl._parsed.cache_clear()
     parses = []
-    original = dsl.parse_curve
-    monkeypatch.setattr(dsl, "parse_curve", lambda *args: parses.append(args) or original(*args))
+    original = dsl._SharingParser
+    monkeypatch.setattr(
+        dsl, "_SharingParser", lambda *args: parses.append(args) or original(*args)
+    )
     given = {"a": 1.0}
     one = catalog_lookup("cycloid", given)
     two = catalog_lookup("cycloid", {"a": 2.5})
@@ -215,12 +217,135 @@ CATALOG_ERRORS = [
 def test_catalog_errors_are_the_same_before_and_after_the_first_parse(
     name, params, message, warm, monkeypatch
 ):
-    dsl._catalog_trees.cache_clear()
+    dsl._parsed.cache_clear()
     if warm:
         catalog_lookup(name, dict.fromkeys(dsl._CATALOG[name][1], 1.0))
     with pytest.raises(ValueError) as exc:
         catalog_lookup(name, params)
     assert str(exc.value) == message
+
+
+# The DSL-text twin of CATALOG_ERRORS: (text, params, the error message, or
+# the bound parameters of a text that parses).
+CURVE_TEXT_CASES = [
+    ("(a*t^2,\n t^3 + b*t)", {"a": 1.0}, "line 2, column 8: unbound parameter(s): b"),
+    ("(a*t^2, t^3) with a=1e999", None, "curve parameter a must be finite, got a=inf"),
+    ("(a*t^2, t^3)", {"a": math.nan}, "curve parameter a must be finite, got a=nan"),
+    ("(a*t^2, t^3) with a=2", {"a": math.nan}, {"a": 2.0}),
+    ("(a*t^2, t^3 + c*t^5) with c=-1.5", {"a": 3.0, "c": 7.0}, {"a": 3.0, "c": -1.5}),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["first-use", "cached"])
+@pytest.mark.parametrize("text, params, expect", CURVE_TEXT_CASES)
+def test_curve_text_errors_are_the_same_before_and_after_the_first_parse(
+    text, params, expect, warm
+):
+    dsl._parsed.cache_clear()
+    if warm:
+        dsl._parsed(text)
+        assert dsl._parsed.cache_info().currsize == 1
+    if isinstance(expect, dict):
+        spec = parse_curve(text, params)
+        assert spec.params == expect and list(spec.params) == list(expect)
+        return
+    with pytest.raises(ValueError) as exc:
+        parse_curve(text, params)
+    assert str(exc.value) == expect
+    assert isinstance(exc.value, ParseError) == expect.startswith("line ")
+
+
+def test_a_syntax_error_is_raised_again_and_never_cached():
+    dsl._parsed.cache_clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as exc:
+            parse_curve("(t^2, t^3) with a=")
+        messages.append((str(exc.value), exc.value.line, exc.value.column))
+    assert messages == [
+        ("line 1, column 19: expected a numeric parameter value, got end of input", 1, 19)
+    ] * 2
+    assert dsl._parsed.cache_info().currsize == 0
+
+
+def test_more_distinct_texts_than_the_cache_holds_still_parse_right():
+    dsl._parsed.cache_clear()
+    count = dsl._PARSE_CACHE_SIZE + 20
+    for i in range(count):
+        assert parse_curve(f"(t^2, t^3 + {i}*t^4)").point(1.0).tolist() == [1.0, 1.0 + i]
+    assert dsl._parsed.cache_info().currsize == dsl._PARSE_CACHE_SIZE
+    for i in range(10):  # evicted texts parse again
+        assert parse_curve(f"(t^2, t^3 + {i}*t^4)").point(2.0).tolist() == [4.0, 8.0 + 16.0 * i]
+
+
+def _nodes(expr):
+    """Every node of a tree, once per path to it."""
+    yield expr
+    for child in vars(expr).values():
+        if isinstance(child, dsl._Node):
+            yield from _nodes(child)
+
+
+def test_repeated_subtrees_are_one_node_and_marked_shared():
+    spec = parse_curve(MODEL_GERMS[1])
+    u = spec.x_expr.left.left.left.right.base  # the first of the six (t + t^2/3)
+    assert u == parse_expression("t + t^2/3")
+    shared = {id(n): n for root in (spec.x_expr, spec.y_expr) for n in _nodes(root) if n._shared}
+    # u and its powers, found in both components, are one node each; the
+    # nodes inside u have one parent, so they are not marked.
+    assert sorted(dsl.to_text(n) for n in shared.values()) == [
+        "(t + t^2 / 3)^2", "(t + t^2 / 3)^3", "(t + t^2 / 3)^5", "t + t^2 / 3"
+    ]
+    assert all(n.base is u for n in shared.values() if n is not u)
+    # Of the catalog, only canonical_cusp has a repeated subtree.
+    for name, params in ALL_CATALOG:
+        curve = catalog_lookup(name, params)
+        marked = any(n._shared for root in (curve.x_expr, curve.y_expr) for n in _nodes(root))
+        assert marked == (name == "canonical_cusp"), name
+
+
+# The model germs, a component that is also the other one, and a shared
+# argument of a sin/cos pair.
+SHARING_TEXTS = MODEL_GERMS + [
+    "(t^2 + t, t^2 + t)",
+    "(sin(t + t^2) + (t + t^2)^2, cos(t + t^2))",
+]
+
+
+@pytest.mark.parametrize("text", SHARING_TEXTS)
+def test_shared_subtrees_change_no_bit_of_jets_or_derivatives(text):
+    spec = parse_curve(text)
+    jet = spec.jet(0.0, 12)
+    x, y = _plain_components(spec, Jet.variable(0.0, 12))
+    assert jet.x.coeffs.tobytes() == x.coeffs.tobytes()
+    assert jet.y.coeffs.tobytes() == y.coeffs.tobytes()
+    ts = np.linspace(-0.9, 1.1, 41)
+    for order in (0, 4, 12):
+        x, y = _plain_components(spec, Jet.variable(ts, order))
+        factorials = np.array([math.factorial(k) for k in range(order + 1)])[:, None, None]
+        want = np.stack([x.coeffs, y.coeffs], axis=1) * factorials
+        assert spec.derivatives_at(ts, order).tobytes() == want.tobytes(), order
+
+
+def test_a_repeated_subtree_is_evaluated_once_per_call(monkeypatch):
+    spec = parse_curve(MODEL_GERMS[1])  # six copies of (t + t^2/3)
+    inner = parse_expression("t^2/3")  # a node found only inside them
+    calls = []
+    original = dsl.evaluate
+
+    def counting(expr, *args):
+        calls.append(expr == inner)
+        return original(expr, *args)
+
+    monkeypatch.setattr(dsl, "evaluate", counting)
+    spec.jet(0.0, 12)
+    assert sum(calls) == 1
+    calls.clear()
+    spec.derivatives_at(np.array([0.1, 0.2]), 3)
+    assert sum(calls) == 1
+    calls.clear()
+    _plain_components(spec, Jet.variable(0.0, 12))
+    assert sum(calls) == 6
 
 
 def test_catalog_names_exposed():

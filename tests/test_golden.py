@@ -36,6 +36,12 @@ def test_cli_output_matches_golden_file(name):
         assert got == expect
 
 
+def test_the_model_germ_cases_are_those_of_the_tests():
+    from conftest import MODEL_GERMS
+
+    assert list(golden.MODEL_GERMS.values()) == [MODEL_GERMS[1], MODEL_GERMS[3]]
+
+
 def test_every_golden_file_has_a_case():
     names = set(os.listdir(golden.GOLDEN_DIR)) - {"regenerate.py", golden.VERSIONS_FILE}
     names = {n for n in names if not n.startswith("__")}

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -140,3 +141,34 @@ def test_zero_margin_touches_the_canvas_edges(monkeypatch):
     monkeypatch.setattr(svg_module, "MARGIN", 0.0)
     svg = render_svg([(0.0, 0.0), (2.0, 1.0)], RenderSpec(width=200, height=100))
     assert 'points="0.000,100.000 200.000,0.000"' in svg
+
+
+@pytest.mark.parametrize("at", [(1e10, 1e10), (-3e-7, 5e4), (1e308, -1e308), (0.0, 0.0)])
+def test_coincident_samples_are_drawn_at_the_centre(at):
+    # Far from the origin, a fixed span floor fell below one ulp: the padded
+    # viewport had width 0 and the polyline read nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        svg = render_svg([at, at, at], RenderSpec(width=200, height=100, axes=True))
+    assert _polyline_points(svg) == ["100.000,50.000"] * 3
+
+
+@pytest.mark.parametrize(
+    "samples, extent",
+    [
+        ([(-1e308, 0.0), (1e308, 1.0)], "x from -1e+308 to 1e+308 and y from 0.0 to 1.0"),
+        ([(0.0, 1.0), (1.0, 1.7e308)], "x from 0.0 to 1.0 and y from 1.0 to 1.7e+308"),
+    ],
+)
+def test_an_overflowing_extent_is_a_value_error_naming_it(samples, extent):
+    # The first extent overflows; the second overflows once padded.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"padded extent is finite, got {re.escape(extent)}$"):
+            render_svg(samples)
+
+
+def test_the_widest_finite_extents_are_drawn():
+    # Each padded extent is finite, though their sum is not.
+    svg = render_svg([(-7e307, -7e307), (7e307, 7e307)], RenderSpec(width=200, height=100))
+    assert _polyline_points(svg) == ["9.091,95.455", "190.909,4.545"]
