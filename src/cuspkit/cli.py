@@ -159,16 +159,31 @@ def _render_spec(args) -> svg.RenderSpec:
 
 
 def _read_samples_csv(path: str) -> np.ndarray:
+    """The (x, y) columns of a samples CSV; a row that is not one number per
+    header field is a ``ValueError`` naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = [[float(v) for v in row] for row in reader if row]
-    if header[:3] == ["tau", "x", "y"]:
-        columns = slice(1, 3)
-    elif header[:2] == ["tau", "f"]:
-        columns = slice(0, 2)
-    else:
-        raise ValueError(f"unrecognized CSV header {header!r}; expected tau,x,y or tau,f")
+        if header[:3] == ["tau", "x", "y"]:
+            columns = slice(1, 3)
+        elif header[:2] == ["tau", "f"]:
+            columns = slice(0, 2)
+        else:
+            raise ValueError(f"unrecognized CSV header {header!r}; expected tau,x,y or tau,f")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                values = []
+            if len(values) != len(header):
+                raise ValueError(
+                    f"{path} line {reader.line_num} holds {','.join(row)!r}; its header "
+                    f"{','.join(header)} expects {len(header)} numbers"
+                )
+            rows.append(values)
     if not rows:  # render_svg reports the missing samples
         return np.empty((0, 2))
     return np.asarray(rows)[:, columns]

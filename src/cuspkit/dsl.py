@@ -530,9 +530,15 @@ def parse_curve(text: str, params: dict[str, float] | None = None) -> CurveSpec:
     are shared by every call; each call gets its own ``params`` and
     ``label``.  Raises :class:`ParseError` (with line/column) on malformed
     input and on parameters that remain unbound after the with-clause, and
-    a plain ``ValueError`` on a binding that is not finite.
+    a plain ``ValueError`` on a parameter in ``params`` that the text never
+    reads and on a binding that is not finite.
     """
     x_expr, y_expr, names, with_bindings = _parsed(text)
+    unread = set(params or ()) - names
+    if unread:
+        raise ValueError(
+            f"curve '{' '.join(text.split())}' takes no parameter(s): {', '.join(sorted(unread))}"
+        )
     bindings: dict[str, float] = dict(params or {})
     bindings.update(with_bindings)
     unbound = names - set(bindings)

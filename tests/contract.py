@@ -125,6 +125,21 @@ CONTRACT = [
       "--step", "0.25"], 1, "zero constant coefficient at t = 0.125"),
     (["synthesize", "--kind", "euclid-cusp", "--f", "1 + 1/t", "--tau-max", "1", "--step", "0.25"],
      1, "the prescribed function is not finite at tau = 0"),
+    # A canvas size past the float range is named, as a size of 0 is.
+    (["render", "--samples", os.path.join(GOLDEN, "synthesize_inflection.csv"), "--svg", "-",
+      "--width", str(10**400)], 1, "SVG width must be finite and > 0, got width=1000"),
+    (["synthesize", "--kind", "inflection", "--f", "-5/16", "--tau-max", "0.5", "--svg", "-",
+      "--height", str(10**400)], 1, "SVG height must be finite and > 0, got height=1000"),
+    # A samples row that is not one number per header field is named by its line.
+    (["render", "--samples", os.path.join(DATA, "render_ragged.csv"), "--svg", "-"],
+     1, "render_ragged.csv line 3 holds '0.1,0.5,0.25,7'; its header tau,x,y expects 3 numbers"),
+    (["render", "--samples", os.path.join(DATA, "render_not_a_number.csv"), "--svg", "-"],
+     1, "render_not_a_number.csv line 3 holds '0.1,abc'; its header tau,f expects 2 numbers"),
+    (["render", "--samples", os.path.join(DATA, "render_missing_column.csv"), "--svg", "-"],
+     1, "render_missing_column.csv line 2 holds '0,0'; its header tau,x,y expects 3 numbers"),
+    # A --param that a DSL curve never reads is refused, as for a catalog curve.
+    (["classify", "--curve", "(t^2, t^3)", "--param", "zzz=1"],
+     1, "curve '(t^2, t^3)' takes no parameter(s): zzz"),
     # A division or negative power of constants that divides by zero is named by its term.
     (["synthesize", "--kind", "inflection", "--f", "-5/16 + (0 / 0)*t", "--tau-max", "0.049",
       "--step", "0.3"], 1, "error [synthesize]: 0 / 0 divides by zero\n"),

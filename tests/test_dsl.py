@@ -233,6 +233,9 @@ CURVE_TEXT_CASES = [
     ("(a*t^2, t^3)", {"a": math.nan}, "curve parameter a must be finite, got a=nan"),
     ("(a*t^2, t^3) with a=2", {"a": math.nan}, {"a": 2.0}),
     ("(a*t^2, t^3 + c*t^5) with c=-1.5", {"a": 3.0, "c": 7.0}, {"a": 3.0, "c": -1.5}),
+    ("(t^2, t^3)", {"zzz": 1.0}, "curve '(t^2, t^3)' takes no parameter(s): zzz"),
+    ("(a*t^2,\n t^3) with a=2", {"c": math.nan, "b": 1.0},
+     "curve '(a*t^2, t^3) with a=2' takes no parameter(s): b, c"),
 ]
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cuspkit import svg as svg_module
 from cuspkit.svg import RenderSpec, _viewport, render_svg
@@ -76,11 +78,13 @@ def _polyline_points(svg: str) -> list[str]:
     return ET.fromstring(svg).find("{http://www.w3.org/2000/svg}polyline").get("points").split(" ")
 
 
+# Whole parts of 1-3 digits, of 4-6 digits, and x past 1e6 px (the template).
+@pytest.mark.parametrize("width, height", [(300, 200), (4000, 3000), (2_000_000, 10)])
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
-def test_polyline_matches_a_per_point_loop(scale):
+def test_polyline_matches_a_per_point_loop(scale, width, height):
     rng = np.random.default_rng(3)
     points = rng.normal(size=(500, 2)) * scale
-    spec = RenderSpec(width=300, height=200)
+    spec = RenderSpec(width=width, height=height)
     want = " ".join(f"{x:.3f},{y:.3f}" for x, y in _pixels(points, spec))
     assert f'points="{want}"' in render_svg(points, spec)
 
@@ -100,6 +104,69 @@ def test_polyline_is_within_half_a_thousandth_of_a_pixel(scale, centre):
     assert all(re.fullmatch(r"-?\d+\.\d{3}", v) for v in printed)
     assert "-0.000" not in printed
     assert max(abs(Fraction(v) - Fraction(p)) for v, p in zip(printed, pixels)) <= Fraction(1, 2000)
+
+
+def _template(pixels) -> str:
+    return (svg_module._PAIR * len(pixels) % tuple(np.ravel(pixels).tolist()))[:-1]
+
+
+def _kernel_writes(pixels, monkeypatch) -> bool:
+    """Whether _fixed_point_pairs writes ``pixels`` itself, not through the template."""
+    with monkeypatch.context() as patch:
+        patch.setattr(svg_module, "_PAIR", "%.3f;%.3f ")
+        return ";" not in svg_module._fixed_point_pairs(pixels)
+
+
+BELOW_TIE = np.nextafter(0.0625, 0.0)
+ABOVE_TIE = np.nextafter(0.0625, 1.0)
+
+
+# (value, whether the kernel writes it): exact ties of 1000 x and their
+# neighbours, zeros of both signs, the least subnormal, integers, and the
+# edges of the guard, 1e-6 from a tie and 1e6 px.
+@pytest.mark.parametrize(
+    "value, kernel",
+    [
+        (0.0625, False),
+        (BELOW_TIE, False),
+        (ABOVE_TIE, False),
+        (0.1875, False),
+        (np.nextafter(0.1875, 1.0), False),
+        (999999.9995, False),
+        (np.nextafter(999999.9995, 0.0), False),
+        (0.0625 + 5e-10, False),
+        (0.0625 + 2e-9, True),
+        (0.0625 - 2e-9, True),
+        (0.0, True),
+        (-0.0, False),
+        (-1.0, False),
+        (5e-324, True),
+        (1.0, True),
+        (640.0, True),
+        (1000.0, True),
+        (999999.0, True),
+        (999999.9994, True),
+        (1e6, False),
+    ],
+)
+def test_pairs_are_the_templates_bytes(value, kernel, monkeypatch):
+    pixels = np.array([[value, 2.5], [1.0, value]])
+    assert svg_module._fixed_point_pairs(pixels) == _template(pixels)
+    assert _kernel_writes(pixels, monkeypatch) == kernel
+
+
+pixel = st.floats(min_value=-1.0, max_value=2e6, allow_nan=False)
+
+
+@given(st.lists(st.tuples(pixel, pixel), min_size=1, max_size=40))
+@example([(0.0625, 0.1875), (999999.9995, 1.0)])
+@example([(BELOW_TIE, ABOVE_TIE)])
+@example([(-0.0, 0.0)])
+@example([(5e-324, 999999.0)])
+@settings(max_examples=300)
+def test_pairs_are_the_templates_bytes_for_any_pixels(pairs):
+    pixels = np.array(pairs)
+    assert svg_module._fixed_point_pairs(pixels) == _template(pixels)
 
 
 @pytest.mark.parametrize(
@@ -128,10 +195,13 @@ def test_spec_rejects_an_empty_canvas_or_stroke(options, named):
         ({"width": math.nan}, "width=nan", "finite and > 0"),
         ({"height": math.inf}, "height=inf", "finite and > 0"),
         ({"height": math.nan}, "height=nan", "finite and > 0"),
+        ({"width": 10**400}, f"width={10**400}", "finite and > 0"),
+        ({"height": 10**309}, f"height={10**309}", "finite and > 0"),
     ],
 )
 def test_spec_rejects_non_finite_sizes(options, named, valid):
-    # Each used to reach the document as inf or nan coordinates.
+    # Each used to reach the document as inf or nan coordinates; an integer
+    # past the float range used to raise OverflowError.
     with pytest.raises(ValueError, match=f"{re.escape(named)}$") as exc:
         RenderSpec(**options)
     assert valid in str(exc.value)
