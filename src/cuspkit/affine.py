@@ -54,7 +54,6 @@ from .jets import (
     signed_power,
 )
 from .profiles import (
-    PROFILE_JET_ORDER,
     Kind,
     NormalizedProfile,
     Profiler,
@@ -75,6 +74,15 @@ G0_PER_MU_I = -(3.0 * 3.0**0.25) / (28.0 * math.sqrt(2.0))
 # (u^2, u^3 + c u^5), c_infl = INFL_NF_FACTOR * mu_I for (u, u^3 + c u^4).
 CUSP_NF_DENOM = 80.0 * 54.0**0.2
 INFL_NF_FACTOR = 6.0**0.25 / 4.0
+
+# The order of the germ the invariant report is built from.  A cusp's
+# k = 2 deflations leave f_t at order K - 5 and h0 reads f_tau through
+# tau^2, so K >= 7; mu_A reads the germ through order 5, and an inflection's
+# f_t, of order K - 4, through t^2, so K >= 6.  K = 8, not 7, keeps every
+# report bit for bit as built from the order-12 germ of the profiles: at
+# K = 7 the reversion's 3x3 power-matrix product in ``compose`` takes
+# another BLAS path and h0 rounds differently.
+REPORT_JET_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -217,9 +225,9 @@ def _smooth_jets(germ: PlaneJet, k: int) -> tuple[Jet, Jet, Jet]:
         tau = t L^(3/(3+k)).
     """
     d1 = germ.derivative(1)
-    d2 = germ.derivative(2)
-    d3 = germ.derivative(3)
-    d4 = germ.derivative(4)
+    d2 = d1.derivative(1)  # each as germ.derivative(j), one step from the last
+    d3 = d2.derivative(1)
+    d4 = d3.derivative(1)
     a12 = deflate(bracket(d1, d2), k)
     a13 = bracket(d1, d3)
     a14 = bracket(d1, d4)
@@ -346,8 +354,14 @@ def invariants(curve: CurveSpec) -> dict:
 
     c is read from mu_A or mu_I (``normal_form`` is the independent route to
     it); a regular point reports kappa_g and kappa_A, any other its brackets.
+
+    The germ is built to order ``REPORT_JET_ORDER`` = 8, not to the profiles'
+    ``PROFILE_JET_ORDER`` = 12: h0 needs the cusp's f_tau through tau^2,
+    hence order 7, and order 8 keeps every field bit for bit as from the
+    order-12 germ.  Coefficients past order 8 are never read, so one that
+    overflows there no longer fails the report.
     """
-    germ = curve.jet(0.0, PROFILE_JET_ORDER)
+    germ = curve.jet(0.0, REPORT_JET_ORDER)
     cls = classify(germ)
     report: dict = {
         "label": curve.label or str(curve),

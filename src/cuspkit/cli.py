@@ -97,6 +97,13 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
+def _write_outputs(*outputs: tuple[str | None, str]) -> None:
+    """Write each (path, text) with ``_write_text``, the files before stdout,
+    so that a path that cannot be opened leaves stdout empty."""
+    for path, text in sorted(outputs, key=lambda out: out[0] in (None, "-")):
+        _write_text(path, text)
+
+
 def _csv_text(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -145,9 +152,10 @@ def _cmd_synthesize(args) -> int:
     # Only tau, x, y are written; step_error is never read, so its rerun never runs.
     result = synthesis.synthesize(args.kind, fn, args.tau_max, step=args.step, method=args.method)
     rows = zip(result.taus, result.positions[:, 0], result.positions[:, 1])
-    _write_text(args.out, _csv_text(["tau", "x", "y"], rows))
+    outputs = [(args.out, _csv_text(["tau", "x", "y"], rows))]
     if args.svg:
-        _write_text(args.svg, svg.render_svg(result.positions, spec))
+        outputs.append((args.svg, svg.render_svg(result.positions, spec)))
+    _write_outputs(*outputs)
     return 0
 
 
@@ -198,15 +206,16 @@ def _cmd_render(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = verification.run_all(args.seed)
-    for check in report["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        print(
-            f"{status} {check['name']}: error {check['error']:.3e} "
-            f"(tolerance {check['tolerance']:.0e}) - {check['detail']}"
-        )
-    print(f"seed {report['seed']}: {'all checks passed' if report['passed'] else 'FAILURES'}")
+    lines = [
+        f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: error {check['error']:.3e} "
+        f"(tolerance {check['tolerance']:.0e}) - {check['detail']}\n"
+        for check in report["checks"]
+    ]
+    lines.append(f"seed {report['seed']}: {'all checks passed' if report['passed'] else 'FAILURES'}\n")
+    outputs = [("-", "".join(lines))]
     if args.json:
-        _write_text(args.json, _json_text(report))
+        outputs.append((args.json, _json_text(report)))
+    _write_outputs(*outputs)
     return 0 if report["passed"] else 1
 
 
@@ -333,6 +342,11 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, ZeroDivisionError, RuntimeError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a path to read or write that cannot be opened
+        reason = exc.strerror or str(exc)
+        where = "" if exc.filename is None else f"cannot open {exc.filename!r}: "
+        print(f"error [{args.command}]: {where}{reason}", file=sys.stderr)
         return 1
 
 

@@ -112,6 +112,22 @@ def _terms(coeffs: np.ndarray) -> list:
     return coeffs.tolist() if coeffs.ndim == 1 else list(coeffs)
 
 
+@cache
+def _float_range(n: int) -> np.ndarray:
+    """The floats 1, 2, ..., n, one read-only array per n."""
+    r = np.arange(1.0, n + 1.0)
+    r.flags.writeable = False
+    return r
+
+
+@cache
+def _power_weights(m: int, n: int, order: int) -> tuple[tuple[float, ...], ...]:
+    """Row k holds the weights (r + 1) j - k, j = 1..k, of ``pow_rational``'s
+    recurrence for the exponent r = m/n, rows 0 to ``order``."""
+    r = m / n
+    return tuple(tuple((r + 1.0) * j - k for j in range(1, k + 1)) for k in range(order + 1))
+
+
 def _wrap(coeffs: np.ndarray, base_point) -> "Jet":
     """A jet on ``coeffs`` and ``base_point`` as they are: no copy, no check."""
     jet = object.__new__(Jet)
@@ -198,10 +214,15 @@ class Jet:
             raise ValueError(f"jet base points differ: {a} vs {b}")
 
     def _binary(self, other):
+        """The two coefficient arrays, a number as a constant jet, both to the lower order;
+        (None, None) for an operand of any other type."""
         if isinstance(other, Jet):
             self._check_base(other)
-            k = min(self.order, other.order)
-            return self.coeffs[: k + 1], other.coeffs[: k + 1]
+            a, b = self.coeffs, other.coeffs
+            if len(a) != len(b):
+                k = min(len(a), len(b))
+                a, b = a[:k], b[:k]
+            return a, b
         if isinstance(other, (int, float)):
             c = np.zeros_like(self.coeffs)
             c[0] = other
@@ -234,25 +255,21 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return _wrap(self.coeffs * other, self.base_point)
-        if not isinstance(other, Jet):
+        a, b = self._binary(other)
+        if a is None:
             return NotImplemented
-        self._check_base(other)
-        k = min(self.order, other.order)
-        return _wrap(_cauchy(self.coeffs[: k + 1], other.coeffs[: k + 1]), self.base_point)
+        return _wrap(_cauchy(a, b), self.base_point)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
             return _wrap(self.coeffs / other, self.base_point)
-        if not isinstance(other, Jet):
+        a, b = self._binary(other)
+        if a is None:
             return NotImplemented
-        self._check_base(other)
-        k = min(self.order, other.order)
-        u = self.coeffs[: k + 1]
-        w = other.coeffs[: k + 1]
-        _require_nonzero("division by", w[0], self.base_point)
-        return _wrap(_cauchy(u, w, divide=True), self.base_point)
+        _require_nonzero("division by", b[0], self.base_point)
+        return _wrap(_cauchy(a, b, divide=True), self.base_point)
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
@@ -292,14 +309,14 @@ class Jet:
         if n == 1:
             return self ** m
         _require_nonzero("fractional power of", self.coeffs[0], self.base_point)
-        r = m / n
         u = _terms(self.coeffs)
-        u0 = u[0]
+        u0, u1 = u[0], u[1:]
         v = [signed_power(u0, m, n)]
-        for k in range(1, len(u)):
+        for k, weights in enumerate(_power_weights(m, n, len(u) - 1)[1:], start=1):
             s = 0.0
-            for j in range(1, k + 1):
-                s += ((r + 1.0) * j - k) * u[j] * v[k - j]
+            # v[k - j] for j = 1..k is v reversed: v holds v[0..k-1].
+            for w, uj, vkj in zip(weights, u1, reversed(v)):
+                s += w * uj * vkj
             v.append(s / (k * u0))
         return _wrap(np.array(v), self.base_point)
 
@@ -348,14 +365,11 @@ class Jet:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, n: int = 1) -> "Jet":
+        """The jet of the n-th derivative, of order max(0, order - n), one factor k per step."""
         c = self.coeffs
         for _ in range(n):
-            if len(c) == 1:
-                c = np.zeros(1)
-                continue
-            k = np.arange(1, len(c))
-            c = c[1:] * k
-        return Jet(c, self.base_point)
+            c = c[1:] * _float_range(len(c) - 1) if len(c) > 1 else np.zeros(1)
+        return _wrap(c, self.base_point)
 
     def compose(self, inner: "Jet") -> "Jet":
         """Jet of self(inner(t)) at inner's base point.

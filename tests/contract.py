@@ -30,6 +30,8 @@ import sys
 TESTS = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(TESTS, "golden")
 DATA = os.path.join(TESTS, "data")
+MISSING = os.path.join(DATA, "missing.csv")  # a path that does not exist
+NO_DIR = os.path.join(DATA, "missing", "report.json")  # in a directory that does not exist
 
 # The one list of probes: (argv, exit code, text the stdout (exit 0) or the
 # one stderr line (exit 1) must hold).  It holds the console-script probes of
@@ -145,6 +147,30 @@ CONTRACT = [
       "--step", "0.3"], 1, "error [synthesize]: 0 / 0 divides by zero\n"),
     (["synthesize", "--kind", "inflection", "--f", "-5/16 + ((0)^(-2/3))*t", "--tau-max", "0.5"],
      1, "error [synthesize]: 0^(-2/3) divides by zero\n"),
+    # A path that cannot be opened, to read or to write, is named with the reason.
+    (["render", "--samples", MISSING, "--svg", "-"],
+     1, f"error [render]: cannot open {MISSING!r}: No such file or directory\n"),
+    (["render", "--samples", DATA, "--svg", "-"],
+     1, f"error [render]: cannot open {DATA!r}: Is a directory\n"),
+    (["render", "--samples", os.path.join(GOLDEN, "synthesize_inflection.csv"), "--svg", DATA],
+     1, f"error [render]: cannot open {DATA!r}: Is a directory\n"),
+    (["invariants", "--curve", "cycloid", "--param", "a=1", "--out", DATA],
+     1, f"error [invariants]: cannot open {DATA!r}: Is a directory\n"),
+    (["invariants", "--curve", "cycloid", "--param", "a=1", "--out", NO_DIR],
+     1, f"error [invariants]: cannot open {NO_DIR!r}: No such file or directory\n"),
+    (["profile", "--curve", "cycloid", "--param", "a=1", "--kind", "euclid-cusp",
+      "--grid", "-0.5:0.5:3", "--out", DATA],
+     1, f"error [profile]: cannot open {DATA!r}: Is a directory\n"),
+    (["synthesize", "--kind", "euclid-cusp", "--f", "1", "--tau-max", "0.5", "--out", DATA],
+     1, f"error [synthesize]: cannot open {DATA!r}: Is a directory\n"),
+    # The CSV would go to stdout: files are written first, so stdout stays empty.
+    (["synthesize", "--kind", "euclid-cusp", "--f", "1", "--tau-max", "0.5", "--svg", DATA],
+     1, f"error [synthesize]: cannot open {DATA!r}: Is a directory\n"),
+    (["verify", "--json", DATA], 1, f"error [verify]: cannot open {DATA!r}: Is a directory\n"),
+    # The invariant report reads the germ to order 8 (affine.REPORT_JET_ORDER):
+    # a term past it that overflows the order-12 jets of f no longer fails it.
+    (["invariants", "--curve", "(t^2, t^3 + 1e308*t^11)"], 0, '"mu_A": 0.0'),
+    (["invariants", "--curve", "(t^2, t^3 + 1e307*t^9)"], 0, '"mu_A": 0.0'),
 ]
 
 

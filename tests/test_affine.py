@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspkit import affine as affine_module
 from cuspkit.affine import (
@@ -26,10 +28,10 @@ from cuspkit.affine import (
     profile_A_cusp,
     profile_A_inflection,
 )
-from cuspkit.dsl import catalog_lookup, parse_curve
+from cuspkit.dsl import CATALOG_NAMES, catalog_lookup, parse_curve
 from cuspkit.euclidean import classify
 from cuspkit.jets import Jet, PlaneJet, signed_power
-from cuspkit.profiles import Profiler
+from cuspkit.profiles import PROFILE_JET_ORDER, Profiler
 
 
 # -- affine curvature ---------------------------------------------------------
@@ -413,6 +415,68 @@ def test_identity_residual_vanishes_for_true_profiles(rng):
         jets = inflection_profile_jets(curve.jet(0.0, 12))
         assert abs(jets.identity_residual_t) < 1e-9
         assert abs(jets.identity_residual_tau) < 1e-9
+
+
+# -- the invariant report's germ order ------------------------------------------------
+# invariants() builds its germ to REPORT_JET_ORDER = 8.  Every field must be
+# what the profiles' order-12 germ gives, bit for bit.  CI also runs these
+# tests under the numpy that wrote the golden files.
+
+CATALOG_PARAMETER = {"circle": "r", "parabola": None, "line": None}  # "a" for the others
+CATALOG_CASES = [
+    (name, value)
+    for name in CATALOG_NAMES
+    for value in ((0.5, 1.0, 2.0) if CATALOG_PARAMETER.get(name, "a") else (None,))
+]
+
+# The shapes of the benchmark's model germs: (u^2, u^3 + c u^5) and
+# (u, u^3 + c u^4) after u = t + b t^2, a map P of determinant 1 and a shift s.
+_U = "(t + b*t^2)"
+MODEL_CUSP = (
+    f"(p11*{_U}^2 + p12*({_U}^3 + c*{_U}^5) + s1, p21*{_U}^2 + p22*({_U}^3 + c*{_U}^5) + s2)"
+)
+MODEL_INFLECTION = (
+    f"(p11*{_U} + p12*({_U}^3 + c*{_U}^4) + s1, p21*{_U} + p22*({_U}^3 + c*{_U}^4) + s2)"
+)
+
+
+def _bits(report):
+    """The report with each float as its hex text, so that == compares bits, signbit included."""
+    if isinstance(report, dict):
+        return {k: _bits(v) for k, v in report.items()}
+    return report.hex() if isinstance(report, float) else report
+
+
+def _report_and_order_12_report(curve) -> tuple[dict, dict]:
+    assert affine_module.REPORT_JET_ORDER == 8
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(affine_module, "REPORT_JET_ORDER", PROFILE_JET_ORDER)
+        wide = affine_module.invariants(curve)
+    return affine_module.invariants(curve), wide
+
+
+@pytest.mark.parametrize("name, value", CATALOG_CASES)
+def test_catalog_report_is_the_order_12_report_bit_for_bit(name, value):
+    pname = CATALOG_PARAMETER.get(name, "a")
+    got, want = _report_and_order_12_report(catalog_lookup(name, {pname: value} if pname else {}))
+    assert _bits(got) == _bits(want)
+
+
+_SIGNED_ENTRY = st.one_of(st.floats(0.3, 1.5), st.floats(-1.5, -0.3))
+
+
+@given(
+    st.sampled_from([MODEL_CUSP, MODEL_INFLECTION]),
+    _SIGNED_ENTRY, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.5, 0.5), st.floats(-2.0, 2.0),
+)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+def test_model_germ_report_is_the_order_12_report_bit_for_bit(text, p11, p12, p21, s1, s2, b, c):
+    p22 = (1.0 + p12 * p21) / p11  # det P = 1
+    params = {"p11": p11, "p12": p12, "p21": p21, "p22": p22, "s1": s1, "s2": s2, "b": b, "c": c}
+    got, want = _report_and_order_12_report(parse_curve(text, params))
+    assert got["class"].endswith("Cusp" if text is MODEL_CUSP else "Inflection")
+    assert _bits(got) == _bits(want)
 
 
 # -- normal forms -------------------------------------------------------------------

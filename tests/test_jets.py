@@ -209,6 +209,115 @@ def test_integer_power_skips_only_products_that_change_nothing(e, monkeypatch):
     assert len(products) == max(0, e.bit_length() - 1 + bin(e).count("1") - 1)
 
 
+# -- the scalar hot paths against the generic code they stand in for ----------
+# Jet.__mul__, Jet.derivative and Jet.pow_rational skip the truncation and
+# dispatch of the generic code, and pow_rational reads its weights from a
+# table.  Each must give the generic result bit for bit, signbit included.
+
+# Every exponent m/n with n > 1 that cuspkit's own code passes to pow_rational.
+SRC_EXPONENTS = [(1, 2), (1, 3), (8, 3), (3, 4), (3, 5)]
+
+_coefficients = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e150, -1e200]),
+)
+_nonzero = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=-1e3, max_value=-1e-3)
+)
+
+
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _generic_mul(a, b):
+    """Jet.__mul__'s product as the generic code forms it: both cut to the lower order, then _cauchy."""
+    k = min(len(a), len(b))
+    a, b = a[:k], b[:k]
+    if a.ndim == 1:
+        return np.convolve(a, b)[:k]
+    out = np.zeros_like(a)
+    for i in range(k):
+        out[i] = np.einsum("ij,ij->j", a[: i + 1], b[i::-1])
+    return out
+
+
+def _generic_derivative(c, n):
+    for _ in range(n):
+        if len(c) == 1:
+            c = np.zeros(1)
+            continue
+        c = c[1:] * np.arange(1, len(c))
+    return c
+
+
+def _generic_pow_rational(c, m, n):
+    r = m / n
+    u = c.tolist() if c.ndim == 1 else list(c)
+    v = [signed_power(u[0], m, n)]
+    for k in range(1, len(u)):
+        s = 0.0
+        for j in range(1, k + 1):
+            s += ((r + 1.0) * j - k) * u[j] * v[k - j]
+        v.append(s / (k * u[0]))
+    return np.array(v)
+
+
+@st.composite
+def _coefficient_arrays(draw, batch, first=_coefficients):
+    """Coefficients of order 0-12, one column or ``batch`` columns, the first row from ``first``."""
+    rows = draw(st.integers(min_value=1, max_value=13))
+    shape = (rows, batch) if batch else (rows,)
+    size = rows * max(batch, 1)
+    c = np.array(draw(st.lists(_coefficients, min_size=size, max_size=size))).reshape(shape)
+    row = draw(st.lists(first, min_size=max(batch, 1), max_size=max(batch, 1)))
+    c[0] = row if batch else row[0]
+    return c
+
+
+def _batch_jet(c, base):
+    jet = Jet.constant(0.0, len(c) - 1, base)
+    jet.coeffs[:] = c
+    return jet
+
+
+@given(st.integers(min_value=0, max_value=3).flatmap(
+    lambda batch: st.tuples(_coefficient_arrays(batch), _coefficient_arrays(batch))
+))
+@settings(max_examples=300, derandomize=True, database=None)
+@example((np.array([-0.0, 1.0]), np.array([0.0, -0.0, 2.0])))
+def test_mul_is_the_generic_product_bit_for_bit(pair):
+    a, b = pair
+    if a.ndim == 1:
+        x, y = Jet(a, 0.25), Jet(b, 0.25)
+    else:
+        base = np.linspace(-1.0, 1.0, a.shape[1])
+        x, y = _batch_jet(a, base), _batch_jet(b, base)
+    with np.errstate(all="ignore"):
+        assert _same_bits((x * y).coeffs, _generic_mul(a, b))
+        assert _same_bits((y * x).coeffs, _generic_mul(b, a))
+
+
+@given(_coefficient_arrays(0), st.integers(min_value=0, max_value=14))
+@settings(max_examples=300, derandomize=True, database=None)
+def test_derivative_is_the_generic_derivative_bit_for_bit(c, n):
+    with np.errstate(all="ignore"):
+        got = Jet(c, -0.5).derivative(n)
+        assert _same_bits(got.coeffs, _generic_derivative(c, n))
+    assert got.base_point == -0.5
+
+
+@pytest.mark.parametrize("m, n", SRC_EXPONENTS)
+@given(st.integers(min_value=0, max_value=3).flatmap(
+    lambda batch: _coefficient_arrays(batch, first=_nonzero)
+))
+@settings(max_examples=150, derandomize=True, database=None)
+def test_pow_rational_is_the_generic_recurrence_bit_for_bit(m, n, c):
+    jet = Jet(c, 0.0) if c.ndim == 1 else _batch_jet(c, np.linspace(-1.0, 1.0, c.shape[1]))
+    with np.errstate(all="ignore"):
+        assert _same_bits(jet.pow_rational(m, n).coeffs, _generic_pow_rational(c, m, n))
+
+
 def test_batched_jets_share_their_base_array():
     t = Jet.variable(BATCH, 4)
     derived = (t * t + 1.0).pow_rational(1, 2) / (t - 2.0)
@@ -336,6 +445,19 @@ def test_deflate_cuspidal_cubic_bracket():
 def test_deflate_rejects_nonvanishing_leading_terms():
     with pytest.raises(ValueError, match="not divisible"):
         deflate(Jet([1.0, 1.0, 0.0]), 1)
+
+
+def test_deflate_default_tolerance_is_1e_9_of_the_largest_coefficient():
+    # Nine coefficients, as the invariant report's order-8 germ gives: the
+    # scale is the largest magnitude, here the last coefficient's.
+    scale = 4.0
+    rest = [0.0, 1.0, -2.0, 0.5, 0.25, 1.5, -3.0, -scale]
+    with pytest.raises(ValueError, match=r"not divisible by t\^2: coefficient 0"):
+        deflate(Jet([1e-8 * scale, *rest]), 2)
+    with pytest.raises(ValueError, match=r"not divisible by t\^2: coefficient 1"):
+        deflate(Jet([0.0, -1e-8 * scale, *rest[1:]]), 2)
+    assert deflate(Jet([1e-10 * scale, *rest]), 2).coeffs.tolist() == rest[1:]
+    assert deflate(Jet([0.0, -1e-10 * scale, *rest[1:]]), 2).coeffs.tolist() == rest[1:]
 
 
 @given(st.lists(finite, min_size=1, max_size=8), st.integers(min_value=1, max_value=4))
