@@ -447,17 +447,19 @@ def test_deflate_rejects_nonvanishing_leading_terms():
         deflate(Jet([1.0, 1.0, 0.0]), 1)
 
 
-def test_deflate_default_tolerance_is_1e_9_of_the_largest_coefficient():
+@pytest.mark.parametrize("lead, passes", [(1e-8, False), (2e-9, False), (5e-10, True), (1e-10, True)])
+def test_deflate_default_tolerance_is_1e_9_of_the_largest_coefficient(lead, passes):
     # Nine coefficients, as the invariant report's order-8 germ gives: the
-    # scale is the largest magnitude, here the last coefficient's.
+    # scale is the largest magnitude, here the last coefficient's.  Leads a
+    # factor 2 either side of the edge catch the tolerance moved by 2 or more.
     scale = 4.0
     rest = [0.0, 1.0, -2.0, 0.5, 0.25, 1.5, -3.0, -scale]
-    with pytest.raises(ValueError, match=r"not divisible by t\^2: coefficient 0"):
-        deflate(Jet([1e-8 * scale, *rest]), 2)
-    with pytest.raises(ValueError, match=r"not divisible by t\^2: coefficient 1"):
-        deflate(Jet([0.0, -1e-8 * scale, *rest[1:]]), 2)
-    assert deflate(Jet([1e-10 * scale, *rest]), 2).coeffs.tolist() == rest[1:]
-    assert deflate(Jet([0.0, -1e-10 * scale, *rest[1:]]), 2).coeffs.tolist() == rest[1:]
+    for worst, coeffs in ((0, [lead * scale, *rest]), (1, [0.0, -lead * scale, *rest[1:]])):
+        if passes:
+            assert deflate(Jet(coeffs), 2).coeffs.tolist() == rest[1:]
+        else:
+            with pytest.raises(ValueError, match=rf"not divisible by t\^2: coefficient {worst}"):
+                deflate(Jet(coeffs), 2)
 
 
 @given(st.lists(finite, min_size=1, max_size=8), st.integers(min_value=1, max_value=4))
