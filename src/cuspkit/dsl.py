@@ -27,6 +27,7 @@ derivatives are obtained exactly, without finite differences.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -68,9 +69,10 @@ class ParseError(ValueError):
 class _Node:
     """Base of the tree nodes.
 
-    :func:`parse_curve` sets ``_shared`` on a compound node that its trees
-    reach by more than one path; :func:`evaluate` keeps the value of such a
-    node in ``pairs``.  It takes no part in equality or hashing.
+    Every parse interns a repeated subtree as one node.  :func:`parse_curve`
+    sets ``_shared`` on a compound node that its trees reach by more than
+    one path; :func:`evaluate` keeps the value of such a node in ``pairs``.
+    ``_shared`` takes no part in equality or hashing.
     """
 
     _shared = False
@@ -291,14 +293,40 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """The grammar's recursive-descent parser; a repeated subtree is one node.
+
+    A node is keyed on its type, its plain fields and the identity of its
+    child nodes, which are interned already.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.names: set[str] = set()  # of every Sym parsed so far
+        self.nodes: dict[tuple, Expression] = {}
 
     def node(self, cls, *fields) -> Expression:
-        return cls(*fields)
+        key = (cls, *[id(f) if isinstance(f, _Node) else f for f in fields])
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*fields)
+        return node
+
+    def mark_shared(self, *roots: Expression) -> None:
+        """Set ``_shared`` on each compound node reached by more than one path.
+
+        A node's parents are the distinct interned nodes that hold it, each
+        counted once per field that holds it.  A root counts as a parent, so
+        a component that is also the other component, or a subtree of it, is
+        marked too.
+        """
+        parents = collections.Counter(map(id, roots))
+        for node in self.nodes.values():
+            parents.update(id(f) for f in vars(node).values() if isinstance(f, _Node))
+        for node in self.nodes.values():
+            if parents[id(node)] > 1 and not isinstance(node, (Num, Sym)):
+                object.__setattr__(node, "_shared", True)
 
     def fail_unbound(self, names: set[str]):
         """Report the names at the first occurrence of any of them."""
@@ -395,42 +423,6 @@ class _Parser:
             self.expect(")", "')' closing the parenthesized expression")
             return node
         self._fail("a number, name, function call, or '('")
-
-
-class _SharingParser(_Parser):
-    """A parser that hash-conses its nodes, so that a repeated subtree is one node.
-
-    A node is keyed on its type, its plain fields and the identity of its
-    child nodes, which are interned already; ``parents`` counts, per node
-    identity, the distinct nodes that hold it.
-    """
-
-    def __init__(self, text: str):
-        super().__init__(text)
-        self.nodes: dict[tuple, Expression] = {}
-        self.parents: dict[int, int] = {}
-
-    def node(self, cls, *fields) -> Expression:
-        key = (cls, *[id(f) if isinstance(f, _Node) else f for f in fields])
-        node = self.nodes.get(key)
-        if node is None:
-            node = self.nodes[key] = cls(*fields)
-            for f in fields:
-                if isinstance(f, _Node):
-                    self.parents[id(f)] = self.parents.get(id(f), 0) + 1
-        return node
-
-    def mark_shared(self, *roots: Expression) -> None:
-        """Set ``_shared`` on each compound node reached by more than one path.
-
-        A root counts as a parent, so a component that is also the other
-        component, or a subtree of it, is marked too.
-        """
-        for root in roots:
-            self.parents[id(root)] = self.parents.get(id(root), 0) + 1
-        for node in self.nodes.values():
-            if self.parents.get(id(node), 0) > 1 and not isinstance(node, (Num, Sym)):
-                object.__setattr__(node, "_shared", True)
 
 
 # -- curve specifications -----------------------------------------------------
@@ -558,7 +550,7 @@ def _parsed(text: str) -> tuple[Expression, Expression, frozenset, tuple]:
     A ``ParseError`` is raised again on every call with the text; only
     texts that parse are kept.
     """
-    parser = _SharingParser(text)
+    parser = _Parser(text)
     parser.expect("(", "'(' opening the curve definition")
     x_expr = parser.parse_expr()
     parser.expect(",", "',' between the two curve components")

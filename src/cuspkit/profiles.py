@@ -229,13 +229,29 @@ def _t_range(exact_value_and_slope, targets, tau_jet):
     polynomial (``_germ_start``), and meets the same stopping rule as every
     other inversion.  The pad of 1e-6 of the width holds the cheap map's
     solutions for the extreme targets, which the interpolant's error (near
-    ``CHOP_TOL``) moves off the exact ones.
+    ``CHOP_TOL``) moves off the exact ones.  A ``ValueError`` of the exact
+    map, such as a non-finite jet of the curve at a quadrature node, is
+    raised again with the grid end whose solve met it.
     """
     ends = np.array([min(np.min(targets), 0.0), max(np.max(targets), 0.0)])
     if not ends[0] < ends[1]:
         return None
+
+    def exact(ts):
+        try:
+            return exact_value_and_slope(ts)
+        except ValueError:
+            for t, end in zip(ts, ends):  # the iterate of each end, alone
+                try:
+                    exact_value_and_slope(t[None])
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{exc}, while solving for the t of the grid end tau = {end:.10g}"
+                    ) from None
+            raise
+
     starts = np.array([_germ_start(tau_jet, float(end)) for end in ends])
-    t_lo, t_hi = _newton(exact_value_and_slope, ends, starts, float(tau_jet.coeffs[1]))
+    t_lo, t_hi = _newton(exact, ends, starts, float(tau_jet.coeffs[1]))
     pad = 1e-6 * (t_hi - t_lo)
     return float(t_lo - pad), float(t_hi + pad)
 
@@ -567,8 +583,8 @@ class Profiler:
         table = (L.nodes[::-1] * L.samples[::-1] ** p, L.nodes[::-1])
         return invert_monotone(value_and_slope, targets, self._slope0, t_range, table), L
 
-    def value_direct(self, ts: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
-        """The defining formula, with s from the factor values L at ts if given."""
+    def value_direct(self, ts: np.ndarray, L: np.ndarray) -> np.ndarray:
+        """The defining formula, with s from the factor values L at ts."""
         ts = np.atleast_1d(ts)
         d = self.curve.derivatives_at(ts, self.kind.order)
         return self.kind.direct(d, self.arclength(ts, L))
@@ -576,8 +592,12 @@ class Profiler:
     def value_smooth(self, ts: np.ndarray) -> np.ndarray:
         return self.jets.f_t(np.atleast_1d(ts))
 
-    def values_at_t(self, ts: np.ndarray, factor=None) -> np.ndarray:
-        """Profile values at ts; ``factor`` (a callable L(t)) replaces quadrature."""
+    def values_at_t(self, ts: np.ndarray, factor) -> np.ndarray:
+        """Profile values at ts, with L outside ``SWITCH_RADIUS`` from the callable ``factor``.
+
+        ``profile`` passes the interpolant that inverted the grid (None if no
+        ts lies outside); ``Profiler._factor`` is L by quadrature.
+        """
         ts = np.atleast_1d(ts)
         out = np.empty(len(ts))
         near = np.abs(ts) < SWITCH_RADIUS
@@ -585,7 +605,7 @@ class Profiler:
             out[near] = self.value_smooth(ts[near])
         if np.any(~near):
             far = ts[~near]
-            out[~near] = self.value_direct(far, None if factor is None else factor(far))
+            out[~near] = self.value_direct(far, factor(far))
         out[ts == 0.0] = self.f0
         return out
 
@@ -605,4 +625,5 @@ class Profiler:
         """Max disagreement of the two evaluation routes on the overlap band."""
         band = np.linspace(*OVERLAP_BAND, 9)
         ts = np.concatenate([-band[::-1], band])
-        return float(np.max(np.abs(self.value_direct(ts) - self.value_smooth(ts))))
+        direct = self.value_direct(ts, self._factor(ts))
+        return float(np.max(np.abs(direct - self.value_smooth(ts))))

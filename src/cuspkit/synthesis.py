@@ -336,8 +336,8 @@ class SynthesisResult:
     germ jets up to the first point at or past ``SWITCH_RADIUS``, and that
     value plus the integrated increments beyond it (``_spliced_arclength``).
     ``profile_jets`` holds those jets (the kind's ``jets(germ)``, built once
-    per synthesis; a synthesis reads only ``tau_t`` and ``f_t``, so its
-    ``f_tau`` is not built unless read).  ``tau_max`` is the range as
+    per synthesis; a synthesis reads only ``tau_t`` and the value f_t(0), so
+    its ``f_tau`` is not built unless read).  ``tau_max`` is the range as
     asked; the grid's last tau need not equal it bit for bit.
     """
 
@@ -380,15 +380,13 @@ class SynthesisResult:
     def profile_recomputed(self) -> np.ndarray:
         """The normalized curvature profile recomputed from the synthesis.
 
-        Direct formulas (with the recomputed arclength) away from the
-        origin, germ jets inside the switch radius.
+        The kind's direct formula on the frame's ``stacks``, where nothing
+        cancels near 0, with the recomputed arclength at every tau != 0; at
+        tau = 0, where the formula is 0/0, the germ's own f_t(0).
         """
-        ts = self.taus
-        out = np.empty(len(ts))
-        near = np.abs(ts) < SWITCH_RADIUS
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[~near] = SYSTEMS[self.kind].kind.direct(self.stacks, self.arclength)[~near]
-        out[near] = self.profile_jets.f_t(ts[near])
+            out = SYSTEMS[self.kind].kind.direct(self.stacks, self.arclength)
+        out[self.taus == 0.0] = self.profile_jets.f_t(0.0)
         return out
 
 
@@ -527,7 +525,7 @@ def _inflection_gh_jets(profile, order: int) -> tuple[Jet, Jet]:
     f_jet = profile.jet(0.0, order)
     g_jet = deflate(f_jet - _affine.INFLECTION_PROFILE_VALUE, 1, tol=1e-9)
     scale = max(1.0, abs(float(g_jet.value())) ** 2)
-    h_jet = deflate(9.0 * g_jet.derivative() + 16.0 * g_jet * g_jet, 1, tol=max(1e-9, 1e-7 * scale))
+    h_jet = deflate(9.0 * g_jet.derivative() + 16.0 * g_jet * g_jet, 1, tol=1e-7 * scale)
     return g_jet, h_jet
 
 

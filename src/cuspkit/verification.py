@@ -44,7 +44,7 @@ def _richardson_to_zero(profiler, h: float = 0.1) -> float:
     """Extrapolate the even part of the profile to tau = 0 from three scales."""
 
     def even(hh):
-        vals = profiler.values_at_t(profiler.t_of_tau(np.array([hh, -hh])))
+        vals = profiler.profile(np.array([hh, -hh])).values
         return 0.5 * (vals[0] + vals[1])
 
     g1, g2, g3 = even(h), even(h / 2), even(h / 4)

@@ -65,6 +65,10 @@ CONTRACT = [
     (["invariants", "--curve", "(t^2, 1e999*t^3)"], 1, "1e999"),
     (["invariants", "--curve", "(t^2, 1e308*10*t^3)"], 1, "non-finite jet"),
     (["invariants", "--curve", "(t^2, t^3 + exp(710))"], 1, "exp(710)"),
+    (["profile", "--curve", "(t^2, t^3 + t^4*exp(300*t))", "--kind", "euclid-cusp",
+      "--grid", "-0.5:40:101"],
+     1, "non-finite jet at t0=2.6800120369181446: coefficient 0 of its y component is inf, "
+        "while solving for the t of the grid end tau = 40"),
     (["synthesize", "--kind", "affine-cusp", "--h", "1", "--tau-max", "0.5",
       "--method", "quadrature"], 1, "only the 'frame' route"),
     (["synthesize", "--kind", "euclid-cusp", "--f", "0", "--tau-max", "0.5"], 1, "f(0) != 0"),

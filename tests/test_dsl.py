@@ -178,10 +178,8 @@ def test_catalog_errors():
 def test_catalog_lookups_share_the_parsed_trees(monkeypatch):
     dsl._parsed.cache_clear()
     parses = []
-    original = dsl._SharingParser
-    monkeypatch.setattr(
-        dsl, "_SharingParser", lambda *args: parses.append(args) or original(*args)
-    )
+    original = dsl._Parser
+    monkeypatch.setattr(dsl, "_Parser", lambda *args: parses.append(args) or original(*args))
     given = {"a": 1.0}
     one = catalog_lookup("cycloid", given)
     two = catalog_lookup("cycloid", {"a": 2.5})

@@ -71,6 +71,59 @@ def test_classify_is_scale_free():
         assert classify(germ).label is SingularityType.POSITIVE_CUSP
 
 
+# CLASSIFY_TOL = 1e-9 at its edge: a deciding ratio 3-10 times above it and
+# 3-10 times below it reads the two sides.
+
+
+@pytest.mark.parametrize(
+    "ratio, label",
+    [(1e-8, SingularityType.REGULAR), (3e-9, SingularityType.REGULAR),
+     (3e-10, SingularityType.POSITIVE_INFLECTION), (1e-10, SingularityType.POSITIVE_INFLECTION)],
+)
+def test_classify_tolerance_decides_b12_against_bscale(ratio, label):
+    # (t, eps t^2 + t^3): b12 = 2 eps and bscale = b13 = 6, so b12 / bscale = eps / 3.
+    cls = classify(parse_curve("(t, eps*t^2 + t^3)", {"eps": 3.0 * ratio}).jet(0.0, 5))
+    assert cls.b12 / 6.0 == pytest.approx(ratio, rel=1e-15)
+    assert cls.label is label
+
+
+@pytest.mark.parametrize(
+    "ratio, label",
+    [(1e-8, SingularityType.POSITIVE_INFLECTION), (3e-9, SingularityType.POSITIVE_INFLECTION),
+     (3e-10, SingularityType.POSITIVE_CUSP), (1e-10, SingularityType.POSITIVE_CUSP)],
+)
+def test_classify_tolerance_decides_the_speed_against_vscale(ratio, label):
+    # (delta t + t^2, t^3): speed delta and vscale = |gamma^(3)| = 6.  Above
+    # the tolerance b12 = 0 and b13 = 6 delta decide; below it, b23 = 12.
+    cls = classify(parse_curve("(delta*t + t^2, t^3)", {"delta": 6.0 * ratio}).jet(0.0, 5))
+    assert cls.speed / 6.0 == pytest.approx(ratio, rel=1e-15)
+    assert cls.label is label
+
+
+@pytest.mark.parametrize(
+    "name, t0, label",
+    [("cycloid", 2.0 * math.pi, SingularityType.POSITIVE_CUSP),
+     ("cycloid", -2.0 * math.pi, SingularityType.POSITIVE_CUSP),
+     ("skew_cycloid", 1.5 * math.pi, SingularityType.NEGATIVE_INFLECTION),
+     ("skew_cycloid", 2.0 * math.pi, SingularityType.POSITIVE_INFLECTION)],
+)
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_classify_rounding_level_brackets_stay_below_the_tolerance(name, t0, label, a):
+    # The catalog's next singular points sit at t0 only to rounding, so the
+    # vanishing speed (cusp) or b12 (inflection) of the germ there, after
+    # t + 0.3 t^2, reads about 1e-16 of its scale.
+    germ = catalog_lookup(name, {"a": a}).jet(t0, 5)
+    germ = PlaneJet.from_coeffs(germ.x.coeffs, germ.y.coeffs).compose(
+        Jet(np.array([0.0, 1.0, 0.3, 0.0, 0.0, 0.0]), 0.0)
+    )
+    cls = classify(germ)
+    vscale = max(float(np.hypot(*germ.derivative_vector(k))) for k in (1, 2, 3))
+    bscale = max(abs(cls.b12), abs(cls.b13), abs(cls.b23))
+    vanishing = cls.speed / vscale if cls.is_cusp else abs(cls.b12) / bscale
+    assert 0.0 < vanishing <= 1e-15
+    assert cls.label is label
+
+
 # -- curvature and arclength ------------------------------------------------------
 
 
@@ -211,7 +264,7 @@ def test_profile_limit_by_richardson_extrapolation(name):
     p = Profiler(catalog_lookup(name, {"a": 1.0}), EUCLID_CUSP)
 
     def even(h):
-        v = p.values_at_t(p.t_of_tau(np.array([h, -h])))
+        v = p.profile(np.array([h, -h])).values
         return 0.5 * (v[0] + v[1])
 
     g1, g2, g3 = even(0.1), even(0.05), even(0.025)

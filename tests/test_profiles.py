@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cuspkit import profiles
 from cuspkit.affine import (
@@ -317,7 +319,7 @@ def test_tail_rule_accepts_noisy_samples(name, a, n, left, right):
     assert np.all(np.isfinite(prof.values))
     # Against Newton and the direct route on the exact quadrature map.
     p = Profiler(curve, AFFINE_CUSP)
-    exact = p.values_at_t(invert_monotone(p._tau_and_slope, grid, p._slope0))
+    exact = p.values_at_t(invert_monotone(p._tau_and_slope, grid, p._slope0), p._factor)
     err = np.abs(prof.values - exact) / np.maximum(1.0, np.abs(exact))
     assert np.max(err) <= 1e-11
 
@@ -608,6 +610,22 @@ def test_arclength_at_a_non_finite_t_raises(kind, name, t):
         profiler.arclength(np.array([t]))
 
 
+@pytest.mark.parametrize(
+    "text, grid, t0, end",
+    [("(t^2, t^3 + t^4*exp(300*t))", (-0.5, 40.0), 2.6800120369181446, "40"),
+     ("(t^2, t^3 + t^4*exp(-300*t))", (-40.0, 0.5), -2.6800120369181446, "-40")],
+)
+def test_curve_that_overflows_on_the_way_to_a_grid_end_names_that_end(text, grid, t0, end):
+    # The t-range's exact map evaluates the curve at quadrature nodes; the
+    # error names the node, its component and the grid end being solved for.
+    message = (
+        f"curve {text} has a non-finite jet at t0={t0!r}: coefficient 0 of its y component "
+        f"is inf, while solving for the t of the grid end tau = {end}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        profile_g(parse_curve(text), np.linspace(*grid, 101))
+
+
 # -- one quadrature for every caller -----------------------------------------------
 
 
@@ -690,3 +708,80 @@ def test_f_tau_sign_rules(kind, name):
     assert np.all(np.abs(_f_tau_of(kind, reflected_germ) - (-c if euclidean else c)) <= bound)
     if asymmetric:  # f has odd terms, so reversal is not the identity on it
         assert np.max(np.abs(c[1::2])) > 0.1
+
+
+# -- whole-profile invariance on random polynomial germs -------------------------------
+
+# Per kind: the germ with unit coefficients d1, d3, d4 drawn in [-1, 1] and
+# scaled here, its image M gamma(t + a t^2 + b t^3) + shift, the tau-grid's
+# half-width and the bound on the largest change of the profile relative to
+# its largest value.  Each bound is 2.1-2.4 times the worst of two
+# 2000-example runs (9.3e-10, 1.15e-8 and 8.2e-10), which sits at |t| =
+# 0.045-0.05, where the f_t jet inside SWITCH_RADIUS truncates.  The
+# Euclidean grid reaches past t = -0.742, u at the turning point of
+# t + 0.2 t^2 - 0.1 t^3, so some draws turn back inside the t-range.
+_U = "(t + a*t^2 + b*t^3)"
+INVARIANCE_CASES = {
+    EUCLID_CUSP: ("u^2 + 0.4*d1*u^3", "c2*u^3 + 0.25*d3*u^4", 0.9, 2e-9),
+    AFFINE_CUSP: ("u^2 + 0.3*d1*u^3", "c2*u^3 + 0.15*d3*u^4 + 0.35*d4*u^5", 0.4, 2.5e-8),
+    INFLECTION: ("u + 0.3*d1*u^2", "c2*u^3 + 0.5*d3*u^4 + 0.15*d4*u^5", 0.4, 2e-9),
+}
+
+
+def _germ_and_image(kind):
+    x, y = INVARIANCE_CASES[kind][:2]
+    X, Y = f"({x.replace('u', _U)})", f"({y.replace('u', _U)})"
+    germ = f"({x.replace('u', 't')}, {y.replace('u', 't')})"
+    return germ, f"(m11*{X} + m12*{Y} + s1, m21*{X} + m22*{Y} + s2)"
+
+
+def _turns_before(a, b, t_end):
+    """Whether u = t + a t^2 + b t^3 turns back between 0 and where it reaches t_end."""
+    # u'(t) = 0 at t = 1/s with s^2 + 2 a s + 3 b = 0, and there u = t (2 + a t) / 3.
+    disc = a * a - 3.0 * b
+    if disc < 0.0:
+        return False
+    sides = [s for s in (-a - math.sqrt(disc), -a + math.sqrt(disc)) if s * t_end > 0.0]
+    if not sides:
+        return False
+    t = 1.0 / max(sides, key=abs)  # the turning point nearest 0 on t_end's side
+    return abs(t * (2.0 + a * t) / 3.0) <= abs(t_end)
+
+
+@pytest.mark.parametrize("kind", INVARIANCE_CASES, ids=lambda kind: kind.name)
+@given(
+    st.floats(-1.0, 1.0), st.one_of(st.floats(0.7, 1.3), st.floats(-1.3, -0.7)),
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+    st.floats(0.0, 2.0 * math.pi), st.floats(0.5, 2.0), st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.2, 0.2), st.floats(-0.1, 0.1),
+)
+@example(0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.2, -0.1)  # turns back at t = -1.28
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+def test_profile_is_invariant_under_the_group_and_reparametrization(
+    kind, d1, c2, d3, d4, angle, stretch, shear, s1, s2, a, b
+):
+    # A motion (Euclidean) or unimodular map (affine kinds), a shift and an
+    # orientation-preserving reparametrization fixing 0 leave f(tau) as it is.
+    germ_text, image_text = _germ_and_image(kind)
+    half_width, bound = INVARIANCE_CASES[kind][2:]
+    coefficients = {"d1": d1, "c2": c2, "d3": d3}
+    if "d4" in germ_text:
+        coefficients["d4"] = d4
+    rotation = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    m = rotation
+    if kind is not EUCLID_CUSP:
+        m = rotation @ np.array([[stretch, shear], [0.0, 1.0 / stretch]])
+    image = parse_curve(image_text, {
+        **coefficients, "a": a, "b": b, "s1": s1, "s2": s2,
+        "m11": m[0, 0], "m12": m[0, 1], "m21": m[1, 0], "m22": m[1, 1],
+    })
+    grid = np.linspace(-half_width, half_width, 201)
+    original = Profiler(parse_curve(germ_text, coefficients), kind)
+    t_lo, t_hi = original.t_of_tau(grid[[0, -1]])
+    if _turns_before(a, b, t_lo) or _turns_before(a, b, t_hi):
+        with pytest.raises(ValueError):
+            Profiler(image, kind).profile(grid)
+        return
+    want = original.profile(grid).values
+    got = Profiler(image, kind).profile(grid).values
+    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))

@@ -23,6 +23,37 @@ def test_euclidean_roundtrip_both_signs(method, f):
     assert np.max(np.abs(res.profile_recomputed() - target)) < 1e-10
 
 
+# The seven prescribed profiles of verify check 10.
+CHECK_10_CASES = [
+    ("euclid-cusp", 1.0),
+    ("euclid-cusp", "1 + t"),
+    ("affine-cusp", 0.0),
+    ("affine-cusp", 1.0),
+    ("affine-cusp", -1.0),
+    ("inflection", -5.0 / 16.0),
+    ("inflection", "-5/16 + t"),
+]
+
+
+@pytest.mark.parametrize("step", [1e-3, 2.5e-4])
+@pytest.mark.parametrize("kind, fn", CHECK_10_CASES)
+def test_round_trip_reads_the_direct_formula_through_the_origin(kind, fn, step):
+    # The germ's f_t jet, read inside SWITCH_RADIUS, missed the inflection
+    # -5/16 + t by 1.8e-10 (step 1e-3) and 2.0e-10 (step 2.5e-4) near
+    # |tau| = 0.05.  The direct formula on the frame's stacks reads <= 1.3e-14
+    # there.  RK4 near the pole at tau = -0.5625 sets the worst, at the grid
+    # end tau = -0.5: 1.37e-9 at step 1e-3 and 5.45e-12 at step 2.5e-4.
+    fn = parse_expression(fn) if isinstance(fn, str) else fn
+    res = S.synthesize(kind, fn, 0.5, step=step)
+    tau_n = res.tau_normalized()
+    target = np.asarray(res.input_profile(tau_n))
+    if kind == "affine-cusp":
+        target = affine.CUSP_PROFILE_VALUE + tau_n**2 * target
+    err = np.abs(res.profile_recomputed() - target)
+    assert np.max(err[np.abs(res.taus) < 0.05]) <= 1e-13
+    assert np.max(err) <= (1e-11 if step == 2.5e-4 else 2e-9)
+
+
 # -- the batched propagator against a textbook per-step RK4 ------------------------
 
 PROFILES = {
@@ -358,6 +389,49 @@ def test_inadmissible_input_raises_before_germ_work(kind, text, kw, message, mon
     monkeypatch.setattr(S, "_taylor_germ", lambda *args: pytest.fail("germ work started"))
     with pytest.raises(ValueError, match=re.escape(message)):
         S.synthesize(kind, parse_expression(text), 0.5, **kw)
+
+
+# -- the inflection input rules at their edges ------------------------------------------
+
+# restore_inflection_constraint's three rules, each at 1e-9, with inputs a
+# factor of 2-4 either side.  An accepted input runs the whole synthesis, so
+# that the two deflations of _inflection_gh_jets read it too.
+
+
+@pytest.mark.parametrize("offset, accepted", [(2e-9, False), (5e-10, True)])
+def test_inflection_f0_rule_at_its_edge(offset, accepted):
+    f0 = -5.0 / 16.0 + offset
+    if not accepted:
+        with pytest.raises(ValueError, match=re.escape("inflection synthesis needs f(0) = -5/16")):
+            S.restore_inflection_constraint(f0)
+        return
+    assert S.restore_inflection_constraint(f0)[1] == 0.0
+    assert S.synthesize("inflection", f0, 0.3).taus[-1] == 0.3
+
+
+@pytest.mark.parametrize("residual, repaired", [(2e-9, True), (5e-10, False)])
+def test_inflection_constraint_residual_rule_at_its_edge(residual, repaired):
+    # f = -5/16 + t/10 + q t^2 with 32 f'(0)^2 + 9 f''(0) = residual, scale 1.
+    q = (residual - 32.0 * 0.1**2) / 18.0
+
+    def fn(t):
+        return -5.0 / 16.0 + 0.1 * t + q * t * t
+
+    c = S.restore_inflection_constraint(fn)[1]
+    assert c == (pytest.approx(residual / 1.8, rel=1e-6) if repaired else 0.0)
+    assert S.synthesize("inflection", fn, 0.3).taus[-1] == 0.3
+
+
+@pytest.mark.parametrize(
+    "slope, message",
+    [(5e-10, "f'(0) = 0 but f''(0) != 0 cannot be repaired"),
+     (2e-9, "inflection synthesis reparametrizes f by t = tau / (1 + c tau) with c = 5e+08")],
+)
+def test_inflection_slope_rule_at_its_edge(slope, message):
+    # f''(0) = 2: below the rule f'(0) counts as 0; above it c = 1 / f'(0)
+    # puts the pole at tau = -2e-9.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        S.synthesize("inflection", lambda t: -5.0 / 16.0 + slope * t + t * t, 0.5)
 
 
 # -- the synthesize subcommand -------------------------------------------------------
